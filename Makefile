@@ -5,7 +5,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build test vet fmt lint anchorlint anchorlint-sarif staticcheck govulncheck lint-tools docs race race-full chaos fuzz-smoke serve-smoke bench bench-artifacts cover
+.PHONY: build test vet fmt lint anchorlint anchorlint-sarif staticcheck govulncheck lint-tools docs race race-full chaos fuzz-smoke serve-smoke servebench-smoke bench bench-artifacts cover
 
 build:
 	$(GO) build ./...
@@ -124,6 +124,19 @@ serve-smoke:
 	done; \
 	kill $$pid 2>/dev/null; \
 	exit $$ok
+
+# Serving-benchmark smoke: each servebench workload for 2 s through the
+# benchmark's own entry point (real `anchor serve` processes over HTTP).
+# A run is "correct" only when every answer matched its oracle and the
+# digests pinned in servebench/digest.go, so this also checks the pinned
+# training bits; any wrong answer or failed request fails the target.
+servebench-smoke:
+	@for w in dim-alternating budget-frontier select-cold; do \
+		out=$$(bash servebench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0) || exit 1; \
+		echo "$$w: $$out"; \
+		echo "$$out" | grep -q '"correct":true' && echo "$$out" | grep -q '"failed":0[,}]' || { \
+			echo "servebench-smoke: $$w: wrong answers or failed requests" >&2; exit 1; }; \
+	done
 
 # Kernel and measure micro-benchmarks (the set CI archives per PR),
 # including the retained pre-PR k-NN loop for speedup comparison, plus the

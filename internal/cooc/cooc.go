@@ -51,6 +51,23 @@ func Count(c *corpus.Corpus, window int, w Weighting) *Matrix {
 	return CountWorkers(c, window, w, 0)
 }
 
+// countsKey identifies one counting of a corpus for corpus.Derive.
+type countsKey struct {
+	window int
+	w      Weighting
+}
+
+// Shared returns c's windowed co-occurrence counts (as Count computes
+// them), counted once per (corpus, window, weighting) and shared by every
+// caller for as long as the corpus lives, so trainings on one corpus never
+// recount it. The matrix is read-only. workers bounds the counting
+// goroutines and, as for CountWorkers, never changes the result.
+func Shared(c *corpus.Corpus, window int, w Weighting, workers int) *Matrix {
+	return corpus.Derive(c, countsKey{window, w}, func() *Matrix {
+		return CountWorkers(c, window, w, workers)
+	})
+}
+
 // CountWorkers is Count with an explicit goroutine budget (workers <= 0
 // selects all CPUs). Sentences are partitioned into a fixed number of
 // shards; each shard accumulates into its own map and the per-shard maps

@@ -3,6 +3,8 @@ package cooc
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -332,6 +334,41 @@ func TestPPMISymmetricInputOrder(t *testing.T) {
 	for i := range a.Entries {
 		if a.Entries[i] != b.Entries[i] {
 			t.Fatalf("entry %d differs: %+v vs %+v", i, a.Entries[i], b.Entries[i])
+		}
+	}
+}
+
+// Shared counts a corpus once per (window, weighting): concurrent callers
+// get one matrix, equal to CountWorkers', and other windows, weightings
+// and corpora get their own.
+func TestSharedCountsOncePerCorpusWindowWeighting(t *testing.T) {
+	c := corpus.Generate(corpus.TestConfig(), corpus.Wiki17)
+	got := make([]*Matrix, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = Shared(c, 5, Uniform, i)
+		}()
+	}
+	wg.Wait()
+	for _, m := range got[1:] {
+		if m != got[0] {
+			t.Fatal("concurrent callers got different matrices")
+		}
+	}
+	if !reflect.DeepEqual(got[0], CountWorkers(c, 5, Uniform, 1)) {
+		t.Fatal("shared counts differ from CountWorkers")
+	}
+	other := []*Matrix{
+		Shared(c, 5, InverseDistance, 1),
+		Shared(c, 3, Uniform, 1),
+		Shared(corpus.Generate(corpus.TestConfig(), corpus.Wiki17), 5, Uniform, 1),
+	}
+	for i, m := range other {
+		if m == got[0] {
+			t.Errorf("key %d shares the (5, Uniform) matrix of another corpus or key", i)
 		}
 	}
 }

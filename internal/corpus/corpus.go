@@ -22,6 +22,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // Year identifies which corpus snapshot to generate.
@@ -112,6 +113,8 @@ type Vocab struct {
 func (v *Vocab) Size() int { return len(v.Words) }
 
 // Corpus is a generated snapshot: tokenized sentences over a shared vocab.
+// A corpus is fixed once built: statistics derived from it (Derive) are
+// computed once and shared, so its fields must not change afterwards.
 type Corpus struct {
 	Year      Year
 	Vocab     *Vocab
@@ -119,6 +122,36 @@ type Corpus struct {
 	Counts    []int64 // token count per word id
 	Tokens    int64   // total token count
 	Docs      int     // number of documents generated
+
+	derivedMu sync.Mutex
+	derived   map[any]*derivedStat
+}
+
+// derivedStat is one memoized Derive result.
+type derivedStat struct {
+	once sync.Once
+	v    any
+}
+
+// Derive returns the statistic build computes from c, calling build at
+// most once per (corpus, key): every later or concurrent call with an
+// equal key waits for and shares the first result, which lives as long as
+// the corpus does. Callers must treat the result as read-only. key must be
+// comparable; a key of a type unexported from the caller's package cannot
+// collide with another package's statistics.
+func Derive[T any](c *Corpus, key any, build func() T) T {
+	c.derivedMu.Lock()
+	st, ok := c.derived[key]
+	if !ok {
+		if c.derived == nil {
+			c.derived = map[any]*derivedStat{}
+		}
+		st = &derivedStat{}
+		c.derived[key] = st
+	}
+	c.derivedMu.Unlock()
+	st.once.Do(func() { st.v = build() })
+	return st.v.(T)
 }
 
 // splitmix64 is the deterministic hash used for all per-item decisions,

@@ -111,7 +111,7 @@ func (t *GloVe) update(st *gloveShard, dim int, i, j int32, x float64) {
 
 // Train implements Trainer.
 func (t *GloVe) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embedding {
-	counts := cooc.CountWorkers(c, t.Window, cooc.InverseDistance, t.Workers)
+	counts := cooc.Shared(c, t.Window, cooc.InverseDistance, t.Workers)
 	n := c.Vocab.Size()
 	rng := newTrainRNG(seed)
 

@@ -128,6 +128,12 @@ func (r *Runner) SnapshotKey(algo string, year, dim, bits int, seed int64) (stor
 // seed) from the artifact store, training it on a miss. year selects the
 // snapshot (2017 or 2018).
 func (r *Runner) TrainCtx(ctx context.Context, algo string, year, dim int, seed int64) (*embedding.Embedding, error) {
+	return r.train(ctx, algo, year, dim, seed, r.Cfg.Workers)
+}
+
+// train is TrainCtx with the training's goroutine budget given
+// explicitly; the trained bits never depend on it.
+func (r *Runner) train(ctx context.Context, algo string, year, dim int, seed int64, workers int) (*embedding.Embedding, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -146,7 +152,7 @@ func (r *Runner) TrainCtx(ctx context.Context, algo string, year, dim int, seed 
 		c = c18
 	}
 	return r.store.Get(r.embKey(algo, tag, dim, seed, 32), true, func() (*embedding.Embedding, error) {
-		tr, err := embtrain.Lookup(algo, r.Cfg.Workers)
+		tr, err := embtrain.Lookup(algo, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -160,33 +166,36 @@ func (r *Runner) TrainCtx(ctx context.Context, algo string, year, dim int, seed 
 // PairCtx returns the full-precision embedding pair for (algo, dim,
 // seed): the Wiki'17 embedding and the Wiki'18 embedding already aligned
 // to it with orthogonal Procrustes (Section 3's protocol). Both come from
-// the artifact store, so a warm store serves the pair without retraining;
-// the compute path trains both snapshots and aligns in one flight.
+// the artifact store, so a warm store serves the pair without retraining.
+// On a miss the two snapshots come from their single-artifact store slots
+// (so a pair never retrains what /v1/train or a restart's disk tier
+// already produced), trained concurrently when the worker budget allows,
+// each on its share of it; the aligned Wiki'18 embedding is a rotated copy
+// of the shared unaligned one.
 func (r *Runner) PairCtx(ctx context.Context, algo string, dim int, seed int64) (*embedding.Embedding, *embedding.Embedding, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	_, c18 := r.Corpora()
 	k17 := r.embKey(algo, "wiki17", dim, seed, 32)
 	k18 := r.embKey(algo, "wiki18a", dim, seed, 32)
 	return r.store.GetPair(k17, k18, true, func() (*embedding.Embedding, *embedding.Embedding, error) {
-		tr, err := embtrain.Lookup(algo, r.Cfg.Workers)
-		if err != nil {
-			return nil, nil, err
+		workers := parallel.Workers(r.Cfg.Workers)
+		var (
+			years = [2]int{2017, 2018}
+			embs  [2]*embedding.Embedding
+			errs  [2]error
+		)
+		parallel.Run(workers, len(years), func(i int) {
+			embs[i], errs[i] = r.train(ctx, algo, years[i], dim, seed, max(1, workers/len(years)))
+		}, nil)
+		for _, err := range errs {
+			if err != nil {
+				return nil, nil, err
+			}
 		}
-		// The Wiki'17 snapshot goes through its single-artifact store
-		// slot, so a pair request never retrains an embedding that
-		// /v1/train (or a restart's disk tier) already produced.
-		e17, err := r.TrainCtx(ctx, algo, 2017, dim, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		e18 := tr.Train(c18, dim, seed)
-		embedding.AlignTagged(e17, e18)
-		return e17, e18, nil
+		e18 := embs[1].Clone()
+		embedding.AlignTagged(embs[0], e18)
+		return embs[0], e18, nil
 	})
 }
 

@@ -1,9 +1,60 @@
 package experiments
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"sync/atomic"
 	"testing"
+
+	"anchor/internal/corpus"
+	"anchor/internal/embedding"
+	"anchor/internal/embtrain"
+	"anchor/internal/parallel"
 )
+
+// countedAlgo is MC registered under its own name with every Train call
+// counted in trainCalls, so a test can tell whether a runner trained.
+const countedAlgo = "mc-counted"
+
+var trainCalls atomic.Int64
+
+type countedTrainer struct{ embtrain.Trainer }
+
+func (t countedTrainer) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embedding {
+	trainCalls.Add(1)
+	return t.Trainer.Train(c, dim, seed)
+}
+
+func init() {
+	embtrain.Register(countedAlgo, func(workers int) embtrain.Trainer {
+		tr := embtrain.NewMC()
+		tr.Workers = workers
+		return countedTrainer{tr}
+	})
+}
+
+// embeddingDigest hashes an embedding's provenance, vocabulary (row
+// order) and vectors, floats as little-endian IEEE 754 bits.
+func embeddingDigest(e *embedding.Embedding) string {
+	h := sha256.New()
+	h.Write([]byte(e.Meta.String() + "\n"))
+	for _, w := range e.Words {
+		h.Write([]byte(w + "\n"))
+	}
+	var b [8]byte
+	for _, x := range e.Vectors.Data {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func sameEmbedding(a, b *embedding.Embedding) bool {
+	return embeddingDigest(a) == embeddingDigest(b)
+}
 
 func TestPairCachedAndAligned(t *testing.T) {
 	a17, a18 := sharedRunner.Pair("mc", 8, 1)
@@ -108,5 +159,103 @@ func TestNERGridDisabled(t *testing.T) {
 	r := NewRunner(cfg)
 	if got := r.NERGrid(); got != nil {
 		t.Fatalf("disabled NER grid should be nil, got %d cells", len(got))
+	}
+}
+
+// PairCtx trains a cold pair's two years concurrently when the worker
+// budget allows; the pair must be bitwise the one a sequential
+// (Workers=1) runner trains.
+func TestPairBitwiseAcrossWorkerBudgets(t *testing.T) {
+	ctx := context.Background()
+	seq := SmallConfig()
+	seq.Workers = 1
+	r1, r0 := NewRunner(seq), NewRunner(SmallConfig())
+	for _, algo := range []string{"mc", "glove"} {
+		a17, a18, err := r1.PairCtx(ctx, algo, 8, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b17, b18, err := r0.PairCtx(ctx, algo, 8, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameEmbedding(a17, b17) || !sameEmbedding(a18, b18) {
+			t.Errorf("%s: pair differs between Workers=1 and the default budget", algo)
+		}
+	}
+}
+
+// A select after /v1/train of both years trains nothing: the pair takes
+// both snapshots from their store slots and aligns a copy of the shared
+// Wiki'18 artifact, which stays unaligned.
+func TestSelectAfterTrainingBothYearsTrainsNothing(t *testing.T) {
+	ctx := context.Background()
+	r := NewRunner(SmallConfig())
+	var trained [2]*embedding.Embedding
+	for i, year := range []int{2017, 2018} {
+		e, err := r.TrainCtx(ctx, countedAlgo, year, 8, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trained[i] = e
+	}
+	before := trainCalls.Load()
+	// Service.Select's reads: the anchors at the grid's largest dimension,
+	// then every (dim, bits) cell's quantized pair.
+	if _, _, err := r.AnchorsAtCtx(ctx, countedAlgo, 8, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, bits := range []int{1, 4, 32} {
+		if _, _, err := r.QuantizedPairCtx(ctx, countedAlgo, 8, bits, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := trainCalls.Load() - before; n != 0 {
+		t.Fatalf("select trained %d embeddings after both years were trained", n)
+	}
+	e17, e18a, err := r.PairCtx(ctx, countedAlgo, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e17 != trained[0] {
+		t.Error("pair's Wiki'17 half is not the trained artifact")
+	}
+	if e18a == trained[1] || trained[1].Meta.Corpus != "wiki18" || e18a.Meta.Corpus != "wiki18a" {
+		t.Errorf("alignment touched the shared Wiki'18 artifact (%q, aligned %q)", trained[1].Meta.Corpus, e18a.Meta.Corpus)
+	}
+}
+
+// Trainings on one corpus share its co-occurrence counts, computed once:
+// concurrent trainings match the bytes trained on a freshly generated
+// corpus, and later ones still do after the corpus's sentences are
+// dropped, because the count-based trainers read only the shared counts.
+func TestTrainingsShareCorpusCounts(t *testing.T) {
+	ctx := context.Background()
+	cfg := SmallConfig()
+	r := NewRunner(cfg)
+	c17, _ := r.Corpora()
+	fresh := corpus.Generate(cfg.Corpus, corpus.Wiki17)
+	algos := []string{"mc", "glove"}
+	for seed := int64(1); seed <= 2; seed++ {
+		if seed == 2 {
+			c17.Sentences = nil
+		}
+		got := make([]*embedding.Embedding, len(algos))
+		errs := make([]error, len(algos))
+		parallel.Run(len(algos), len(algos), func(i int) {
+			got[i], errs[i] = r.TrainCtx(ctx, algos[i], 2017, 8, seed)
+		}, nil)
+		for i, algo := range algos {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			tr, err := embtrain.Lookup(algo, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameEmbedding(got[i], tr.Train(fresh, 8, seed)) {
+				t.Errorf("%s seed %d: differs from a training on a fresh corpus", algo, seed)
+			}
+		}
 	}
 }

@@ -323,11 +323,16 @@ func (s *Store) fill(ka, kb Key, pair, persist bool, memA, memB *embedding.Embed
 	if computed && persist && s.dir != "" {
 		// Persistence is best-effort: a full or read-only disk must not
 		// discard a successfully computed artifact (the memory tier still
-		// serves it); failures are only counted in Stats.
-		if err := s.saveDisk(ka, a); err != nil {
-			s.persistErrs.Add(1)
+		// serves it); failures are only counted in Stats. An element the
+		// compute fetched through its own slot (a nested Get) is already
+		// resident under its key and was persisted there, so only what
+		// the compute newly produced is written.
+		if !s.resident(ka, a) {
+			if err := s.saveDisk(ka, a); err != nil {
+				s.persistErrs.Add(1)
+			}
 		}
-		if pair {
+		if pair && !s.resident(kb, b) {
 			if err := s.saveDisk(kb, b); err != nil {
 				s.persistErrs.Add(1)
 			}
@@ -340,6 +345,14 @@ func (s *Store) fill(ka, kb Key, pair, persist bool, memA, memB *embedding.Embed
 	}
 	s.mu.Unlock()
 	return a, b, nil
+}
+
+// resident reports whether e is the memory tier's artifact under k.
+func (s *Store) resident(k Key, e *embedding.Embedding) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.items[k.ID()]
+	return ok && el.Value.(*entry).emb == e
 }
 
 // lookupLocked returns the memory-tier artifact for id, refreshing its

@@ -221,6 +221,54 @@ func TestWaiterRetriesAfterOriginatorCancellation(t *testing.T) {
 
 // TestPersistFailureStillServes: a failed disk write must not discard the
 // computed artifact or poison the slot.
+// A pair compute that fetches one element through that element's own
+// slot (a nested Get, which persists it) must not write it a second time;
+// the element it newly produced is persisted as usual.
+func TestGetPairPersistsOnlyNewlyComputedElements(t *testing.T) {
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ka, kb := key(4), Key{Algo: "mc", Corpus: "wiki18a", Dim: 4, Seed: 1, Bits: 32, Scope: "t"}
+	files := []string{s.binPath(ka), s.path(ka)}
+	var nested []os.FileInfo
+	if _, _, err := s.GetPair(ka, kb, true, func() (*embedding.Embedding, *embedding.Embedding, error) {
+		a, err := s.Get(ka, true, func() (*embedding.Embedding, error) {
+			return testEmbedding(4, 0), nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, f := range files {
+			fi, err := os.Stat(f)
+			if err != nil {
+				return nil, nil, err
+			}
+			nested = append(nested, fi)
+		}
+		return a, testEmbedding(4, 9), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range files {
+		fi, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(nested[i], fi) {
+			t.Errorf("%s was written again after its nested Get persisted it", f)
+		}
+	}
+	for _, f := range []string{s.binPath(kb), s.path(kb)} {
+		if _, err := os.Stat(f); err != nil {
+			t.Errorf("newly computed element not persisted: %v", err)
+		}
+	}
+	if st := s.Stats(); st.Computes != 2 || st.PersistErrors != 0 {
+		t.Fatalf("stats = %+v, want 2 computes and no persist errors", st)
+	}
+}
+
 func TestPersistFailureStillServes(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 0)
