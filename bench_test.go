@@ -199,6 +199,31 @@ func BenchmarkMulABT(b *testing.B) {
 	}
 }
 
+// BenchmarkMulABTLUT times the packed-code LUT kernel on the read path's
+// shape: one query row scored against an 800-row snapshot (the bench
+// config's vocabulary) at the 256-bit serving budget's quantized cells,
+// dim x bits 32x8, 64x4 and 128x2.
+func BenchmarkMulABTLUT(b *testing.B) {
+	const rows = 800
+	for _, cell := range []struct{ dim, bits int }{{32, 8}, {64, 4}, {128, 2}} {
+		b.Run(fmt.Sprintf("%dx%d", cell.dim, cell.bits), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			levels := make([]float64, 1<<cell.bits)
+			for v := range levels {
+				levels[v] = float64(2*v+1-len(levels)) / float64(len(levels))
+			}
+			codes := matrix.NewCodes(rows, cell.dim, cell.bits, levels)
+			rng.Read(codes.Data)
+			q := matrix.NewDenseRand(1, cell.dim, 1, rng)
+			dst := matrix.NewDense(1, rows)
+			b.ReportAllocs()
+			for b.Loop() {
+				matrix.MulABTIntoLUT(dst, q, codes, 1)
+			}
+		})
+	}
+}
+
 // ---- downstream-training benchmarks (fast path vs retained reference) ----
 //
 // The fast and reference trainers produce bitwise-identical models (see

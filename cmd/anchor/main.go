@@ -90,6 +90,8 @@ type serviceFlags struct {
 	workers  *int
 	cacheDir *string
 	verbose  *bool
+	// progress receives the -v progress stages.
+	progress *log.Logger
 }
 
 func addServiceFlags(fs *flag.FlagSet, defaultConfig string) serviceFlags {
@@ -98,6 +100,7 @@ func addServiceFlags(fs *flag.FlagSet, defaultConfig string) serviceFlags {
 		workers:  fs.Int("workers", 0, "goroutine budget (0 = all CPUs; results are identical for any value)"),
 		cacheDir: fs.String("cache-dir", "", "persist trained embeddings to this directory (reused across runs)"),
 		verbose:  fs.Bool("v", false, "log progress stages"),
+		progress: log.New(os.Stderr, "anchor: ", 0),
 	}
 }
 
@@ -112,9 +115,7 @@ func (f serviceFlags) newService(extra ...anchor.ServiceOption) (*anchor.Service
 		anchor.WithCacheDir(*f.cacheDir),
 	}
 	if *f.verbose {
-		opts = append(opts, anchor.WithProgress(func(stage string) {
-			fmt.Fprintln(os.Stderr, "anchor:", stage)
-		}))
+		opts = append(opts, anchor.WithProgress(func(stage string) { f.progress.Println(stage) }))
 	}
 	return anchor.NewService(append(opts, extra...)...)
 }
@@ -395,11 +396,8 @@ func cmdServe(ctx context.Context, args []string) error {
 	fs.Parse(args)
 
 	logger := log.New(os.Stderr, "anchor-serve ", log.LstdFlags)
-	svc, err := sf.newService(anchor.WithServingBudget(*budget), anchor.WithProgress(func(stage string) {
-		if *sf.verbose {
-			logger.Println(stage)
-		}
-	}))
+	sf.progress = logger
+	svc, err := sf.newService(anchor.WithServingBudget(*budget))
 	if err != nil {
 		return err
 	}

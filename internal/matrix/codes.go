@@ -13,10 +13,20 @@ package matrix
 // accumulator in ascending k, so results are bitwise identical to
 // MulABTInto against the dequantized rows — for every worker count,
 // batch shape, and bit width.
+//
+// For 1-, 2-, 4- and 8-bit codes, where every packed byte holds whole
+// codes, the kernel scores four candidate rows per pass with four
+// independent accumulator chains (the interleave MulABTInto uses), and
+// decodes each row one byte at a time: the byte's 8/b codes come out
+// with constant shifts and masks, and index a fixed-size window of the
+// table. 3-, 5-, 6- and 7-bit codes straddle bytes and go one row at a
+// time through a bit buffer. Tables come from a pool, so a call does
+// not allocate one.
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"anchor/internal/parallel"
 )
@@ -138,6 +148,10 @@ func (c *Codes) Dense() *Dense {
 // SizeBytes returns the packed payload size.
 func (c *Codes) SizeBytes() int { return len(c.Data) }
 
+// lutPool holds reusable per-band lookup tables: a table is d·2^b
+// float64s, 64 KiB for a 32-dim 8-bit snapshot.
+var lutPool = sync.Pool{New: func() any { return new([]float64) }}
+
 // MulABTIntoLUT computes a*bᵀ into dst for float64 query rows a against
 // packed candidate rows b, and returns dst. dst must be a.Rows-by-b.Rows
 // and must not alias a. Per query row it materializes the d·2^b table of
@@ -147,6 +161,11 @@ func (c *Codes) SizeBytes() int { return len(c.Data) }
 // follows the kernel contract: bands own disjoint output rows, results
 // are bitwise identical to MulABTInto(dst, a, b.Dense()) for every
 // worker count.
+//
+// For 1-, 2-, 4- and 8-bit codes, whose packed bytes hold whole codes,
+// each pass scores four candidate rows (see lutDot4). Codes of 3, 5, 6
+// or 7 bits straddle bytes and are scored one row at a time through a
+// bit buffer.
 func MulABTIntoLUT(dst, a *Dense, b *Codes, workers int) *Dense {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("matrix: MulABTLUT col mismatch %d vs %d", a.Cols, b.Cols))
@@ -154,7 +173,12 @@ func MulABTIntoLUT(dst, a *Dense, b *Codes, workers int) *Dense {
 	checkDst(dst, a.Rows, b.Rows)
 	nlv := len(b.Levels)
 	runBanded(a.Rows, a.Rows*a.Cols*b.Rows, workers, func(band parallel.Range) {
-		lut := make([]float64, a.Cols*nlv)
+		scratch := lutPool.Get().(*[]float64)
+		defer lutPool.Put(scratch)
+		if cap(*scratch) < a.Cols*nlv {
+			*scratch = make([]float64, a.Cols*nlv)
+		}
+		lut := (*scratch)[:a.Cols*nlv]
 		for i := band.Lo; i < band.Hi; i++ {
 			arow := a.Row(i)
 			for k, qv := range arow {
@@ -165,33 +189,15 @@ func MulABTIntoLUT(dst, a *Dense, b *Codes, workers int) *Dense {
 			}
 			orow := dst.Row(i)
 			switch b.Bits {
-			case 8:
-				for j := 0; j < b.Rows; j++ {
-					row := b.Data[j*b.RowBytes : j*b.RowBytes+b.Cols]
-					var s float64
-					for k, code := range row {
-						s += lut[k<<8+int(code)]
-					}
-					orow[j] = s
-				}
-			case 4:
-				for j := 0; j < b.Rows; j++ {
-					row := b.Data[j*b.RowBytes : (j+1)*b.RowBytes]
-					var s float64
-					k := 0
-					for _, by := range row {
-						s += lut[k<<4+int(by&15)]
-						k++
-						if k == b.Cols {
-							break
-						}
-						s += lut[k<<4+int(by>>4)]
-						k++
-						if k == b.Cols {
-							break
-						}
-					}
-					orow[j] = s
+			case 1, 2, 4, 8:
+				// A final pass short of four rows scores the last row in
+				// the missing slots and drops those sums.
+				last := b.Rows - 1
+				for j := 0; j < b.Rows; j += 4 {
+					s0, s1, s2, s3 := lutDot4(lut, b.Bits, b.Cols,
+						b.row(j), b.row(min(j+1, last)), b.row(min(j+2, last)), b.row(min(j+3, last)))
+					s := [4]float64{s0, s1, s2, s3}
+					copy(orow[j:], s[:])
 				}
 			default:
 				mask := uint(1)<<uint(b.Bits) - 1
@@ -216,4 +222,72 @@ func MulABTIntoLUT(dst, a *Dense, b *Codes, workers int) *Dense {
 		}
 	})
 	return dst
+}
+
+// row returns the packed bytes of row i.
+func (c *Codes) row(i int) []byte { return c.Data[i*c.RowBytes : (i+1)*c.RowBytes] }
+
+// lutDot4 returns the table sums of four candidate rows of bits-wide
+// codes, bits in {1, 2, 4, 8}, so every packed byte holds 8/bits whole
+// codes. Byte i's codes are entries k = i·(8/bits)+p, p = 0.., at bit
+// offset p·bits; their table entries are contiguous, so each byte is
+// decoded with constant shifts against a fixed-size window of lut. Each
+// sum is one accumulator adding its entries in ascending k, the order of
+// the reference dot product; the four chains are independent, so their
+// adds overlap instead of waiting on each other. Every code is masked,
+// the top one of a byte too, so the compiler can prove each table index
+// in range.
+func lutDot4(lut []float64, bits, cols int, r0, r1, r2, r3 []byte) (s0, s1, s2, s3 float64) {
+	per := 8 / bits
+	full := cols / per // bytes whose every code is in the row
+	f0 := r0[:full]
+	f1, f2, f3 := r1[:len(f0)], r2[:len(f0)], r3[:len(f0)]
+	switch bits {
+	case 8:
+		for i, c0 := range f0 {
+			t := (*[256]float64)(lut[i<<8:])
+			s0, s1, s2, s3 = s0+t[c0], s1+t[f1[i]], s2+t[f2[i]], s3+t[f3[i]]
+		}
+	case 4:
+		for i := range f0 {
+			t := (*[32]float64)(lut[i<<5:])
+			c0, c1, c2, c3 := uint(f0[i]), uint(f1[i]), uint(f2[i]), uint(f3[i])
+			s0, s1, s2, s3 = s0+t[c0&15], s1+t[c1&15], s2+t[c2&15], s3+t[c3&15]
+			s0, s1, s2, s3 = s0+t[16+c0>>4&15], s1+t[16+c1>>4&15], s2+t[16+c2>>4&15], s3+t[16+c3>>4&15]
+		}
+	case 2:
+		for i := range f0 {
+			t := (*[16]float64)(lut[i<<4:])
+			c0, c1, c2, c3 := uint(f0[i]), uint(f1[i]), uint(f2[i]), uint(f3[i])
+			s0, s1, s2, s3 = s0+t[c0&3], s1+t[c1&3], s2+t[c2&3], s3+t[c3&3]
+			s0, s1, s2, s3 = s0+t[4+c0>>2&3], s1+t[4+c1>>2&3], s2+t[4+c2>>2&3], s3+t[4+c3>>2&3]
+			s0, s1, s2, s3 = s0+t[8+c0>>4&3], s1+t[8+c1>>4&3], s2+t[8+c2>>4&3], s3+t[8+c3>>4&3]
+			s0, s1, s2, s3 = s0+t[12+c0>>6&3], s1+t[12+c1>>6&3], s2+t[12+c2>>6&3], s3+t[12+c3>>6&3]
+		}
+	case 1:
+		for i := range f0 {
+			t := (*[16]float64)(lut[i<<4:])
+			c0, c1, c2, c3 := uint(f0[i]), uint(f1[i]), uint(f2[i]), uint(f3[i])
+			s0, s1, s2, s3 = s0+t[c0&1], s1+t[c1&1], s2+t[c2&1], s3+t[c3&1]
+			s0, s1, s2, s3 = s0+t[2+c0>>1&1], s1+t[2+c1>>1&1], s2+t[2+c2>>1&1], s3+t[2+c3>>1&1]
+			s0, s1, s2, s3 = s0+t[4+c0>>2&1], s1+t[4+c1>>2&1], s2+t[4+c2>>2&1], s3+t[4+c3>>2&1]
+			s0, s1, s2, s3 = s0+t[6+c0>>3&1], s1+t[6+c1>>3&1], s2+t[6+c2>>3&1], s3+t[6+c3>>3&1]
+			s0, s1, s2, s3 = s0+t[8+c0>>4&1], s1+t[8+c1>>4&1], s2+t[8+c2>>4&1], s3+t[8+c3>>4&1]
+			s0, s1, s2, s3 = s0+t[10+c0>>5&1], s1+t[10+c1>>5&1], s2+t[10+c2>>5&1], s3+t[10+c3>>5&1]
+			s0, s1, s2, s3 = s0+t[12+c0>>6&1], s1+t[12+c1>>6&1], s2+t[12+c2>>6&1], s3+t[12+c3>>6&1]
+			s0, s1, s2, s3 = s0+t[14+c0>>7&1], s1+t[14+c1>>7&1], s2+t[14+c2>>7&1], s3+t[14+c3>>7&1]
+		}
+	}
+	// The row's last byte holds the remaining cols%per codes, if any.
+	if k := full * per; k < cols {
+		nlv := 1 << bits
+		mask := byte(nlv - 1)
+		c0, c1, c2, c3 := r0[full], r1[full], r2[full], r3[full]
+		for ; k < cols; k++ {
+			t := lut[k*nlv:]
+			s0, s1, s2, s3 = s0+t[c0&mask], s1+t[c1&mask], s2+t[c2&mask], s3+t[c3&mask]
+			c0, c1, c2, c3 = c0>>bits, c1>>bits, c2>>bits, c3>>bits
+		}
+	}
+	return s0, s1, s2, s3
 }

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -120,21 +121,31 @@ func TestNewCodesFromDenseRejectsOffGrid(t *testing.T) {
 
 // TestMulABTIntoLUTGoldenBitEquality: LUT scoring of packed codes must be
 // bitwise identical to the float64 kernel against the dequantized rows,
-// for every bit width, worker count, and shape.
+// for every bit width, worker count, and shape. The shapes reach every
+// loop of the kernel: each width 1..8; candidate-row counts leaving each
+// remainder 0..3 of the four-row pass; dims that end rows mid-byte; and
+// the 256-bit serving budget's packed cells (dim x bits 32x8, 64x4,
+// 128x2) at the bench vocabulary's 800 rows.
 func TestMulABTIntoLUTGoldenBitEquality(t *testing.T) {
+	type cell struct{ bits, m, n, d int }
+	var cells []cell
+	for bits := 1; bits <= 8; bits++ {
+		for _, sh := range []struct{ m, n, d int }{{1, 1, 1}, {2, 4, 7}, {3, 9, 13}, {6, 70, 32}, {4, 11, 13}} {
+			cells = append(cells, cell{bits, sh.m, sh.n, sh.d})
+		}
+	}
+	cells = append(cells, cell{8, 2, 800, 32}, cell{4, 2, 800, 64}, cell{2, 2, 800, 128})
 	rng := rand.New(rand.NewSource(99))
-	for _, bits := range []int{1, 2, 3, 4, 5, 7, 8} {
-		for _, sh := range []struct{ m, n, d int }{{1, 1, 1}, {3, 9, 13}, {6, 70, 32}} {
-			codes := randCodes(sh.n, sh.d, bits, int64(bits*1000+sh.n))
-			q := NewDense(sh.m, sh.d)
-			for i := range q.Data {
-				q.Data[i] = rng.NormFloat64()
-			}
-			want := MulABTWorkers(q, codes.Dense(), 1)
-			for _, workers := range []int{1, 2, 3, 8} {
-				got := MulABTIntoLUT(NewDense(sh.m, sh.n), q, codes, workers)
-				sameBits(t, got, want, "MulABTIntoLUT")
-			}
+	for _, c := range cells {
+		codes := randCodes(c.n, c.d, c.bits, int64(c.bits*1000+c.n))
+		q := NewDense(c.m, c.d)
+		for i := range q.Data {
+			q.Data[i] = rng.NormFloat64()
+		}
+		want := MulABTWorkers(q, codes.Dense(), 1)
+		for _, workers := range []int{1, 2, 3, 8} {
+			got := MulABTIntoLUT(NewDense(c.m, c.n), q, codes, workers)
+			sameBits(t, got, want, fmt.Sprintf("MulABTIntoLUT bits=%d %dx%dx%d workers=%d", c.bits, c.m, c.n, c.d, workers))
 		}
 	}
 }

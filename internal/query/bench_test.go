@@ -113,7 +113,7 @@ func BenchmarkNeighborsServe(b *testing.B) {
 // BenchmarkNeighborsPrecision measures the precision-parametrized read
 // path at the acceptance scale (|V| = 10k, d = 100): the same batched
 // 64-client workload served from float64 rows, float32 rows (b=16), and
-// packed codes through the LUT kernel (b=8, b=1). Each sub-benchmark
+// packed codes through the LUT kernel (b=8, 4, 2, 1). Each sub-benchmark
 // reports queries/s and bytes/query — the resident snapshot bytes every
 // query streams — so the quantized rows' memory win is machine-readable
 // next to the throughput numbers.
@@ -139,7 +139,7 @@ func BenchmarkNeighborsPrecision(b *testing.B) {
 		words[i] = e.Words[(i*151)%n]
 	}
 
-	for _, bits := range []int{32, 16, 8, 1} {
+	for _, bits := range []int{32, 16, 8, 4, 2, 1} {
 		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
 			ref := Ref{Algo: "bench", Year: 2017, Dim: d, Seed: 1}
 			if bits < 32 {

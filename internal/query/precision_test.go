@@ -105,7 +105,7 @@ func TestQuantizedNeighborsGoldenBitEquality(t *testing.T) {
 	for i := range words {
 		words[i] = fmt.Sprintf("w%03d", i)
 	}
-	for _, bits := range []int{1, 4, 8, 16} {
+	for _, bits := range []int{1, 2, 4, 8, 16} {
 		ref := Ref{Algo: "cbow", Year: 2017, Dim: 16, Seed: 1, Bits: bits}
 		art, err := src(ctx, ref)
 		if err != nil {
