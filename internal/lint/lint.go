@@ -13,8 +13,8 @@
 //	//anchorlint:ignore <rule> <reason>
 //
 // placed on the flagged line or on the line directly above it. The reason
-// is mandatory: intentional nondeterminism (for example the gather-window
-// timing in internal/query) must be documented where it happens. A
+// is mandatory: intentional nondeterminism (for example the retry
+// backoff timer in internal/query) must be documented where it happens. A
 // directive with a missing reason or an unknown rule name is itself
 // reported.
 package lint

@@ -27,8 +27,7 @@ import (
 // normalized rows (seeded by the snapshot's training seed, bitwise
 // worker-count-invariant) and cached on the snapshot, optionally through
 // an ANNSource that persists sidecars in the artifact store. ANN queries
-// skip the micro-batching gather window — they do not share a matrix
-// product, so there is nothing to coalesce.
+// share no matrix product: each probes and scores on its own.
 
 // Mode selects the search strategy for one neighbors request.
 type Mode struct {
@@ -141,23 +140,23 @@ func (e *Engine) charge(s *snapshot, delta int64) {
 	e.evictOverBudgetLocked()
 }
 
-// annCompute answers one slice of neighbor requests through the IVF
-// index. Requests are independent — each query probes and scores on its
-// own — so they fan out across workers with results written to disjoint
-// slots; answers are bitwise identical for every worker count.
-func (e *Engine) annCompute(s *snapshot, ix *ann.Index, reqs []*neighborReq, nprobe int) {
-	e.annQueries.Add(int64(len(reqs)))
+// annCompute answers neighbor queries (row ids) through the IVF index,
+// writing each query's top-k into out. Queries are independent — each
+// probes and scores on its own — so they fan out across workers with
+// results written to disjoint slots; answers are bitwise identical for
+// every worker count.
+func (e *Engine) annCompute(s *snapshot, ix *ann.Index, ids []int, k, nprobe int, out [][]Neighbor) {
+	e.annQueries.Add(int64(len(ids)))
 	n := s.rows
-	parallel.Run(e.workers, len(reqs), func(i int) {
-		r := reqs[i]
+	parallel.Run(e.workers, len(ids), func(i int) {
 		srch := ann.NewSearcher(ix)
-		qprobe, sim := s.annSim(r.id)
-		ids := srch.Search(qprobe, r.k, nprobe, r.id, sim, make([]int32, min(r.k, n)))
-		scores := make([]float64, len(ids))
-		for j, id := range ids {
-			scores[j] = sim(id)
+		qprobe, sim := s.annSim(ids[i])
+		top := srch.Search(qprobe, k, nprobe, ids[i], sim, make([]int32, min(k, n)))
+		ns := make([]Neighbor, len(top))
+		for j, id := range top {
+			ns[j] = s.neighbor(id, sim(id))
 		}
-		r.out <- neighborAnswer{idxs: ids, sims: scores}
+		out[i] = ns
 	}, nil)
 }
 
@@ -189,70 +188,4 @@ func (s *snapshot) annSim(id int) (qprobe []float64, sim func(int32) float64) {
 		s.fillRaw(int(j), crow)
 		return (floats.Dot(qraw, crow) * qinv) * s.inv[j]
 	}
-}
-
-// NeighborsMode is Neighbors with an explicit search mode. The exact
-// mode (zero Mode) micro-batches as usual; ANN queries go straight to
-// the index.
-func (e *Engine) NeighborsMode(ctx context.Context, ref Ref, word string, k int, m Mode) ([]Neighbor, error) {
-	if !m.ANN {
-		return e.Neighbors(ctx, ref, word, k)
-	}
-	out, err := e.NeighborsBatchMode(ctx, ref, []string{word}, k, m)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// NeighborsBatchMode is NeighborsBatch with an explicit search mode.
-func (e *Engine) NeighborsBatchMode(ctx context.Context, ref Ref, words []string, k int, m Mode) ([][]Neighbor, error) {
-	if !m.ANN {
-		return e.NeighborsBatch(ctx, ref, words, k)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("query: k must be positive, got %d", k)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s, err := e.snapshot(ctx, ref)
-	if err != nil {
-		return nil, err
-	}
-	reqs := make([]*neighborReq, len(words))
-	for i, w := range words {
-		id, err := s.resolve(w)
-		if err != nil {
-			return nil, err
-		}
-		reqs[i] = &neighborReq{id: id, k: k, out: make(chan neighborAnswer, 1)}
-	}
-	ix, err := e.annIndex(ctx, s)
-	if err != nil {
-		return nil, err
-	}
-	e.annCompute(s, ix, reqs, m.NProbe)
-	out := make([][]Neighbor, len(reqs))
-	for i, r := range reqs {
-		out[i] = s.neighbors(<-r.out)
-	}
-	return out, nil
-}
-
-// NeighborDeltaMode is NeighborDelta with an explicit search mode
-// applied to both snapshots.
-func (e *Engine) NeighborDeltaMode(ctx context.Context, refA, refB Ref, words []string, k int, m Mode) ([]Delta, error) {
-	if !m.ANN {
-		return e.NeighborDelta(ctx, refA, refB, words, k)
-	}
-	na, err := e.NeighborsBatchMode(ctx, refA, words, k, m)
-	if err != nil {
-		return nil, err
-	}
-	nb, err := e.NeighborsBatchMode(ctx, refB, words, k, m)
-	if err != nil {
-		return nil, err
-	}
-	return deltas(words, na, nb), nil
 }

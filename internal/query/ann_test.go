@@ -33,14 +33,14 @@ func TestANNFullProbeBitwiseExact(t *testing.T) {
 	full := Mode{ANN: true, NProbe: rows} // >= any NList
 	for _, bits := range []int{0, 4, 16} {
 		ref := Ref{Algo: "cbow", Year: 2017, Dim: 16, Seed: 1, Bits: bits}
-		exactEng := New(src, WithWindow(0))
+		exactEng := New(src)
 		want, err := exactEng.NeighborsBatch(ctx, ref, words, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3, 8} {
 			label := fmt.Sprintf("bits=%d workers=%d", bits, workers)
-			eng := New(src, WithWindow(0), WithWorkers(workers))
+			eng := New(src, WithWorkers(workers))
 			got, err := eng.NeighborsBatchMode(ctx, ref, words, k, full)
 			if err != nil {
 				t.Fatal(err)
@@ -70,7 +70,7 @@ func TestANNScoresMatchExactPath(t *testing.T) {
 	words := annWords(rows)
 	for _, bits := range []int{0, 4, 16} {
 		ref := Ref{Algo: "cbow", Year: 2017, Dim: 16, Seed: 2, Bits: bits}
-		eng := New(src, WithWindow(0))
+		eng := New(src)
 		// Exact full ranking: every row's score for every query word.
 		exact, err := eng.NeighborsBatch(ctx, ref, words, rows-1)
 		if err != nil {
@@ -139,7 +139,7 @@ func TestANNIndexCachedAndCharged(t *testing.T) {
 	src := quantFixtureSource(rows)
 	ctx := context.Background()
 	ref := Ref{Algo: "cbow", Year: 2017, Dim: 16, Seed: 1}
-	eng := New(src, WithWindow(0))
+	eng := New(src)
 	if _, err := eng.Words(ctx, ref); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestANNSourceWiring(t *testing.T) {
 		gotCfg, gotRows, gotDim = cfg, rows, dim
 		return build()
 	}
-	eng := New(src, WithWindow(0), WithWorkers(2), WithANNSource(passthrough))
+	eng := New(src, WithWorkers(2), WithANNSource(passthrough))
 	want, err := eng.NeighborsMode(ctx, ref, "w007", k, Mode{ANN: true, NProbe: rows})
 	if err != nil {
 		t.Fatal(err)
@@ -217,13 +217,13 @@ func TestANNSourceWiring(t *testing.T) {
 	}
 
 	// Warm source: serves a pre-built index; the engine must not build.
-	exact, err := New(src, WithWindow(0)).NeighborsBatch(ctx, ref, []string{"w007"}, k)
+	exact, err := New(src).NeighborsBatch(ctx, ref, []string{"w007"}, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	neighborsEqualBits(t, "pass-through full probe vs exact", want, exact[0])
 	var warmIx *ann.Index
-	warmEng := New(src, WithWindow(0), WithANNSource(func(ctx context.Context, r Ref, cfg ann.Config, rows, dim int, build func() (*ann.Index, error)) (*ann.Index, error) {
+	warmEng := New(src, WithANNSource(func(ctx context.Context, r Ref, cfg ann.Config, rows, dim int, build func() (*ann.Index, error)) (*ann.Index, error) {
 		return warmIx, nil
 	}))
 	// Build the index out of band, as store.GetANN would from a sidecar.
@@ -243,7 +243,7 @@ func TestANNSourceWiring(t *testing.T) {
 
 	// A failing source surfaces its error (wrapped with the ref).
 	boom := errors.New("sidecar store on fire")
-	failEng := New(src, WithWindow(0), WithANNSource(func(ctx context.Context, r Ref, cfg ann.Config, rows, dim int, build func() (*ann.Index, error)) (*ann.Index, error) {
+	failEng := New(src, WithANNSource(func(ctx context.Context, r Ref, cfg ann.Config, rows, dim int, build func() (*ann.Index, error)) (*ann.Index, error) {
 		return nil, boom
 	}))
 	if _, err := failEng.NeighborsMode(ctx, ref, "w007", k, Mode{ANN: true}); !errors.Is(err, boom) {
@@ -258,7 +258,7 @@ func TestANNModeErrors(t *testing.T) {
 	src := quantFixtureSource(rows)
 	ctx := context.Background()
 	ref := Ref{Algo: "cbow", Year: 2017, Dim: 16, Seed: 1}
-	eng := New(src, WithWindow(0))
+	eng := New(src)
 
 	if _, err := eng.NeighborsBatchMode(ctx, ref, []string{"w001"}, 0, Mode{ANN: true}); err == nil {
 		t.Fatal("k=0 accepted")
@@ -292,7 +292,7 @@ func TestNeighborDeltaModeFullProbe(t *testing.T) {
 	src := quantFixtureSource(rows)
 	ctx := context.Background()
 	words := []string{"w003", "w017", "w042"}
-	eng := New(src, WithWindow(0))
+	eng := New(src)
 	want, err := eng.NeighborDelta(ctx, ref17(), ref18(), words, k)
 	if err != nil {
 		t.Fatal(err)

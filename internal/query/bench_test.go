@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"anchor/internal/compress"
 	"anchor/internal/embedding"
@@ -18,14 +17,14 @@ import (
 // BenchmarkNeighborsServe measures the read path at the acceptance scale
 // (|V| = 10k, d = 100):
 //
-//   - sequential-64 vs batched-64: 64 concurrent singleton /v1/neighbors-
-//     style queries per round, with micro-batching off vs on. The batched
-//     path coalesces the burst into shared MulABT blocks that stream the
-//     10k x 100 snapshot matrix once per batch instead of once per query.
+//   - singleton-64 vs block-64: 64 neighbor queries per round, as 64
+//     concurrent single-word Neighbors calls (one query block each) vs one
+//     64-word NeighborsBatch (one shared MulABT block that streams the
+//     10k x 100 snapshot matrix once instead of once per query).
 //   - coldload-gob vs coldload-binary: decoding one artifact from disk
 //     through the gob tier vs the zero-copy binary format.
 func BenchmarkNeighborsServe(b *testing.B) {
-	const n, d, clients = 10_000, 100, 64
+	const n, d, queries = 10_000, 100, 64
 	rng := rand.New(rand.NewSource(3))
 	e := embedding.New(n, d)
 	e.Vectors = matrix.NewDenseRand(n, d, 1, rng)
@@ -36,41 +35,16 @@ func BenchmarkNeighborsServe(b *testing.B) {
 	e.Meta = embedding.Meta{Algorithm: "bench", Corpus: "wiki17", Dim: d, Seed: 1, Precision: 32}
 	src := func(ctx context.Context, ref Ref) (*embedding.Embedding, error) { return e, nil }
 	ref := Ref{Algo: "bench", Year: 2017, Dim: d, Seed: 1}
-	words := make([]string, clients)
+	words := make([]string, queries)
 	for i := range words {
 		words[i] = e.Words[(i*151)%n]
 	}
 
-	serve := func(b *testing.B, eng *Engine) {
-		b.Helper()
-		// Warm the snapshot so rounds measure query work, not the load.
-		if _, err := eng.Neighbors(context.Background(), ref, words[0], 5); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					if _, err := eng.Neighbors(context.Background(), ref, words[c], 5); err != nil {
-						b.Error(err)
-					}
-				}(c)
-			}
-			wg.Wait()
-		}
-		b.StopTimer()
-		qps := float64(clients) * float64(b.N) / b.Elapsed().Seconds()
-		b.ReportMetric(qps, "queries/s")
-	}
-
-	b.Run("sequential-64", func(b *testing.B) {
-		serve(b, New(src, WithWindow(0)))
+	b.Run("singleton-64", func(b *testing.B) {
+		serveRounds(b, New(src), ref, words, singletonRound)
 	})
-	b.Run("batched-64", func(b *testing.B) {
-		serve(b, New(src, WithWindow(time.Millisecond), WithMaxBatch(clients)))
+	b.Run("block-64", func(b *testing.B) {
+		serveRounds(b, New(src), ref, words, blockRound)
 	})
 
 	dir := b.TempDir()
@@ -110,15 +84,54 @@ func BenchmarkNeighborsServe(b *testing.B) {
 	})
 }
 
+// serveRounds times b.N rounds of round, each answering one neighbor
+// query per word, against an engine whose snapshot is already resident,
+// and reports queries/s.
+func serveRounds(b *testing.B, eng *Engine, ref Ref, words []string, round func(*testing.B, *Engine, Ref, []string)) {
+	b.Helper()
+	// Warm the snapshot so rounds measure query work, not the load.
+	if _, err := eng.Neighbors(context.Background(), ref, words[0], 5); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(b, eng, ref, words)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(words))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+}
+
+// singletonRound sends every word as its own concurrent Neighbors call.
+func singletonRound(b *testing.B, eng *Engine, ref Ref, words []string) {
+	var wg sync.WaitGroup
+	for _, w := range words {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := eng.Neighbors(context.Background(), ref, w, 5); err != nil {
+				b.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// blockRound sends all words as one NeighborsBatch request.
+func blockRound(b *testing.B, eng *Engine, ref Ref, words []string) {
+	if _, err := eng.NeighborsBatch(context.Background(), ref, words, 5); err != nil {
+		b.Error(err)
+	}
+}
+
 // BenchmarkNeighborsPrecision measures the precision-parametrized read
-// path at the acceptance scale (|V| = 10k, d = 100): the same batched
-// 64-client workload served from float64 rows, float32 rows (b=16), and
-// packed codes through the LUT kernel (b=8, 4, 2, 1). Each sub-benchmark
-// reports queries/s and bytes/query — the resident snapshot bytes every
-// query streams — so the quantized rows' memory win is machine-readable
-// next to the throughput numbers.
+// path at the acceptance scale (|V| = 10k, d = 100): one 64-word
+// NeighborsBatch per round, served from float64 rows, float32 rows
+// (b=16), and packed codes through the LUT kernel (b=8, 4, 2, 1). Each
+// sub-benchmark reports queries/s and bytes/query — the resident snapshot
+// bytes every query streams — so the quantized rows' memory win is
+// machine-readable next to the throughput numbers.
 func BenchmarkNeighborsPrecision(b *testing.B) {
-	const n, d, clients = 10_000, 100, 64
+	const n, d, queries = 10_000, 100, 64
 	rng := rand.New(rand.NewSource(3))
 	e := embedding.New(n, d)
 	e.Vectors = matrix.NewDenseRand(n, d, 1, rng)
@@ -134,7 +147,7 @@ func BenchmarkNeighborsPrecision(b *testing.B) {
 		clip := compress.OptimalClip(e.Vectors.Data, ref.Bits)
 		return compress.Quantize(e, ref.Bits, clip), nil
 	}
-	words := make([]string, clients)
+	words := make([]string, queries)
 	for i := range words {
 		words[i] = e.Words[(i*151)%n]
 	}
@@ -145,32 +158,11 @@ func BenchmarkNeighborsPrecision(b *testing.B) {
 			if bits < 32 {
 				ref.Bits = bits
 			}
-			eng := New(src, WithWindow(time.Millisecond), WithMaxBatch(clients))
-			if _, err := eng.Neighbors(context.Background(), ref, words[0], 5); err != nil {
-				b.Fatal(err)
-			}
-			var snapBytes int64
+			eng := New(src)
+			serveRounds(b, eng, ref, words, blockRound)
 			for _, in := range eng.Resident() {
-				snapBytes = in.Bytes
+				b.ReportMetric(float64(in.Bytes), "bytes/query")
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						if _, err := eng.Neighbors(context.Background(), ref, words[c], 5); err != nil {
-							b.Error(err)
-						}
-					}(c)
-				}
-				wg.Wait()
-			}
-			b.StopTimer()
-			qps := float64(clients) * float64(b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(qps, "queries/s")
-			b.ReportMetric(float64(snapBytes), "bytes/query")
 		})
 	}
 }

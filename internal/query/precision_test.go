@@ -95,8 +95,8 @@ func neighborsEqualBits(t *testing.T, label string, got, want []Neighbor) {
 // for every precision mode (b<=8 packed codes, 9..31 float32, both
 // compared against dequantize-then-float64 execution), every worker
 // count, and every batch shape (singleton, one NeighborsBatch block,
-// micro-batched concurrent singletons), the engine's answers must be
-// bitwise identical to the reference.
+// concurrent singletons), the engine's answers must be bitwise identical
+// to the reference.
 func TestQuantizedNeighborsGoldenBitEquality(t *testing.T) {
 	const rows, k = 60, 7
 	src := quantFixtureSource(rows)
@@ -118,8 +118,8 @@ func TestQuantizedNeighborsGoldenBitEquality(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 8} {
 			label := fmt.Sprintf("bits=%d workers=%d", bits, workers)
 
-			// Singleton execution: no gather window, one query per block.
-			single := New(src, WithWindow(0), WithWorkers(workers))
+			// Singleton execution: one query per block.
+			single := New(src, WithWorkers(workers))
 			for id, w := range words {
 				ns, err := single.Neighbors(ctx, ref, w, k)
 				if err != nil {
@@ -129,7 +129,7 @@ func TestQuantizedNeighborsGoldenBitEquality(t *testing.T) {
 			}
 
 			// One multi-word block.
-			batched := New(src, WithWindow(0), WithWorkers(workers))
+			batched := New(src, WithWorkers(workers))
 			all, err := batched.NeighborsBatch(ctx, ref, words, k)
 			if err != nil {
 				t.Fatal(err)
@@ -138,10 +138,10 @@ func TestQuantizedNeighborsGoldenBitEquality(t *testing.T) {
 				neighborsEqualBits(t, label+" batch", all[id], want[id])
 			}
 
-			// Micro-batched concurrent singletons through the gather window.
-			gathered := New(src, WithWorkers(workers), WithMaxBatch(13))
-			for id, ns := range queryAll(t, gathered, ref, words, k) {
-				neighborsEqualBits(t, label+" gathered", ns, want[id])
+			// Concurrent singletons, each scored as its own block.
+			concurrent := New(src, WithWorkers(workers))
+			for id, ns := range queryAll(t, concurrent, ref, words, k) {
+				neighborsEqualBits(t, label+" concurrent", ns, want[id])
 			}
 		}
 	}
@@ -156,7 +156,7 @@ func TestQuantizedSnapshotResidency(t *testing.T) {
 	const rows = 400
 	src := quantFixtureSource(rows)
 	ctx := context.Background()
-	eng := New(src, WithWindow(0))
+	eng := New(src)
 	mk := func(bits int) Ref { return Ref{Algo: "cbow", Year: 2017, Dim: 64, Seed: 1, Bits: bits} }
 	for _, bits := range []int{32, 16, 8, 1} {
 		if _, err := eng.Words(ctx, mk(bits)); err != nil {
@@ -218,7 +218,7 @@ func TestQuantizedRefsAreDistinctSnapshots(t *testing.T) {
 		t.Fatalf("quantized ref string %q", r.String())
 	}
 	src := quantFixtureSource(30)
-	eng := New(src, WithWindow(0))
+	eng := New(src)
 	ctx := context.Background()
 	for _, bits := range []int{0, 8} {
 		rr := Ref{Algo: "cbow", Year: 2017, Dim: 16, Seed: 1, Bits: bits}

@@ -24,13 +24,12 @@
 //     executing the same query in float64 — for every worker count and
 //     batch shape (see the golden tests in precision_test.go).
 //   - Nearest-neighbor queries run through the blocked MulABT kernel and
-//     the bounded-heap top-k selector from internal/core. Concurrent
-//     singleton queries against the same snapshot are micro-batched: the
-//     first arrival opens a short gather window, later arrivals join the
-//     batch, and the whole batch is scored as one query-block matrix
-//     product. Because every similarity is an independent single-
-//     accumulator dot product, each query's answer is bitwise identical
-//     whether it ran alone or in any batch, for any worker count.
+//     the bounded-heap top-k selector from internal/core. Each request is
+//     scored as one query block the moment it arrives (a multi-word
+//     request as one block per blockSize words). Because every similarity
+//     is an independent single-accumulator dot product, each query's
+//     answer is bitwise identical whatever block it ran in, for any
+//     worker count.
 //   - NeighborDelta answers the paper's instability question directly:
 //     the overlap between a word's top-k neighbors in two snapshots.
 package query
@@ -123,10 +122,11 @@ type Stats struct {
 	SnapshotLoads int64
 	// Evictions counts snapshots dropped by the byte budget.
 	Evictions int64
-	// Batches counts executed query blocks (micro-batched or singleton).
+	// Batches counts exact query blocks scored: one per request, or one
+	// per blockSize words of a longer multi-word request.
 	Batches int64
-	// BatchedQueries counts neighbor queries answered; BatchedQueries /
-	// Batches is the achieved coalescing factor.
+	// BatchedQueries counts neighbor queries the exact path answered;
+	// BatchedQueries / Batches is the mean block size.
 	BatchedQueries int64
 	// Retries counts snapshot-load attempts beyond each load's first try
 	// (see WithRetry). A nonzero value means the source failed
@@ -146,8 +146,6 @@ type Stats struct {
 type Engine struct {
 	src      Source
 	budget   int64
-	window   time.Duration
-	maxBatch int
 	workers  int
 	attempts int
 	backoff  time.Duration
@@ -175,22 +173,6 @@ func WithBudget(bytes int64) Option {
 	return func(e *Engine) { e.budget = bytes }
 }
 
-// WithWindow sets the micro-batching gather window: how long the first
-// concurrent neighbor query against a snapshot waits for company before
-// the batch is scored. 0 disables gathering — every query is scored as a
-// singleton block. Answers are bitwise identical either way; the window
-// trades a bounded latency floor for shared matrix-product bandwidth.
-func WithWindow(d time.Duration) Option {
-	return func(e *Engine) { e.window = d }
-}
-
-// WithMaxBatch caps how many queries one gather window may coalesce
-// (default 128, the k-NN engine's block size). A full batch fires
-// immediately instead of waiting out the window.
-func WithMaxBatch(n int) Option {
-	return func(e *Engine) { e.maxBatch = n }
-}
-
 // WithWorkers bounds the goroutines used per query-block matrix product
 // and snapshot normalization (<= 0 selects all CPUs). Answers are bitwise
 // identical for every value.
@@ -215,8 +197,6 @@ func New(src Source, opts ...Option) *Engine {
 	e := &Engine{
 		src:      src,
 		budget:   256 << 20,
-		window:   200 * time.Microsecond,
-		maxBatch: 128,
 		attempts: 3,
 		backoff:  2 * time.Millisecond,
 		items:    map[Ref]*list.Element{},
@@ -225,9 +205,6 @@ func New(src Source, opts ...Option) *Engine {
 	}
 	for _, opt := range opts {
 		opt(e)
-	}
-	if e.maxBatch < 1 {
-		e.maxBatch = 1
 	}
 	return e
 }
@@ -343,30 +320,10 @@ type snapshot struct {
 	index     map[string]int
 	bytes     int64
 
-	mu  sync.Mutex
-	cur *gather // open micro-batch, nil when none
-
 	// annMu serializes the lazy IVF index build; annIdx is the built (or
 	// sidecar-loaded) index, nil until the first ANN query.
 	annMu  sync.Mutex
 	annIdx *ann.Index
-}
-
-// gather is one micro-batch being collected during a window.
-type gather struct {
-	reqs []*neighborReq
-	full chan struct{} // closed when the batch seals at maxBatch
-}
-
-type neighborReq struct {
-	id  int
-	k   int
-	out chan neighborAnswer // buffered; the computer never blocks
-}
-
-type neighborAnswer struct {
-	idxs []int32
-	sims []float64
 }
 
 type snapFlight struct {
@@ -616,36 +573,40 @@ func (e *Engine) Vector(ctx context.Context, ref Ref, word string) (int, []float
 	return id, vec, nil
 }
 
+// blockSize is the most words one query block scores: a multi-word
+// request is split into blocks of at most this many query rows, the k-NN
+// engine's block size (internal/core), which bounds each similarity block
+// at blockSize×|V| floats.
+const blockSize = 128
+
 // Neighbors returns the word's k nearest neighbors by cosine similarity
 // in the snapshot under ref, excluding the word itself, ordered by
-// similarity descending with id-ascending tie-breaks. The query may be
-// coalesced with concurrent Neighbors calls into one query-block matrix
-// product; the answer is bitwise identical either way.
+// similarity descending with id-ascending tie-breaks. It is a one-word
+// NeighborsBatch: the query is scored as its own query block the moment
+// it arrives.
 func (e *Engine) Neighbors(ctx context.Context, ref Ref, word string, k int) ([]Neighbor, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("query: k must be positive, got %d", k)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s, err := e.snapshot(ctx, ref)
-	if err != nil {
-		return nil, err
-	}
-	id, err := s.resolve(word)
-	if err != nil {
-		return nil, err
-	}
-	ans, err := e.enqueue(ctx, s, id, k)
-	if err != nil {
-		return nil, err
-	}
-	return s.neighbors(ans), nil
+	return e.NeighborsMode(ctx, ref, word, k, Mode{})
 }
 
-// NeighborsBatch answers one multi-word neighbors request as a single
-// query block: no gather window, one matrix product for all words.
+// NeighborsBatch answers a multi-word neighbors request: one query block
+// per blockSize words, one matrix product per block.
 func (e *Engine) NeighborsBatch(ctx context.Context, ref Ref, words []string, k int) ([][]Neighbor, error) {
+	return e.NeighborsBatchMode(ctx, ref, words, k, Mode{})
+}
+
+// NeighborsMode is Neighbors with an explicit search mode.
+func (e *Engine) NeighborsMode(ctx context.Context, ref Ref, word string, k int, m Mode) ([]Neighbor, error) {
+	out, err := e.NeighborsBatchMode(ctx, ref, []string{word}, k, m)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// NeighborsBatchMode is NeighborsBatch with an explicit search mode, and
+// the one path every neighbor query takes: exact queries are scored in
+// query blocks, ANN queries go to the snapshot's IVF index.
+func (e *Engine) NeighborsBatchMode(ctx context.Context, ref Ref, words []string, k int, m Mode) ([][]Neighbor, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("query: k must be positive, got %d", k)
 	}
@@ -656,97 +617,42 @@ func (e *Engine) NeighborsBatch(ctx context.Context, ref Ref, words []string, k 
 	if err != nil {
 		return nil, err
 	}
-	reqs := make([]*neighborReq, len(words))
+	ids := make([]int, len(words))
 	for i, w := range words {
-		id, err := s.resolve(w)
+		if ids[i], err = s.resolve(w); err != nil {
+			return nil, err
+		}
+	}
+	out := make([][]Neighbor, len(ids))
+	if m.ANN {
+		ix, err := e.annIndex(ctx, s)
 		if err != nil {
 			return nil, err
 		}
-		reqs[i] = &neighborReq{id: id, k: k, out: make(chan neighborAnswer, 1)}
+		e.annCompute(s, ix, ids, k, m.NProbe, out)
+		return out, nil
 	}
-	out := make([][]Neighbor, len(reqs))
-	for lo := 0; lo < len(reqs); lo += e.maxBatch {
-		hi := lo + e.maxBatch
-		if hi > len(reqs) {
-			hi = len(reqs)
-		}
+	for lo := 0; lo < len(ids); lo += blockSize {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		e.compute(s, reqs[lo:hi])
-		for i, r := range reqs[lo:hi] {
-			out[lo+i] = s.neighbors(<-r.out)
-		}
+		hi := min(lo+blockSize, len(ids))
+		e.compute(s, ids[lo:hi], k, out[lo:hi])
 	}
 	return out, nil
 }
 
-// neighbors renders a computed answer with vocabulary strings.
-func (s *snapshot) neighbors(ans neighborAnswer) []Neighbor {
-	ns := make([]Neighbor, len(ans.idxs))
-	for i, ix := range ans.idxs {
-		ns[i] = Neighbor{ID: int(ix), Score: ans.sims[i]}
-		if s.words != nil {
-			ns[i].Word = s.words[ix]
-		}
+// neighbor renders one answer entry: row id, similarity, and the row's
+// vocabulary string.
+func (s *snapshot) neighbor(id int32, sim float64) Neighbor {
+	n := Neighbor{ID: int(id), Score: sim}
+	if s.words != nil {
+		n.Word = s.words[id]
 	}
-	return ns
+	return n
 }
 
-// enqueue submits one singleton neighbor query, micro-batching it with
-// concurrent queries against the same snapshot. The first arrival becomes
-// the batch leader: it opens the gather window, waits it out (or until
-// the batch is full), seals the batch, and scores it for everyone.
-func (e *Engine) enqueue(ctx context.Context, s *snapshot, id, k int) (neighborAnswer, error) {
-	req := &neighborReq{id: id, k: k, out: make(chan neighborAnswer, 1)}
-	if e.window <= 0 {
-		e.compute(s, []*neighborReq{req})
-		return <-req.out, nil
-	}
-
-	s.mu.Lock()
-	leader := s.cur == nil
-	if leader {
-		s.cur = &gather{full: make(chan struct{})}
-	}
-	b := s.cur
-	b.reqs = append(b.reqs, req)
-	if len(b.reqs) >= e.maxBatch {
-		// Seal at capacity: detach so the next arrival opens a fresh
-		// batch, and wake the leader early.
-		s.cur = nil
-		close(b.full)
-	}
-	s.mu.Unlock()
-
-	if leader {
-		//anchorlint:ignore seedrand gather-window timing only groups requests into batches; per-query answers are bitwise identical singleton vs batched (TestNeighborsBitwiseSingletonVsBatched)
-		timer := time.NewTimer(e.window)
-		select {
-		case <-timer.C:
-		case <-b.full:
-			timer.Stop()
-		}
-		s.mu.Lock()
-		if s.cur == b { // sealed by timeout, not capacity
-			s.cur = nil
-		}
-		reqs := b.reqs
-		s.mu.Unlock()
-		// The leader computes for the whole batch even if its own client
-		// hung up: followers are waiting on it.
-		e.compute(s, reqs)
-	}
-
-	select {
-	case ans := <-req.out:
-		return ans, nil
-	case <-ctx.Done():
-		return neighborAnswer{}, ctx.Err()
-	}
-}
-
-// computeScratch pools the per-batch query and similarity blocks.
+// computeScratch pools the per-block query and similarity buffers.
 var computeScratch = sync.Pool{New: func() any { return &batchScratch{} }}
 
 type batchScratch struct {
@@ -779,16 +685,17 @@ func (sc *batchScratch) simBlock(q, n int) *matrix.Dense {
 	return matrix.NewDenseData(q, n, sc.sb[:q*n])
 }
 
-// compute scores one batch of neighbor queries as a single query-block
-// product against the snapshot's resident rows and delivers each query's
-// top-k. Every similarity is an independent single-accumulator dot
-// product (plus, in compact modes, a fixed-order scale by the two inverse
-// norms), so each answer is bitwise independent of the batch composition
-// and the worker count — and, in compact modes, bitwise identical to
-// dequantizing the artifact and executing the same query in float64.
-func (e *Engine) compute(s *snapshot, reqs []*neighborReq) {
+// compute scores one block of neighbor queries (row ids) as a single
+// query-block product against the snapshot's resident rows and writes
+// each query's top-k into out. Every similarity is an independent
+// single-accumulator dot product (plus, in compact modes, a fixed-order
+// scale by the two inverse norms), so each answer is bitwise independent
+// of the block composition and the worker count — and, in compact modes,
+// bitwise identical to dequantizing the artifact and executing the same
+// query in float64.
+func (e *Engine) compute(s *snapshot, ids []int, k int, out [][]Neighbor) {
 	e.batches.Add(1)
-	e.batchedQueries.Add(int64(len(reqs)))
+	e.batchedQueries.Add(int64(len(ids)))
 	n, d := s.rows, s.dim
 	sc := computeScratch.Get().(*batchScratch)
 	defer computeScratch.Put(sc)
@@ -798,36 +705,37 @@ func (e *Engine) compute(s *snapshot, reqs []*neighborReq) {
 		// Query rows dequantize to their exact raw float64 values; the LUT
 		// kernel then scores them against the packed rows decode-free.
 		var qb *matrix.Dense
-		qb, sb = sc.blocks(len(reqs), d, n)
-		for i, r := range reqs {
-			s.codes.DequantizeRow(r.id, qb.Row(i))
+		qb, sb = sc.blocks(len(ids), d, n)
+		for i, id := range ids {
+			s.codes.DequantizeRow(id, qb.Row(i))
 		}
 		matrix.MulABTIntoLUT(sb, qb, s.codes, e.workers)
-		s.scaleSims(sb, reqs)
+		s.scaleSims(sb, ids)
 	case precFloat32:
-		qb32 := sc.block32(len(reqs), d)
-		sb = sc.simBlock(len(reqs), n)
-		for i, r := range reqs {
-			copy(qb32.Row(i), s.raw32.Row(r.id))
+		qb32 := sc.block32(len(ids), d)
+		sb = sc.simBlock(len(ids), n)
+		for i, id := range ids {
+			copy(qb32.Row(i), s.raw32.Row(id))
 		}
 		matrix.MulABTInto32(sb, qb32, s.raw32, e.workers)
-		s.scaleSims(sb, reqs)
+		s.scaleSims(sb, ids)
 	default:
 		var qb *matrix.Dense
-		qb, sb = sc.blocks(len(reqs), d, n)
-		for i, r := range reqs {
-			copy(qb.Row(i), s.norm.Row(r.id))
+		qb, sb = sc.blocks(len(ids), d, n)
+		for i, id := range ids {
+			copy(qb.Row(i), s.norm.Row(id))
 		}
 		matrix.MulABTInto(sb, qb, s.norm, e.workers)
 	}
-	for i, r := range reqs {
+	top := make([]int32, min(k, n))
+	for i, id := range ids {
 		sims := sb.Row(i)
-		idxs := sc.sel.Select(sims, r.id, r.k, make([]int32, min(r.k, n)))
-		scores := make([]float64, len(idxs))
+		idxs := sc.sel.Select(sims, id, k, top)
+		ns := make([]Neighbor, len(idxs))
 		for j, ix := range idxs {
-			scores[j] = sims[ix]
+			ns[j] = s.neighbor(ix, sims[ix])
 		}
-		r.out <- neighborAnswer{idxs: idxs, sims: scores}
+		out[i] = ns
 	}
 }
 
@@ -835,10 +743,10 @@ func (e *Engine) compute(s *snapshot, reqs []*neighborReq) {
 // precomputed inverse norms: sim = (dot·invQ)·invJ, in exactly that
 // order for every element — the same two multiplications, in the same
 // order, the dequantized float64 reference performs.
-func (s *snapshot) scaleSims(sb *matrix.Dense, reqs []*neighborReq) {
-	for i, r := range reqs {
+func (s *snapshot) scaleSims(sb *matrix.Dense, ids []int) {
+	for i, id := range ids {
 		sims := sb.Row(i)
-		qinv := s.inv[r.id]
+		qinv := s.inv[id]
 		for j := range sims {
 			sims[j] = (sims[j] * qinv) * s.inv[j]
 		}
@@ -866,11 +774,17 @@ type Delta struct {
 // orthogonal alignment, so the comparison needs no Procrustes step: the
 // overlap is a pure function of the two trained snapshots.
 func (e *Engine) NeighborDelta(ctx context.Context, refA, refB Ref, words []string, k int) ([]Delta, error) {
-	na, err := e.NeighborsBatch(ctx, refA, words, k)
+	return e.NeighborDeltaMode(ctx, refA, refB, words, k, Mode{})
+}
+
+// NeighborDeltaMode is NeighborDelta with an explicit search mode
+// applied to both snapshots.
+func (e *Engine) NeighborDeltaMode(ctx context.Context, refA, refB Ref, words []string, k int, m Mode) ([]Delta, error) {
+	na, err := e.NeighborsBatchMode(ctx, refA, words, k, m)
 	if err != nil {
 		return nil, err
 	}
-	nb, err := e.NeighborsBatch(ctx, refB, words, k)
+	nb, err := e.NeighborsBatchMode(ctx, refB, words, k, m)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -87,7 +86,7 @@ func referenceNeighbors(e *embedding.Embedding, id, k int) []int {
 
 func TestNeighborsMatchesReference(t *testing.T) {
 	src := fixtureSource(60, nil)
-	eng := New(src, WithWindow(0), WithWorkers(1))
+	eng := New(src, WithWorkers(1))
 	ctx := context.Background()
 	e, _ := src(ctx, ref17())
 	for _, word := range []string{"w000", "w007", "w059"} {
@@ -135,40 +134,59 @@ func queryAll(t *testing.T, eng *Engine, ref Ref, words []string, k int) [][]Nei
 	return out
 }
 
+// TestNeighborsBitwiseSingletonVsBatched pins that a query's answer does
+// not depend on the block it ran in: concurrent singletons on a 4-worker
+// engine, each scored as its own block, and one 200-word NeighborsBatch,
+// split into blocks of 128 and 72 rows, all match serial one-worker
+// singletons bit for bit.
 func TestNeighborsBitwiseSingletonVsBatched(t *testing.T) {
+	all := make([]string, 200)
+	for i := range all {
+		all[i] = fmt.Sprintf("w%03d", i)
+	}
 	words := make([]string, 64)
 	for i := range words {
-		words[i] = fmt.Sprintf("w%03d", i*3%200)
+		words[i] = all[i*3%200]
 	}
 
-	singleton := New(fixtureSource(200, nil), WithWindow(0), WithWorkers(1))
-	batched := New(fixtureSource(200, nil), WithWindow(5*time.Millisecond), WithWorkers(4))
-
-	want := queryAll(t, singleton, ref17(), words, 7)
-	got := queryAll(t, batched, ref17(), words, 7)
-	for i := range words {
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Fatalf("word %s: singleton %+v != batched %+v", words[i], want[i], got[i])
+	singleton := New(fixtureSource(200, nil), WithWorkers(1))
+	want := make([][]Neighbor, len(all))
+	for i, w := range all {
+		ns, err := singleton.Neighbors(context.Background(), ref17(), w, 7)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for j := range want[i] {
-			if math.Float64bits(want[i][j].Score) != math.Float64bits(got[i][j].Score) {
-				t.Fatalf("word %s neighbor %d: score bits differ", words[i], j)
-			}
-		}
+		want[i] = ns
 	}
-	// The gather window must actually have coalesced something.
-	st := batched.Stats()
-	if st.Batches >= st.BatchedQueries {
-		t.Fatalf("no coalescing: %d batches for %d queries", st.Batches, st.BatchedQueries)
+	equal := func(label string, got, want []Neighbor) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %+v != singleton %+v", label, got, want)
+		}
+		neighborsEqualBits(t, label, got, want)
 	}
 
-	// And the multi-word block path must agree bitwise too.
-	block, err := New(fixtureSource(200, nil), WithWorkers(2)).NeighborsBatch(context.Background(), ref17(), words, 7)
+	subject := New(fixtureSource(200, nil), WithWorkers(4))
+	for i, ns := range queryAll(t, subject, ref17(), words, 7) {
+		equal("concurrent "+words[i], ns, want[i*3%200])
+	}
+	// No query waits for company: every concurrent singleton is its own
+	// block.
+	st := subject.Stats()
+	if st.BatchedQueries != int64(len(words)) || st.Batches != st.BatchedQueries {
+		t.Fatalf("%d blocks for %d queries, want one block per query", st.Batches, st.BatchedQueries)
+	}
+
+	// All 200 words in one request: a 128-row block, then a 72-row one.
+	block, err := subject.NeighborsBatch(context.Background(), ref17(), all, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, block) {
-		t.Fatal("NeighborsBatch differs from singleton answers")
+	if n := subject.Stats().Batches - st.Batches; n != 2 {
+		t.Fatalf("200-word NeighborsBatch scored %d blocks, want 2", n)
+	}
+	for i, ns := range block {
+		equal("block "+all[i], ns, want[i])
 	}
 }
 
@@ -176,7 +194,7 @@ func TestNeighborsWorkerInvariance(t *testing.T) {
 	words := []string{"w000", "w013", "w112", "w199"}
 	var answers [][][]Neighbor
 	for _, workers := range []int{1, 3, 8} {
-		eng := New(fixtureSource(200, nil), WithWindow(0), WithWorkers(workers))
+		eng := New(fixtureSource(200, nil), WithWorkers(workers))
 		ns, err := eng.NeighborsBatch(context.Background(), ref17(), words, 9)
 		if err != nil {
 			t.Fatal(err)

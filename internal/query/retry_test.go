@@ -36,13 +36,13 @@ func flakySource(rows int, failures int32, calls *int32) Source {
 // with the retries visible in Stats.
 func TestLoadRetriesTransientFailures(t *testing.T) {
 	ref := Ref{Algo: "mc", Year: 2017, Dim: 8, Seed: 1}
-	clean := New(fixtureSource(40, nil), WithWindow(0))
+	clean := New(fixtureSource(40, nil))
 	want, err := clean.Neighbors(context.Background(), ref, "w001", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	e := New(flakySource(40, 2, nil), WithWindow(0), WithRetry(3, time.Microsecond))
+	e := New(flakySource(40, 2, nil), WithRetry(3, time.Microsecond))
 	got, err := e.Neighbors(context.Background(), ref, "w001", 5)
 	if err != nil {
 		t.Fatalf("load did not recover: %v", err)
@@ -61,7 +61,7 @@ func TestLoadRetriesTransientFailures(t *testing.T) {
 // error (wrapped with the attempt count) after exactly attempts tries.
 func TestLoadRetryExhaustion(t *testing.T) {
 	var calls int32
-	e := New(flakySource(40, 1<<30, &calls), WithWindow(0), WithRetry(3, time.Microsecond))
+	e := New(flakySource(40, 1<<30, &calls), WithRetry(3, time.Microsecond))
 	_, err := e.Neighbors(context.Background(), Ref{Algo: "mc", Year: 2017, Dim: 8, Seed: 1}, "w001", 5)
 	if !errors.Is(err, errFlaky) {
 		t.Fatalf("err = %v, want wrapped errFlaky", err)
@@ -82,7 +82,7 @@ func TestLoadNoRetryOnCancellation(t *testing.T) {
 		atomic.AddInt32(&calls, 1)
 		return nil, context.Canceled
 	}
-	e := New(src, WithWindow(0), WithRetry(3, time.Microsecond))
+	e := New(src, WithRetry(3, time.Microsecond))
 	_, err := e.Neighbors(context.Background(), Ref{Algo: "mc", Year: 2017, Dim: 8, Seed: 1}, "w001", 5)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -96,7 +96,7 @@ func TestLoadNoRetryOnCancellation(t *testing.T) {
 // engine entry points without touching the source.
 func TestDeadlinePropagation(t *testing.T) {
 	var calls int32
-	e := New(fixtureSource(40, &calls), WithWindow(0))
+	e := New(fixtureSource(40, &calls))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ref := Ref{Algo: "mc", Year: 2017, Dim: 8, Seed: 1}
@@ -121,7 +121,7 @@ func TestDeadlinePropagation(t *testing.T) {
 // fault-injection site instead of a bespoke flaky source: one injected
 // I/O error, one retry, answers served.
 func TestInjectedLoadErrorRecovered(t *testing.T) {
-	e := New(fixtureSource(40, nil), WithWindow(0), WithRetry(3, time.Microsecond))
+	e := New(fixtureSource(40, nil), WithRetry(3, time.Microsecond))
 	defer faults.Activate(faults.MustPlan(1,
 		faults.Rule{Site: "query/load", Kind: faults.KindError, Count: 1}))()
 	if _, err := e.Neighbors(context.Background(), Ref{Algo: "mc", Year: 2017, Dim: 8, Seed: 1}, "w001", 5); err != nil {

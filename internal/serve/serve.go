@@ -21,12 +21,11 @@
 // Requests are handled concurrently over one shared Service; the artifact
 // store's singleflight guarantees concurrent identical queries train at
 // most once, and determinism guarantees responses are bitwise identical
-// to the library path for any worker count. Concurrent /v1/neighbors
-// requests against the same snapshot are additionally micro-batched into
-// shared matrix products without changing any response's bits. Each
-// request is scoped to its connection's context, so a dropped client
-// cancels its computation at the next stage boundary (reported as 499 in
-// logs, nginx-style).
+// to the library path for any worker count. Each /v1/neighbors request
+// is scored as one query block the moment it arrives. Each request is
+// scoped to its connection's context, so a dropped client cancels its
+// computation at the next stage boundary (reported as 499 in logs,
+// nginx-style).
 //
 // Every API endpoint runs behind the serving middleware (see route):
 // panic recovery (a panicking handler yields a structured 500 and the
@@ -51,6 +50,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime/debug"
@@ -303,13 +303,18 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error) {
 	}
 }
 
-// decode parses a JSON body into v, rejecting unknown fields so typos in
-// request payloads fail loudly instead of silently selecting defaults.
+// decode parses a JSON body holding exactly one object into v, rejecting
+// unknown fields and anything but whitespace after the object, so typos
+// and concatenated payloads fail loudly instead of silently selecting
+// defaults.
 func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid JSON body: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return errors.New("invalid JSON body: trailing data after the request object")
 	}
 	return nil
 }
@@ -357,9 +362,11 @@ type healthzResponse struct {
 		ANNBuilds   int64 `json:"ann_builds"`
 	} `json:"store"`
 	Query struct {
-		SnapshotHits   int64 `json:"snapshot_hits"`
-		SnapshotLoads  int64 `json:"snapshot_loads"`
-		Evictions      int64 `json:"evictions"`
+		SnapshotHits  int64 `json:"snapshot_hits"`
+		SnapshotLoads int64 `json:"snapshot_loads"`
+		Evictions     int64 `json:"evictions"`
+		// Batches counts exact query blocks scored; BatchedQueries counts
+		// the neighbor queries they answered.
 		Batches        int64 `json:"batches"`
 		BatchedQueries int64 `json:"batched_queries"`
 		// Retries counts snapshot-load attempts beyond the first.

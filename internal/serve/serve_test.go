@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"anchor"
 )
@@ -122,6 +121,18 @@ func TestTrainEndpoint(t *testing.T) {
 	rr = do(t, h, http.MethodPost, "/v1/train", `{"algo":"mc","yr":2017}`, nil)
 	if rr.Code != http.StatusBadRequest {
 		t.Fatalf("typoed field: %d", rr.Code)
+	}
+	// Anything but whitespace after the request object -> 400: a second
+	// JSON value must not be ignored, nor must garbage.
+	valid := `{"algo":"mc","year":2017,"dim":8,"seed":1}`
+	for _, tail := range []string{`{"algo":"elmo"}`, `garbage`} {
+		rr = do(t, h, http.MethodPost, "/v1/train", valid+tail, nil)
+		if rr.Code != http.StatusBadRequest || errCode(t, rr) != "invalid_request" {
+			t.Fatalf("trailing %q: %d %s", tail, rr.Code, rr.Body.String())
+		}
+	}
+	if rr = do(t, h, http.MethodPost, "/v1/train", valid+" \n", nil); rr.Code != http.StatusOK {
+		t.Fatalf("trailing whitespace: %d %s", rr.Code, rr.Body.String())
 	}
 }
 
@@ -424,13 +435,11 @@ func TestVectorsEndpoint(t *testing.T) {
 
 // TestNeighborsEndpointBitwise is the read-path acceptance criterion:
 // POST /v1/neighbors returns bitwise-identical neighbor lists for
-// workers=1 vs workers=N and for singleton vs micro-batched execution,
-// exercised with concurrent requests over a real listener (and under
-// -race in CI).
+// workers=1 vs workers=N and for serial vs concurrent requests, exercised
+// over a real listener (and under -race in CI).
 func TestNeighborsEndpointBitwise(t *testing.T) {
-	// Reference: one worker, micro-batching disabled — every query is a
-	// singleton block.
-	refSrv, refSvc := newTestServer(t, anchor.WithWorkers(1), anchor.WithQueryWindow(0))
+	// Reference: one worker, one request at a time.
+	refSrv, refSvc := newTestServer(t, anchor.WithWorkers(1))
 	words := queryWords(t, refSvc, 12)
 	refH := refSrv.Handler()
 
@@ -446,9 +455,8 @@ func TestNeighborsEndpointBitwise(t *testing.T) {
 		want[w] = append([]byte(nil), rr.Body.Bytes()...)
 	}
 
-	// Subject: many workers, a wide-open gather window so the concurrent
-	// burst below actually coalesces.
-	srv, svc := newTestServer(t, anchor.WithWorkers(4), anchor.WithQueryWindow(2*time.Millisecond))
+	// Subject: many workers, serving the concurrent burst below.
+	srv, svc := newTestServer(t, anchor.WithWorkers(4))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -494,17 +502,16 @@ func TestNeighborsEndpointBitwise(t *testing.T) {
 	for res := range results {
 		got++
 		if !bytes.Equal(res.body, want[res.word]) {
-			t.Fatalf("word %s: batched workers=4 response differs from singleton workers=1:\n%s\nvs\n%s",
+			t.Fatalf("word %s: concurrent workers=4 response differs from serial workers=1:\n%s\nvs\n%s",
 				res.word, res.body, want[res.word])
 		}
 	}
 	if got != rounds*len(words) {
 		t.Fatalf("got %d results, want %d", got, rounds*len(words))
 	}
-	// The burst must actually have been micro-batched (fewer matrix
-	// products than queries).
-	if st := svc.QueryStats(); st.Batches >= st.BatchedQueries {
-		t.Fatalf("no coalescing happened: %d batches for %d queries", st.Batches, st.BatchedQueries)
+	// No request waited for company: each was scored as its own block.
+	if st := svc.QueryStats(); st.Batches != st.BatchedQueries {
+		t.Fatalf("%d blocks for %d single-word queries, want one block each", st.Batches, st.BatchedQueries)
 	}
 
 	// Multi-word requests answer as one block, bitwise equal again.
@@ -518,6 +525,12 @@ func TestNeighborsEndpointBitwise(t *testing.T) {
 	}
 	if !reflect.DeepEqual(multiResp, refMulti) {
 		t.Fatalf("multi-word response differs:\n%+v\nvs\n%+v", multiResp, refMulti)
+	}
+
+	// A second JSON value after the request object -> 400.
+	rr := do(t, refH, http.MethodPost, "/v1/neighbors", body(words[0])+`{"k":1}`, nil)
+	if rr.Code != http.StatusBadRequest || errCode(t, rr) != "invalid_request" {
+		t.Fatalf("trailing data: %d %s", rr.Code, rr.Body.String())
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"anchor/internal/ann"
 	"anchor/internal/core"
@@ -82,7 +81,6 @@ type serviceSettings struct {
 	cacheDir      string
 	cacheCap      int
 	queryBudget   int64
-	queryWindow   time.Duration
 	servingBudget int
 	progress      func(string)
 }
@@ -145,15 +143,6 @@ func WithQueryBudget(bytes int64) ServiceOption {
 	return func(s *serviceSettings) { s.queryBudget = bytes }
 }
 
-// WithQueryWindow sets the read path's micro-batching gather window: how
-// long the first of a burst of concurrent Neighbors queries waits for
-// company before the batch is scored as one matrix product (default
-// 200µs; 0 disables batching). Answers are bitwise identical for every
-// value — the window only trades a bounded latency floor for throughput.
-func WithQueryWindow(d time.Duration) ServiceOption {
-	return func(s *serviceSettings) { s.queryWindow = d }
-}
-
 // WithServingBudget switches the read path into serving-memory-budget
 // mode: a query that leaves the dimension unset (dim 0) has its
 // (dim, bits) cell chosen automatically by the paper's selection
@@ -181,7 +170,6 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 		seed:        1,
 		bits:        32,
 		queryBudget: 256 << 20,
-		queryWindow: 200 * time.Microsecond,
 	}
 	for _, opt := range opts {
 		opt(settings)
@@ -217,7 +205,6 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 			return runner.QuantizedSnapshotCtx(ctx, ref.Algo, ref.Year, ref.Dim, bits, ref.Seed)
 		},
 		query.WithBudget(settings.queryBudget),
-		query.WithWindow(settings.queryWindow),
 		query.WithWorkers(settings.cfg.Workers),
 		// ANN indexes resolve through the artifact store: a sidecar
 		// persisted next to the snapshot's .bin is served without a

@@ -9,11 +9,11 @@ import (
 
 // This file is the Service's read path: vector lookups, nearest-neighbor
 // queries, and cross-snapshot neighbor-delta queries over trained
-// snapshots, served by the micro-batching engine in internal/query.
-// Embeddings come from the artifact store (trained at most once), are held
-// query-ready in a byte-budgeted LRU, and concurrent neighbor queries are
-// coalesced into shared matrix products — with answers bitwise identical
-// to singleton execution for every worker count.
+// snapshots, served by the query engine in internal/query. Embeddings come
+// from the artifact store (trained at most once) and are held query-ready
+// in a byte-budgeted LRU. Each neighbor request is scored as one query
+// block the moment it arrives, with answers bitwise identical for every
+// worker count.
 
 // UnknownWordError reports a query for a word outside the snapshot's
 // vocabulary. The serve layer maps it to HTTP 404.
@@ -220,11 +220,10 @@ type NeighborsReport struct {
 }
 
 // Neighbors returns each word's k nearest neighbors by cosine similarity
-// in one trained snapshot. Multi-word requests are scored as one blocked
-// matrix product; concurrent single-word requests are micro-batched by
-// the engine. Answers are bitwise identical for any batching and any
-// worker count. Defaults: year 2017, k from the service configuration,
-// seed the service default.
+// in one trained snapshot. Each request is scored as one query block, one
+// blocked matrix product for all its words. Answers are bitwise identical
+// for any block shape and any worker count. Defaults: year 2017, k from
+// the service configuration, seed the service default.
 func (s *Service) Neighbors(ctx context.Context, algo string, dim int, words []string, opts ...QueryOption) (NeighborsReport, error) {
 	p, err := s.queryParams(ctx, algo, dim, words, opts)
 	if err != nil {
@@ -234,17 +233,6 @@ func (s *Service) Neighbors(ctx context.Context, algo string, dim int, words []s
 	rep := NeighborsReport{Algo: algo, Year: p.year, Dim: p.dim, Bits: p.bits, Seed: p.seed, K: p.k,
 		ANN: p.ann, NProbe: p.nprobe,
 		Results: make([]WordNeighbors, len(words))}
-	if len(words) == 1 {
-		// Singleton exact requests go through the gather window so
-		// concurrent HTTP clients coalesce into one matrix product; ANN
-		// requests go straight to the index.
-		ns, err := s.engine.NeighborsMode(ctx, ref, words[0], p.k, p.mode())
-		if err != nil {
-			return NeighborsReport{}, err
-		}
-		rep.Results[0] = WordNeighbors{Word: words[0], Neighbors: ns}
-		return rep, nil
-	}
 	ns, err := s.engine.NeighborsBatchMode(ctx, ref, words, p.k, p.mode())
 	if err != nil {
 		return NeighborsReport{}, err
@@ -304,7 +292,7 @@ func (s *Service) NeighborDelta(ctx context.Context, algo string, dim int, words
 }
 
 // QueryStats reports query-engine traffic (resident snapshot hits, loads,
-// evictions, and micro-batching counters).
+// evictions, and query blocks scored).
 func (s *Service) QueryStats() query.Stats { return s.engine.Stats() }
 
 // SnapshotInfo describes one query-ready resident snapshot: which
