@@ -96,13 +96,13 @@ race-full:
 chaos:
 	$(GO) test -race -run 'Chaos|FaultSchedule' -count=1 -v ./internal/serve/...
 
-# Fuzz smoke: the binary-artifact decoders against corrupt and truncated
-# inputs for a bounded budget per target. A decode must either succeed on
-# intact bytes or fail cleanly — never panic, never return wrong rows.
-# (Go runs one fuzz target per invocation, hence the two lines.)
+# Fuzz smoke: the binary-artifact decoder against corrupt and truncated
+# inputs for a bounded budget. A decode must either succeed on intact
+# bytes or fail cleanly — never panic, never return wrong rows. (Go runs
+# one fuzz target per invocation, so each further target needs its own
+# line.)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBinary' -fuzztime 30s ./internal/store/
-	$(GO) test -run '^$$' -fuzz 'FuzzDecodeANNIndex' -fuzztime 30s ./internal/ann/
 
 # Statement-coverage gate: run the full suite with a cover profile and
 # enforce the floors in coverage-baseline.json (per-package minimums plus
@@ -151,9 +151,6 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkNeighborsServe|BenchmarkNeighborsPrecision' -benchtime 3x -count 5 ./internal/query | tee BENCH_query.txt
 	$(GO) run ./cmd/benchjson -o BENCH_query.json < BENCH_query.txt
 	@rm -f BENCH_query.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkANNNeighbors' -benchtime 1x ./internal/ann | tee BENCH_ann.txt
-	$(GO) run ./cmd/benchjson -o BENCH_ann.json < BENCH_ann.txt
-	@rm -f BENCH_ann.txt
 	$(GO) run ./cmd/anchorlint -bench ./... | tee BENCH_lint.txt
 	$(GO) run ./cmd/benchjson -o BENCH_lint.json < BENCH_lint.txt
 	@rm -f BENCH_lint.txt

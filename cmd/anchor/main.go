@@ -295,8 +295,6 @@ func cmdQuery(ctx context.Context, args []string) error {
 	k := fs.Int("k", 5, "neighborhood size")
 	vectors := fs.Bool("vectors", false, "print raw vectors instead of neighbors")
 	delta := fs.Bool("delta", false, "compare neighbors between Wiki'17 and Wiki'18 (the paper's instability probe)")
-	annFlag := fs.Bool("ann", false, "answer through the snapshot's IVF index (approximate; sidecar-cached)")
-	nprobe := fs.Int("nprobe", 0, "index cells scanned per -ann query (0 = index default; >= cell count is exact)")
 	sf := addServiceFlags(fs, "bench")
 	fs.Parse(args)
 
@@ -316,9 +314,6 @@ func cmdQuery(ctx context.Context, args []string) error {
 	opts := []anchor.QueryOption{anchor.QueryYear(*year), anchor.QueryK(*k), anchor.QuerySeed(*seed)}
 	if *bits != 0 {
 		opts = append(opts, anchor.QueryPrecision(*bits))
-	}
-	if *annFlag {
-		opts = append(opts, anchor.QueryANN(true), anchor.QueryNProbe(*nprobe))
 	}
 	switch {
 	case *vectors:

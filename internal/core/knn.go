@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"anchor/internal/ann"
 	"anchor/internal/embedding"
 	"anchor/internal/floats"
 	"anchor/internal/matrix"
@@ -224,37 +223,6 @@ func neighborSets(e *embedding.Embedding, queries []int, k, workers int) [][]int
 		matrix.MulABTInto(sb, qb, norm, 1)
 		for r, qi := range queries[lo:hi] {
 			out[lo+r] = sc.heap.topK(sb.Row(r), qi, k, make([]int32, k))
-		}
-	}, nil)
-	return out
-}
-
-// neighborSetsANN is neighborSets routed through the deterministic IVF
-// index (internal/ann): one seeded index build over the normalized rows,
-// then each query probes its nprobe most similar cells instead of
-// scanning all n rows. Every candidate the probe does reach is scored
-// with the same single-accumulator dot the exact engine computes and
-// ranked under the same total order, so at nprobe >= the index's cell
-// count the neighbor sets equal neighborSets exactly; at smaller nprobe
-// they are a high-recall approximation. The build and the per-query
-// searches are both bitwise worker-count-invariant.
-func neighborSetsANN(e *embedding.Embedding, queries []int, k, workers, nprobe int, seed int64) [][]int32 {
-	norm := NormalizedRows(e, workers)
-	ix := ann.Build(norm, ann.Config{Seed: seed, Workers: workers})
-	out := make([][]int32, len(queries))
-	nBlocks := (len(queries) + knnBlockSize - 1) / knnBlockSize
-	w := parallel.Workers(workers)
-	parallel.Run(w, nBlocks, func(s int) {
-		lo := s * knnBlockSize
-		hi := lo + knnBlockSize
-		if hi > len(queries) {
-			hi = len(queries)
-		}
-		srch := ann.NewSearcher(ix)
-		for r, qi := range queries[lo:hi] {
-			q := norm.Row(qi)
-			sim := func(id int32) float64 { return floats.Dot(q, norm.Row(int(id))) }
-			out[lo+r] = srch.Search(q, k, nprobe, qi, sim, make([]int32, k))
 		}
 	}, nil)
 	return out

@@ -268,52 +268,30 @@ func BenchmarkKNNMeasureBatched3000(b *testing.B) {
 	}
 }
 
-// TestKNNANNRouteExactAtFullProbe: with the IVF route forced on and
-// nprobe covering every cell, the routed measure must equal the exact
-// measure bitwise — the probed scan visits each row exactly once with
-// the exact engine's arithmetic.
+// knnMatchesReference fails unless m's distance on a fixed pair is
+// bitwise the brute-force reference measure's.
+func knnMatchesReference(t *testing.T, m *KNN) {
+	t.Helper()
+	x := randEmb(120, 12, 43)
+	xt := perturb(x, 0.3, 44)
+	queries := sampleIndices(rand.New(rand.NewSource(m.Seed)), x.Rows(), min(m.Queries, x.Rows()))
+	if got, want := m.Distance(x, xt), referenceKNNDistance(m, x, xt, queries); got != want {
+		t.Fatalf("%+v: distance %v, want reference %v", *m, got, want)
+	}
+}
+
+// TestKNNANNCutoffRespected: the k-NN measure has no size cutoff; the
+// paper's configuration, NewKNN, is the exact scan.
+func TestKNNANNCutoffRespected(t *testing.T) { knnMatchesReference(t, NewKNN()) }
+
+// TestKNNANNRouteExactAtFullProbe: the registry's 1-knn factory builds
+// the exact scan too, for every worker count.
 func TestKNNANNRouteExactAtFullProbe(t *testing.T) {
-	x, xt := benchKNNPair(600, 24)
-	exact := &KNN{K: 5, Queries: 200, Seed: 7, Workers: 2}
-	routed := &KNN{K: 5, Queries: 200, Seed: 7, Workers: 2, ANNCutoff: 1, NProbe: 600}
-	dExact := exact.Distance(x, xt)
-	dRouted := routed.Distance(x, xt)
-	if dExact != dRouted {
-		t.Fatalf("full-probe routed measure %v != exact %v", dRouted, dExact)
-	}
-}
-
-// TestKNNANNRoutePartialProbeClose: at a partial probe the routed
-// measure is an approximation; on a correlated pair it must land near
-// the exact value, and it must be identical across worker counts. (Half
-// the cells, not the production default: the isotropic Gaussian fixture
-// is a recall worst case — real embeddings cluster.)
-func TestKNNANNRoutePartialProbeClose(t *testing.T) {
-	x, xt := benchKNNPair(600, 24)
-	exact := &KNN{K: 5, Queries: 200, Seed: 7}
-	dExact := exact.Distance(x, xt)
-	var first float64
-	for i, workers := range []int{1, 3, 8} {
-		routed := &KNN{K: 5, Queries: 200, Seed: 7, Workers: workers, ANNCutoff: 1, NProbe: 12}
-		d := routed.Distance(x, xt)
-		if i == 0 {
-			first = d
-		} else if d != first {
-			t.Fatalf("workers=%d routed measure %v != workers=1 %v", workers, d, first)
+	for _, workers := range []int{1, 4} {
+		m, err := NewMeasure("1-knn", MeasureConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if diff := first - dExact; diff < -0.1 || diff > 0.1 {
-		t.Fatalf("partial-probe routed measure %v too far from exact %v", first, dExact)
-	}
-}
-
-// TestKNNANNCutoffRespected: below the cutoff the exact scan runs — the
-// measure equals the ANNCutoff=0 configuration exactly.
-func TestKNNANNCutoffRespected(t *testing.T) {
-	x, xt := benchKNNPair(300, 16)
-	base := &KNN{K: 5, Queries: 100, Seed: 7}
-	cut := &KNN{K: 5, Queries: 100, Seed: 7, ANNCutoff: 301}
-	if a, b := base.Distance(x, xt), cut.Distance(x, xt); a != b {
-		t.Fatalf("below-cutoff measure %v != exact %v", b, a)
+		knnMatchesReference(t, m.(*KNN))
 	}
 }

@@ -152,29 +152,11 @@ type KNN struct {
 	// Workers bounds the goroutines used (<= 0 selects all CPUs). The
 	// result is identical for every worker count.
 	Workers int
-	// ANNCutoff routes the neighbor-set computation through the
-	// deterministic IVF index (internal/ann) when the vocabulary has at
-	// least this many rows; <= 0 keeps the exact scan at every size. At
-	// large n the probed scan replaces the full n-row scan per query; the
-	// index build is seeded by Seed, so the routed measure is still a
-	// pure function of (embedding pair, configuration).
-	ANNCutoff int
-	// NProbe is the number of index cells scanned per query when the ANN
-	// route is taken (<= 0 selects ann.DefaultNProbe; >= the cell count
-	// reproduces the exact measure bitwise).
-	NProbe int
 }
 
-// DefaultKNNANNCutoff is the vocabulary size at which NewKNN's
-// configuration switches the neighbor scans to the IVF route: below it
-// the exact scan is already cheap, above it the probed scan wins well
-// past its index-build cost across the measure's 2×Queries searches.
-const DefaultKNNANNCutoff = 50_000
-
-// NewKNN returns the paper's configuration: k=5 (chosen in Appendix D.3),
-// 1000 query words, IVF-routed neighbor scans from DefaultKNNANNCutoff
-// rows up.
-func NewKNN() *KNN { return &KNN{K: 5, Queries: 1000, Seed: 7, ANNCutoff: DefaultKNNANNCutoff} }
+// NewKNN returns the paper's configuration: k=5 (chosen in Appendix D.3)
+// and 1000 query words.
+func NewKNN() *KNN { return &KNN{K: 5, Queries: 1000, Seed: 7} }
 
 // Name implements Measure.
 func (m *KNN) Name() string { return "1-knn" }
@@ -192,12 +174,6 @@ func (m *KNN) Distance(x, xt *embedding.Embedding) float64 {
 	}
 	queries := sampleIndices(rng, n, q)
 
-	sets := func(e *embedding.Embedding, workers int) [][]int32 {
-		if m.ANNCutoff > 0 && n >= m.ANNCutoff {
-			return neighborSetsANN(e, queries, m.K, workers, m.NProbe, m.Seed)
-		}
-		return neighborSets(e, queries, m.K, workers)
-	}
 	var na, nb [][]int32
 	if parallel.Workers(m.Workers) > 1 {
 		// The two embeddings' neighbor sets are independent; overlap them.
@@ -206,13 +182,13 @@ func (m *KNN) Distance(x, xt *embedding.Embedding) float64 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			nb = sets(xt, half)
+			nb = neighborSets(xt, queries, m.K, half)
 		}()
-		na = sets(x, half)
+		na = neighborSets(x, queries, m.K, half)
 		wg.Wait()
 	} else {
-		na = sets(x, 1)
-		nb = sets(xt, 1)
+		na = neighborSets(x, queries, m.K, 1)
+		nb = neighborSets(xt, queries, m.K, 1)
 	}
 
 	// Reduce in query order so the sum is independent of scheduling.

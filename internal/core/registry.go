@@ -25,13 +25,6 @@ type MeasureConfig struct {
 	// Workers bounds the goroutines used (<= 0 selects all CPUs). Every
 	// registered measure must return identical values for every count.
 	Workers int
-	// KNNANNCutoff routes the k-NN measure's neighbor scans through the
-	// IVF index at vocabularies of at least this many rows (0 selects
-	// DefaultKNNANNCutoff; < 0 forces the exact scan at every size).
-	KNNANNCutoff int
-	// KNNNProbe is the cells-scanned-per-query knob for the routed scans
-	// (<= 0 selects ann.DefaultNProbe).
-	KNNNProbe int
 }
 
 func (c MeasureConfig) alpha() float64 {
@@ -60,16 +53,6 @@ func (c MeasureConfig) knnSeed() int64 {
 		return 7
 	}
 	return c.KNNSeed
-}
-
-func (c MeasureConfig) knnANNCutoff() int {
-	if c.KNNANNCutoff == 0 {
-		return DefaultKNNANNCutoff
-	}
-	if c.KNNANNCutoff < 0 {
-		return 0
-	}
-	return c.KNNANNCutoff
 }
 
 // MeasureFactory builds a configured measure instance.
@@ -125,7 +108,6 @@ func init() {
 	RegisterMeasure("1-knn", func(cfg MeasureConfig) Measure {
 		return &KNN{
 			K: cfg.k(), Queries: cfg.queries(), Seed: cfg.knnSeed(), Workers: cfg.Workers,
-			ANNCutoff: cfg.knnANNCutoff(), NProbe: cfg.KNNNProbe,
 		}
 	})
 	RegisterMeasure("semantic-displacement", func(cfg MeasureConfig) Measure {

@@ -104,26 +104,6 @@ func (r *Runner) embKey(algo, corpusTag string, dim int, seed int64, bits int) s
 	}
 }
 
-// SnapshotKey returns the artifact-store key under which
-// QuantizedSnapshotCtx serves the (algo, year, dim, bits, seed) snapshot —
-// the identity derived sidecars (ANN indexes) attach to. bits 0 or >= 32
-// normalizes to the full-precision key.
-func (r *Runner) SnapshotKey(algo string, year, dim, bits int, seed int64) (store.Key, error) {
-	var tag string
-	switch year {
-	case 2017:
-		tag = "wiki17"
-	case 2018:
-		tag = "wiki18"
-	default:
-		return store.Key{}, fmt.Errorf("experiments: year must be 2017 or 2018, got %d", year)
-	}
-	if bits <= 0 || bits >= compress.FullPrecision {
-		bits = compress.FullPrecision
-	}
-	return r.embKey(algo, tag, dim, seed, bits), nil
-}
-
 // TrainCtx returns the single unaligned embedding for (algo, year, dim,
 // seed) from the artifact store, training it on a miss. year selects the
 // snapshot (2017 or 2018).

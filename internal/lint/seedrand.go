@@ -17,10 +17,6 @@ var DeterministicPackages = []string{
 	"anchor/internal/nn",
 	"anchor/internal/autodiff",
 	"anchor/internal/query",
-	// The IVF index must build bitwise identically for any worker count —
-	// its k-means is the contract's only sanctioned use of randomness, and
-	// it must come from an explicitly seeded source.
-	"anchor/internal/ann",
 	"anchor/internal/compress",
 	"anchor/internal/selection",
 	"anchor/internal/tasks/...",

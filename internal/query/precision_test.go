@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -228,5 +229,78 @@ func TestQuantizedRefsAreDistinctSnapshots(t *testing.T) {
 	}
 	if st := eng.Stats(); st.SnapshotLoads != 2 {
 		t.Fatalf("loads = %d, want 2 distinct snapshots", st.SnapshotLoads)
+	}
+}
+
+// TestANNScoresMatchExactPath: in every precision mode a k-limited answer
+// is bitwise the head of the word's full exact ranking.
+func TestANNScoresMatchExactPath(t *testing.T) {
+	const rows = 120
+	ctx, eng := context.Background(), New(quantFixtureSource(rows))
+	words := []string{"w000", "w041", "w119"}
+	for _, bits := range []int{0, 4, 16} {
+		ref := Ref{Algo: "cbow", Year: 2017, Dim: 16, Seed: 2, Bits: bits}
+		full, err := eng.NeighborsBatch(ctx, ref, words, rows-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 10, 64} {
+			got, err := eng.NeighborsBatch(ctx, ref, words, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range words {
+				neighborsEqualBits(t, fmt.Sprintf("bits=%d k=%d %s", bits, k, w), got[i], full[i][:k])
+			}
+		}
+	}
+}
+
+// TestANNIndexCachedAndCharged: a snapshot is loaded once and its bytes
+// are charged at load. Queries build nothing beside it, so no neighbor,
+// batch or delta query moves the resident footprint.
+func TestANNIndexCachedAndCharged(t *testing.T) {
+	ctx, eng := context.Background(), New(quantFixtureSource(100))
+	for _, bits := range []int{0, 4, 16} {
+		ref := Ref{Algo: "cbow", Year: 2017, Dim: 16, Seed: 1, Bits: bits}
+		if _, err := eng.Words(ctx, ref); err != nil {
+			t.Fatal(err)
+		}
+		before := eng.Resident()[0].Bytes
+		_, err1 := eng.Neighbors(ctx, ref, "w001", 5)
+		_, err2 := eng.NeighborsBatch(ctx, ref, []string{"w002", "w003"}, 5)
+		_, err3 := eng.NeighborDelta(ctx, ref, ref, []string{"w004"}, 5)
+		if err := errors.Join(err1, err2, err3); err != nil {
+			t.Fatal(err)
+		}
+		if after := eng.Resident()[0].Bytes; after != before {
+			t.Fatalf("bits=%d: queries moved resident bytes %d -> %d", bits, before, after)
+		}
+	}
+	if st := eng.Stats(); st.SnapshotLoads != 3 || st.BatchedQueries != 15 {
+		t.Fatalf("stats = %+v, want 3 loads and 15 queries", st)
+	}
+}
+
+// TestNeighborDeltaModeFullProbe: in every compact precision mode
+// (packed codes, float32) each side of a NeighborDelta is bitwise the
+// dequantize-then-float64 oracle's answer for that snapshot.
+func TestNeighborDeltaModeFullProbe(t *testing.T) {
+	src, ctx := quantFixtureSource(60), context.Background()
+	ids, words := []int{3, 17, 42}, []string{"w003", "w017", "w042"}
+	for _, bits := range []int{2, 8, 16} {
+		a, b := ref17(), ref18()
+		a.Bits, b.Bits = bits, bits
+		ds, err := New(src).NeighborDelta(ctx, a, b, words, 5)
+		artA, errA := src(ctx, a)
+		artB, errB := src(ctx, b)
+		if err := errors.Join(err, errA, errB); err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range ds {
+			label := fmt.Sprintf("bits=%d %s", bits, d.Word)
+			neighborsEqualBits(t, label+" A", d.A, referencePrecisionNeighbors(artA, ids[i], 5))
+			neighborsEqualBits(t, label+" B", d.B, referencePrecisionNeighbors(artB, ids[i], 5))
+		}
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"anchor/internal/ann"
 	"anchor/internal/compress"
 	"anchor/internal/core"
 	"anchor/internal/embedding"
@@ -122,23 +121,16 @@ type Stats struct {
 	SnapshotLoads int64
 	// Evictions counts snapshots dropped by the byte budget.
 	Evictions int64
-	// Batches counts exact query blocks scored: one per request, or one
-	// per blockSize words of a longer multi-word request.
+	// Batches counts query blocks scored: one per request, or one per
+	// blockSize words of a longer multi-word request.
 	Batches int64
-	// BatchedQueries counts neighbor queries the exact path answered;
-	// BatchedQueries / Batches is the mean block size.
+	// BatchedQueries counts neighbor queries answered; BatchedQueries /
+	// Batches is the mean block size.
 	BatchedQueries int64
 	// Retries counts snapshot-load attempts beyond each load's first try
 	// (see WithRetry). A nonzero value means the source failed
 	// transiently and the engine recovered without surfacing an error.
 	Retries int64
-	// ANNQueries counts neighbor queries answered through the IVF index
-	// (Mode.ANN); exact queries are counted by BatchedQueries.
-	ANNQueries int64
-	// ANNBuilds counts in-process IVF index constructions. Indexes
-	// resolved by an ANNSource from a persisted sidecar don't build, so
-	// ANNBuilds stays at zero on a warm store.
-	ANNBuilds int64
 }
 
 // Engine serves vector, neighbor, and neighbor-delta queries over
@@ -149,7 +141,6 @@ type Engine struct {
 	workers  int
 	attempts int
 	backoff  time.Duration
-	annSrc   ANNSource
 
 	mu     sync.Mutex
 	items  map[Ref]*list.Element
@@ -158,7 +149,6 @@ type Engine struct {
 	flight map[Ref]*snapFlight
 
 	hits, loads, evictions, batches, batchedQueries, retries atomic.Int64
-	annQueries, annBuilds                                    atomic.Int64
 }
 
 // Option configures New.
@@ -218,8 +208,6 @@ func (e *Engine) Stats() Stats {
 		Batches:        e.batches.Load(),
 		BatchedQueries: e.batchedQueries.Load(),
 		Retries:        e.retries.Load(),
-		ANNQueries:     e.annQueries.Load(),
-		ANNBuilds:      e.annBuilds.Load(),
 	}
 }
 
@@ -319,11 +307,6 @@ type snapshot struct {
 	words     []string
 	index     map[string]int
 	bytes     int64
-
-	// annMu serializes the lazy IVF index build; annIdx is the built (or
-	// sidecar-loaded) index, nil until the first ANN query.
-	annMu  sync.Mutex
-	annIdx *ann.Index
 }
 
 type snapFlight struct {
@@ -513,12 +496,6 @@ func (e *Engine) insertLocked(s *snapshot) {
 	}
 	e.items[s.ref] = e.lru.PushFront(s)
 	e.bytes += s.bytes
-	e.evictOverBudgetLocked()
-}
-
-// evictOverBudgetLocked drops least-recently-used snapshots until the
-// budget holds, always keeping the most recent one. Caller holds e.mu.
-func (e *Engine) evictOverBudgetLocked() {
 	if e.budget <= 0 {
 		return
 	}
@@ -573,6 +550,18 @@ func (e *Engine) Vector(ctx context.Context, ref Ref, word string) (int, []float
 	return id, vec, nil
 }
 
+// fillRaw writes the snapshot's raw (unnormalized) row i into dst.
+func (s *snapshot) fillRaw(i int, dst []float64) {
+	switch s.mode {
+	case precCodes:
+		s.codes.DequantizeRow(i, dst)
+	case precFloat32:
+		s.raw32.WidenRow(i, dst)
+	default:
+		copy(dst, s.raw.Vector(i))
+	}
+}
+
 // blockSize is the most words one query block scores: a multi-word
 // request is split into blocks of at most this many query rows, the k-NN
 // engine's block size (internal/core), which bounds each similarity block
@@ -585,28 +574,17 @@ const blockSize = 128
 // NeighborsBatch: the query is scored as its own query block the moment
 // it arrives.
 func (e *Engine) Neighbors(ctx context.Context, ref Ref, word string, k int) ([]Neighbor, error) {
-	return e.NeighborsMode(ctx, ref, word, k, Mode{})
-}
-
-// NeighborsBatch answers a multi-word neighbors request: one query block
-// per blockSize words, one matrix product per block.
-func (e *Engine) NeighborsBatch(ctx context.Context, ref Ref, words []string, k int) ([][]Neighbor, error) {
-	return e.NeighborsBatchMode(ctx, ref, words, k, Mode{})
-}
-
-// NeighborsMode is Neighbors with an explicit search mode.
-func (e *Engine) NeighborsMode(ctx context.Context, ref Ref, word string, k int, m Mode) ([]Neighbor, error) {
-	out, err := e.NeighborsBatchMode(ctx, ref, []string{word}, k, m)
+	out, err := e.NeighborsBatch(ctx, ref, []string{word}, k)
 	if err != nil {
 		return nil, err
 	}
 	return out[0], nil
 }
 
-// NeighborsBatchMode is NeighborsBatch with an explicit search mode, and
-// the one path every neighbor query takes: exact queries are scored in
-// query blocks, ANN queries go to the snapshot's IVF index.
-func (e *Engine) NeighborsBatchMode(ctx context.Context, ref Ref, words []string, k int, m Mode) ([][]Neighbor, error) {
+// NeighborsBatch answers a multi-word neighbors request: one query block
+// per blockSize words, one matrix product per block. It is the one path
+// every neighbor query takes.
+func (e *Engine) NeighborsBatch(ctx context.Context, ref Ref, words []string, k int) ([][]Neighbor, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("query: k must be positive, got %d", k)
 	}
@@ -624,14 +602,6 @@ func (e *Engine) NeighborsBatchMode(ctx context.Context, ref Ref, words []string
 		}
 	}
 	out := make([][]Neighbor, len(ids))
-	if m.ANN {
-		ix, err := e.annIndex(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		e.annCompute(s, ix, ids, k, m.NProbe, out)
-		return out, nil
-	}
 	for lo := 0; lo < len(ids); lo += blockSize {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -640,16 +610,6 @@ func (e *Engine) NeighborsBatchMode(ctx context.Context, ref Ref, words []string
 		e.compute(s, ids[lo:hi], k, out[lo:hi])
 	}
 	return out, nil
-}
-
-// neighbor renders one answer entry: row id, similarity, and the row's
-// vocabulary string.
-func (s *snapshot) neighbor(id int32, sim float64) Neighbor {
-	n := Neighbor{ID: int(id), Score: sim}
-	if s.words != nil {
-		n.Word = s.words[id]
-	}
-	return n
 }
 
 // computeScratch pools the per-block query and similarity buffers.
@@ -733,7 +693,10 @@ func (e *Engine) compute(s *snapshot, ids []int, k int, out [][]Neighbor) {
 		idxs := sc.sel.Select(sims, id, k, top)
 		ns := make([]Neighbor, len(idxs))
 		for j, ix := range idxs {
-			ns[j] = s.neighbor(ix, sims[ix])
+			ns[j] = Neighbor{ID: int(ix), Score: sims[ix]}
+			if s.words != nil {
+				ns[j].Word = s.words[ix]
+			}
 		}
 		out[i] = ns
 	}
@@ -774,26 +737,14 @@ type Delta struct {
 // orthogonal alignment, so the comparison needs no Procrustes step: the
 // overlap is a pure function of the two trained snapshots.
 func (e *Engine) NeighborDelta(ctx context.Context, refA, refB Ref, words []string, k int) ([]Delta, error) {
-	return e.NeighborDeltaMode(ctx, refA, refB, words, k, Mode{})
-}
-
-// NeighborDeltaMode is NeighborDelta with an explicit search mode
-// applied to both snapshots.
-func (e *Engine) NeighborDeltaMode(ctx context.Context, refA, refB Ref, words []string, k int, m Mode) ([]Delta, error) {
-	na, err := e.NeighborsBatchMode(ctx, refA, words, k, m)
+	na, err := e.NeighborsBatch(ctx, refA, words, k)
 	if err != nil {
 		return nil, err
 	}
-	nb, err := e.NeighborsBatchMode(ctx, refB, words, k, m)
+	nb, err := e.NeighborsBatch(ctx, refB, words, k)
 	if err != nil {
 		return nil, err
 	}
-	return deltas(words, na, nb), nil
-}
-
-// deltas computes the per-word overlap records from two aligned
-// neighbor-list batches.
-func deltas(words []string, na, nb [][]Neighbor) []Delta {
 	out := make([]Delta, len(words))
 	for i, w := range words {
 		ia := make([]int32, len(na[i]))
@@ -811,5 +762,5 @@ func deltas(words []string, na, nb [][]Neighbor) []Delta {
 		}
 		out[i] = d
 	}
-	return out
+	return out, nil
 }

@@ -365,6 +365,25 @@ func TestNeighborsRejectsBadK(t *testing.T) {
 	}
 }
 
+// TestANNModeErrors: batch and delta queries share the one exact path's
+// argument contract: an unknown word is an *UnknownWordError, and an
+// empty request answers nothing.
+func TestANNModeErrors(t *testing.T) {
+	ctx, eng := context.Background(), New(fixtureSource(40, nil))
+	var uw *UnknownWordError
+	if _, err := eng.NeighborsBatch(ctx, ref17(), []string{"w001", "nope"}, 3); !errors.As(err, &uw) || uw.Word != "nope" {
+		t.Fatalf("batch unknown word: %v", err)
+	}
+	if _, err := eng.NeighborDelta(ctx, ref17(), ref18(), []string{"nope"}, 3); !errors.As(err, &uw) {
+		t.Fatalf("delta unknown word: %v", err)
+	}
+	ns, err := eng.NeighborsBatch(ctx, ref17(), nil, 3)
+	ds, derr := eng.NeighborDelta(ctx, ref17(), ref18(), nil, 3)
+	if err != nil || derr != nil || len(ns) != 0 || len(ds) != 0 {
+		t.Fatalf("empty requests: %v, %v, %d and %d answers", err, derr, len(ns), len(ds))
+	}
+}
+
 func TestSourceErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
 	eng := New(func(ctx context.Context, ref Ref) (*embedding.Embedding, error) { return nil, boom })

@@ -98,20 +98,19 @@ func checkChaosResponse(t *testing.T, req chaosRequest, code int, body string, h
 	}
 }
 
-// chaosPlan is the seeded schedule: every registered fault site armed at
-// once. Probabilistic rules model background flakiness; the deterministic
+// chaosRules is the seeded schedule: every registered fault site armed at
+// once (TestChaosSeededFaultSchedule checks that against faults.Sites).
+// Probabilistic rules model background flakiness; the deterministic
 // Every/Count rules guarantee that corruption, panics, and long stalls
 // actually fire during the serial stage regardless of scheduling.
-func chaosPlan() *faults.Plan {
-	return faults.MustPlan(8009,
-		faults.Rule{Site: "store/bin.read", Kind: faults.KindError, Prob: 0.25},
-		faults.Rule{Site: "store/bin.bytes", Kind: faults.KindCorrupt, Every: 3},
-		faults.Rule{Site: "store/gob.read", Kind: faults.KindError, Prob: 0.2},
-		faults.Rule{Site: "store/write", Kind: faults.KindError, Prob: 0.3},
-		faults.Rule{Site: "query/load", Kind: faults.KindError, Prob: 0.15},
-		faults.Rule{Site: "serve/latency", Kind: faults.KindLatency, Latency: time.Millisecond, Prob: 0.3},
-		faults.Rule{Site: "serve/panic", Kind: faults.KindPanic, After: 10, Every: 11, Count: 2},
-	)
+var chaosRules = []faults.Rule{
+	{Site: "store/bin.read", Kind: faults.KindError, Prob: 0.25},
+	{Site: "store/bin.bytes", Kind: faults.KindCorrupt, Every: 3},
+	{Site: "store/gob.read", Kind: faults.KindError, Prob: 0.2},
+	{Site: "store/write", Kind: faults.KindError, Prob: 0.3},
+	{Site: "query/load", Kind: faults.KindError, Prob: 0.15},
+	{Site: "serve/latency", Kind: faults.KindLatency, Latency: time.Millisecond, Prob: 0.3},
+	{Site: "serve/panic", Kind: faults.KindPanic, After: 10, Every: 11, Count: 2},
 }
 
 // TestChaosSeededFaultSchedule is the headline chaos run. Stage one
@@ -123,6 +122,16 @@ func chaosPlan() *faults.Plan {
 // stages must satisfy the contract, and once the schedule is lifted the
 // server must serve the oracle bytes again with a healthy healthz.
 func TestChaosSeededFaultSchedule(t *testing.T) {
+	armed := map[string]bool{}
+	for _, r := range chaosRules {
+		armed[r.Site] = true
+	}
+	for _, site := range faults.Sites() {
+		if !armed[site] {
+			t.Errorf("registered fault site %s has no rule in the chaos plan", site)
+		}
+	}
+
 	svc := chaosService(t, t.TempDir())
 	srv := New(svc, nil, WithMaxInFlight(4), WithReadTimeout(30*time.Second))
 	h := srv.Handler()
@@ -138,7 +147,7 @@ func TestChaosSeededFaultSchedule(t *testing.T) {
 		oracle[i] = rr.Body.String()
 	}
 
-	plan := chaosPlan()
+	plan := faults.MustPlan(8009, chaosRules...)
 	deactivate := faults.Activate(plan)
 
 	// Stage 2: serial replay under faults — deterministic visit order.

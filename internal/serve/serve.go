@@ -356,10 +356,6 @@ type healthzResponse struct {
 		// Quarantines counts damaged disk artifacts moved aside and
 		// recovered from the other encoding or a recompute.
 		Quarantines int64 `json:"quarantines"`
-		// ANNDiskHits counts IVF sidecars served from disk; ANNBuilds
-		// counts sidecar (re)builds.
-		ANNDiskHits int64 `json:"ann_disk_hits"`
-		ANNBuilds   int64 `json:"ann_builds"`
 	} `json:"store"`
 	Query struct {
 		SnapshotHits  int64 `json:"snapshot_hits"`
@@ -371,11 +367,6 @@ type healthzResponse struct {
 		BatchedQueries int64 `json:"batched_queries"`
 		// Retries counts snapshot-load attempts beyond the first.
 		Retries int64 `json:"retries"`
-		// ANNQueries counts neighbor queries answered through the IVF
-		// index; ANNBuilds counts index constructions (cache misses —
-		// warm sidecar loads do not count).
-		ANNQueries int64 `json:"ann_queries"`
-		ANNBuilds  int64 `json:"ann_builds"`
 		// ResidentBytes totals the bytes pinned by resident snapshots.
 		ResidentBytes int64 `json:"resident_bytes"`
 		// Snapshots lists the resident snapshots (most recently used
@@ -410,8 +401,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp.Store.Evictions = st.Evictions
 	resp.Store.PersistErrors = st.PersistErrors
 	resp.Store.Quarantines = st.Quarantines
-	resp.Store.ANNDiskHits = st.ANNDiskHits
-	resp.Store.ANNBuilds = st.ANNBuilds
 	qs := s.svc.QueryStats()
 	resp.Query.SnapshotHits = qs.SnapshotHits
 	resp.Query.SnapshotLoads = qs.SnapshotLoads
@@ -419,8 +408,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp.Query.Batches = qs.Batches
 	resp.Query.BatchedQueries = qs.BatchedQueries
 	resp.Query.Retries = qs.Retries
-	resp.Query.ANNQueries = qs.ANNQueries
-	resp.Query.ANNBuilds = qs.ANNBuilds
 	resp.Query.Snapshots = s.svc.ResidentSnapshots()
 	for _, in := range resp.Query.Snapshots {
 		resp.Query.ResidentBytes += in.Bytes
@@ -580,19 +567,6 @@ func queryOptions(year, k, bits int, seed int64) []anchor.QueryOption {
 	return opts
 }
 
-// annOptions assembles the approximate-search options shared by the
-// neighbors handlers.
-func annOptions(ann bool, nprobe int) []anchor.QueryOption {
-	var opts []anchor.QueryOption
-	if ann {
-		opts = append(opts, anchor.QueryANN(true))
-	}
-	if nprobe != 0 {
-		opts = append(opts, anchor.QueryNProbe(nprobe))
-	}
-	return opts
-}
-
 // handleVectors is GET /v1/vectors: word vector lookup in one snapshot.
 // Parameters come from the query string (it is a read), words
 // comma-separated: /v1/vectors?algo=cbow&dim=64&words=king,queen.
@@ -651,11 +625,6 @@ type neighborsRequest struct {
 	// auto-selected.
 	Bits int   `json:"bits"`
 	Seed int64 `json:"seed"`
-	// ANN routes the query through the snapshot's IVF index; NProbe
-	// tunes how many index cells it scans (0 = the index default, >=
-	// the cell count reproduces the exact answer bitwise).
-	ANN    bool `json:"ann"`
-	NProbe int  `json:"nprobe"`
 }
 
 func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
@@ -668,7 +637,7 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rep, err := s.svc.Neighbors(r.Context(), req.Algo, req.Dim, req.Words,
-		append(queryOptions(req.Year, req.K, req.Bits, req.Seed), annOptions(req.ANN, req.NProbe)...)...)
+		queryOptions(req.Year, req.K, req.Bits, req.Seed)...)
 	if err != nil {
 		s.fail(w, r, err)
 		return
@@ -685,10 +654,6 @@ type neighborDeltaRequest struct {
 	// Bits selects the served precision (1..32; 0 = service default).
 	Bits int   `json:"bits"`
 	Seed int64 `json:"seed"`
-	// ANN routes both snapshots' scans through their IVF indexes;
-	// NProbe tunes the cells scanned per query (0 = the index default).
-	ANN    bool `json:"ann"`
-	NProbe int  `json:"nprobe"`
 }
 
 func (s *Server) handleNeighborDelta(w http.ResponseWriter, r *http.Request) {
@@ -701,7 +666,7 @@ func (s *Server) handleNeighborDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rep, err := s.svc.NeighborDelta(r.Context(), req.Algo, req.Dim, req.Words,
-		append(queryOptions(0, req.K, req.Bits, req.Seed), annOptions(req.ANN, req.NProbe)...)...)
+		queryOptions(0, req.K, req.Bits, req.Seed)...)
 	if err != nil {
 		s.fail(w, r, err)
 		return

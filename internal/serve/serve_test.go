@@ -532,6 +532,15 @@ func TestNeighborsEndpointBitwise(t *testing.T) {
 	if rr.Code != http.StatusBadRequest || errCode(t, rr) != "invalid_request" {
 		t.Fatalf("trailing data: %d %s", rr.Code, rr.Body.String())
 	}
+
+	// ann and nprobe are not request fields: like any unknown field, 400.
+	for _, field := range []string{`"ann":true`, `"nprobe":4`} {
+		b := fmt.Sprintf(`{"algo":"mc","words":[%q],"dim":8,"k":5,"year":2017,"seed":1,%s}`, words[0], field)
+		rr := do(t, refH, http.MethodPost, "/v1/neighbors", b, nil)
+		if rr.Code != http.StatusBadRequest || errCode(t, rr) != "invalid_request" {
+			t.Fatalf("%s: %d %s", field, rr.Code, rr.Body.String())
+		}
+	}
 }
 
 func TestNeighborDeltaEndpoint(t *testing.T) {
@@ -572,4 +581,42 @@ func TestNeighborDeltaEndpoint(t *testing.T) {
 	if rr.Code != http.StatusBadRequest {
 		t.Fatalf("empty words: %d", rr.Code)
 	}
+	// ann and nprobe are not request fields: like any unknown field, 400.
+	for _, field := range []string{`"ann":true`, `"nprobe":4`} {
+		b := fmt.Sprintf(`{"algo":"mc","words":[%q],"dim":8,"k":5,"seed":1,%s}`, words[0], field)
+		rr := do(t, h, http.MethodPost, "/v1/neighbors/delta", b, nil)
+		if rr.Code != http.StatusBadRequest || errCode(t, rr) != "invalid_request" {
+			t.Fatalf("%s: %d %s", field, rr.Code, rr.Body.String())
+		}
+	}
+}
+
+// rejectsRemovedANNFields posts body (a request object without its
+// closing brace) to path on a fresh server with each removed
+// approximate-mode field set to its exact-mode value. Each must be a 400
+// invalid_request naming the field, and nothing may be trained.
+func rejectsRemovedANNFields(t *testing.T, path, body string) {
+	t.Helper()
+	srv, svc := newTestServer(t)
+	for _, f := range []struct{ name, value string }{{"ann", "false"}, {"nprobe", "0"}} {
+		rr := do(t, srv.Handler(), http.MethodPost, path, fmt.Sprintf(`%s,%q:%s}`, body, f.name, f.value), nil)
+		if rr.Code != http.StatusBadRequest || errCode(t, rr) != "invalid_request" ||
+			!strings.Contains(rr.Body.String(), `unknown field \"`+f.name+`\"`) {
+			t.Fatalf("%s with %s: %d %s", path, f.name, rr.Code, rr.Body.String())
+		}
+	}
+	if st := svc.StoreStats(); st.Computes != 0 {
+		t.Fatalf("a rejected request trained: %+v", st)
+	}
+}
+
+// TestNeighborsEndpointANN: /v1/neighbors has one exact mode; a request
+// still sending ann or nprobe is rejected before any work.
+func TestNeighborsEndpointANN(t *testing.T) {
+	rejectsRemovedANNFields(t, "/v1/neighbors", `{"algo":"mc","words":["the"],"dim":8,"k":5,"year":2017,"seed":1`)
+}
+
+// TestNeighborDeltaEndpointANN: the same for /v1/neighbors/delta.
+func TestNeighborDeltaEndpointANN(t *testing.T) {
+	rejectsRemovedANNFields(t, "/v1/neighbors/delta", `{"algo":"mc","words":["the"],"dim":8,"k":5,"seed":1`)
 }

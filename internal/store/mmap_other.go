@@ -2,10 +2,7 @@
 
 package store
 
-import (
-	"anchor/internal/ann"
-	"anchor/internal/embedding"
-)
+import "anchor/internal/embedding"
 
 // MapBinaryFile falls back to LoadBinaryFile on platforms without mmap
 // support; close is then a no-op and the embedding has no lifetime bound.
@@ -15,14 +12,4 @@ func MapBinaryFile(path string) (e *embedding.Embedding, close func() error, err
 		return nil, nil, err
 	}
 	return e, func() error { return nil }, nil
-}
-
-// MapANNFile falls back to LoadANNFile on platforms without mmap
-// support; close is then a no-op and the index has no lifetime bound.
-func MapANNFile(path string) (ix *ann.Index, close func() error, err error) {
-	ix, err = LoadANNFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ix, func() error { return nil }, nil
 }

@@ -7,7 +7,6 @@ import (
 	"os"
 	"syscall"
 
-	"anchor/internal/ann"
 	"anchor/internal/embedding"
 	"anchor/internal/faults"
 )
@@ -44,37 +43,4 @@ func MapBinaryFile(path string) (e *embedding.Embedding, close func() error, err
 		return nil, nil, err
 	}
 	return e, func() error { return syscall.Munmap(data) }, nil
-}
-
-// MapANNFile memory-maps an IVF sidecar read-only and decodes it in
-// place: the returned index's centroid and list storage is the page
-// cache itself. close unmaps the file; the index must not be used
-// afterwards. Callers that need an index with an unbounded lifetime
-// should use LoadANNFile instead.
-func MapANNFile(path string) (ix *ann.Index, close func() error, err error) {
-	if err := faults.Error(siteANNRead); err != nil {
-		return nil, nil, fmt.Errorf("store: %w", err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: %w", err)
-	}
-	if st.Size() == 0 || st.Size() > int64(int(^uint(0)>>1)) {
-		return nil, nil, fmt.Errorf("store: cannot map %s: %d bytes", path, st.Size())
-	}
-	data, err := syscall.Mmap(int(f.Fd()), 0, int(st.Size()), syscall.PROT_READ, syscall.MAP_SHARED)
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: mmap %s: %w", path, err)
-	}
-	ix, err = ann.Decode(data)
-	if err != nil {
-		syscall.Munmap(data)
-		return nil, nil, err
-	}
-	return ix, func() error { return syscall.Munmap(data) }, nil
 }

@@ -123,11 +123,6 @@ type Stats struct {
 	// quarantine is followed by fallback to the other encoding or a
 	// recompute, never by serving the damaged bytes.
 	Quarantines int64
-	// ANNDiskHits counts IVF sidecars served from the disk tier, and
-	// ANNBuilds counts index (re)builds — a warm disk serves every GetANN
-	// with ANNBuilds unchanged.
-	ANNDiskHits int64
-	ANNBuilds   int64
 }
 
 // Store is the two-tier artifact cache. The zero value is not usable;
@@ -142,7 +137,6 @@ type Store struct {
 	flight map[string]*flightCall
 
 	memHits, diskHits, computes, evictions, persistErrs, quarantines atomic.Int64
-	annDiskHits, annBuilds                                           atomic.Int64
 }
 
 type entry struct {
@@ -197,8 +191,6 @@ func (s *Store) Stats() Stats {
 		Evictions:     s.evictions.Load(),
 		PersistErrors: s.persistErrs.Load(),
 		Quarantines:   s.quarantines.Load(),
-		ANNDiskHits:   s.annDiskHits.Load(),
-		ANNBuilds:     s.annBuilds.Load(),
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 
-	"anchor/internal/ann"
 	"anchor/internal/core"
 	"anchor/internal/embedding"
 	"anchor/internal/embtrain"
@@ -206,18 +205,6 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 		},
 		query.WithBudget(settings.queryBudget),
 		query.WithWorkers(settings.cfg.Workers),
-		// ANN indexes resolve through the artifact store: a sidecar
-		// persisted next to the snapshot's .bin is served without a
-		// rebuild (and rebuilt + rewritten when absent, stale, or
-		// quarantined-corrupt), so a warm store answers approximate
-		// queries at mmap-load cost.
-		query.WithANNSource(func(ctx context.Context, ref query.Ref, cfg ann.Config, rows, dim int, build func() (*ann.Index, error)) (*ann.Index, error) {
-			k, err := runner.SnapshotKey(ref.Algo, ref.Year, ref.Dim, ref.Bits, ref.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return st.GetANN(k, cfg, rows, dim, build)
-		}),
 	)
 	return &Service{
 		runner:        runner,

@@ -32,18 +32,11 @@ type WordDelta = query.Delta
 // hold the resolved values (after defaults and, in serving-budget mode,
 // auto-selection); bits is the precision as reported (32 = full).
 type queryParams struct {
-	year   int
-	k      int
-	seed   int64
-	bits   int
-	dim    int
-	ann    bool
-	nprobe int
-}
-
-// mode renders the resolved ANN knobs as a query-engine search mode.
-func (p queryParams) mode() query.Mode {
-	return query.Mode{ANN: p.ann, NProbe: p.nprobe}
+	year int
+	k    int
+	seed int64
+	bits int
+	dim  int
 }
 
 // QueryOption configures one Service query (Query, Neighbors,
@@ -77,23 +70,6 @@ func QuerySeed(seed int64) QueryOption {
 // WithPrecision says otherwise).
 func QueryPrecision(bits int) QueryOption {
 	return func(p *queryParams) { p.bits = bits }
-}
-
-// QueryANN routes Neighbors and NeighborDelta through the snapshot's
-// deterministic IVF index (built on first use, persisted as a sidecar in
-// the artifact store): each query scans only its most similar index
-// cells instead of every row. Every similarity it reports is bitwise the
-// exact path's value for that candidate; at small nprobe the deep tail
-// of the answer set may differ. Vector queries ignore it.
-func QueryANN(on bool) QueryOption {
-	return func(p *queryParams) { p.ann = on }
-}
-
-// QueryNProbe sets how many index cells an ANN-routed query scans
-// (<= 0 selects the index's default; at least the index's cell count
-// reproduces the exact answer bitwise). Ignored without QueryANN.
-func QueryNProbe(n int) QueryOption {
-	return func(p *queryParams) { p.nprobe = n }
 }
 
 // queryParams resolves options against the service defaults and validates
@@ -211,10 +187,6 @@ type NeighborsReport struct {
 	Bits int   `json:"bits"`
 	Seed int64 `json:"seed"`
 	K    int   `json:"k"`
-	// ANN marks answers served through the IVF index; NProbe is the
-	// cells-scanned knob the query ran with (0 = the index default).
-	ANN    bool `json:"ann,omitempty"`
-	NProbe int  `json:"nprobe,omitempty"`
 	// Results holds one entry per queried word, in request order.
 	Results []WordNeighbors `json:"results"`
 }
@@ -231,9 +203,8 @@ func (s *Service) Neighbors(ctx context.Context, algo string, dim int, words []s
 	}
 	ref := query.Ref{Algo: algo, Year: p.year, Dim: p.dim, Seed: p.seed, Bits: refBits(p.bits)}
 	rep := NeighborsReport{Algo: algo, Year: p.year, Dim: p.dim, Bits: p.bits, Seed: p.seed, K: p.k,
-		ANN: p.ann, NProbe: p.nprobe,
 		Results: make([]WordNeighbors, len(words))}
-	ns, err := s.engine.NeighborsBatchMode(ctx, ref, words, p.k, p.mode())
+	ns, err := s.engine.NeighborsBatch(ctx, ref, words, p.k)
 	if err != nil {
 		return NeighborsReport{}, err
 	}
@@ -252,10 +223,6 @@ type NeighborDeltaReport struct {
 	Bits int   `json:"bits"`
 	Seed int64 `json:"seed"`
 	K    int   `json:"k"`
-	// ANN marks deltas computed through each snapshot's IVF index;
-	// NProbe is the cells-scanned knob (0 = the index default).
-	ANN    bool `json:"ann,omitempty"`
-	NProbe int  `json:"nprobe,omitempty"`
 	// Results holds one delta per queried word, in request order.
 	Results []WordDelta `json:"results"`
 	// MeanOverlap averages the per-word overlaps: 1 = perfectly stable
@@ -278,12 +245,11 @@ func (s *Service) NeighborDelta(ctx context.Context, algo string, dim int, words
 	refA := query.Ref{Algo: algo, Year: 2017, Dim: p.dim, Seed: p.seed, Bits: refBits(p.bits)}
 	refB := query.Ref{Algo: algo, Year: 2018, Dim: p.dim, Seed: p.seed, Bits: refBits(p.bits)}
 	s.note("neighbor-delta %s d=%d b=%d k=%d seed=%d (%d words)", algo, p.dim, p.bits, p.k, p.seed, len(words))
-	ds, err := s.engine.NeighborDeltaMode(ctx, refA, refB, words, p.k, p.mode())
+	ds, err := s.engine.NeighborDelta(ctx, refA, refB, words, p.k)
 	if err != nil {
 		return NeighborDeltaReport{}, err
 	}
-	rep := NeighborDeltaReport{Algo: algo, Dim: p.dim, Bits: p.bits, Seed: p.seed, K: p.k,
-		ANN: p.ann, NProbe: p.nprobe, Results: ds}
+	rep := NeighborDeltaReport{Algo: algo, Dim: p.dim, Bits: p.bits, Seed: p.seed, K: p.k, Results: ds}
 	for _, d := range ds {
 		rep.MeanOverlap += d.Overlap
 	}

@@ -3,6 +3,10 @@ package anchor_test
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"anchor"
@@ -357,5 +361,37 @@ func TestServiceQueryReadPath(t *testing.T) {
 	}
 	if qs := svc.QueryStats(); qs.SnapshotLoads != 2 || qs.SnapshotHits == 0 {
 		t.Fatalf("query stats: %+v", qs)
+	}
+}
+
+// TestServiceANNSidecarRoundTrip: cache directories written while the
+// approximate neighbor path existed hold .ann sidecars beside the
+// artifacts. A service restarted over one answers neighbor queries as
+// before, from the disk tier, and leaves the stray sidecars alone.
+func TestServiceANNSidecarRoundTrip(t *testing.T) {
+	ctx, dir := context.Background(), t.TempDir()
+	s1 := newTinyService(t, anchor.WithCacheDir(dir))
+	e, err := s1.Train(ctx, "mc", 2017, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := []string{e.Words[3], e.Words[77]}
+	rep1, err1 := s1.Neighbors(ctx, "mc", 8, words, anchor.QueryK(5))
+	bins, err2 := filepath.Glob(filepath.Join(dir, "*.bin"))
+	for _, b := range bins {
+		err2 = errors.Join(err2, os.WriteFile(strings.TrimSuffix(b, ".bin")+"-ivf8.ann", []byte("stale"), 0o644))
+	}
+	s2 := newTinyService(t, anchor.WithCacheDir(dir))
+	rep2, err3 := s2.Neighbors(ctx, "mc", 8, words, anchor.QueryK(5))
+	if err := errors.Join(err1, err2, err3); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep1, rep2) {
+		t.Fatalf("answers differ across the restart: %+v vs %+v", rep1, rep2)
+	}
+	st := s2.StoreStats()
+	if sidecars, _ := filepath.Glob(filepath.Join(dir, "*.ann")); st.Computes != 0 || st.DiskHits == 0 ||
+		st.Quarantines != 0 || len(bins) == 0 || len(sidecars) != len(bins) {
+		t.Fatalf("restart over %d artifacts and %d sidecars: %+v", len(bins), len(sidecars), st)
 	}
 }
