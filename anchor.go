@@ -165,9 +165,6 @@ func AlignQuantize(a, b *Embedding, bits int) (*Embedding, *Embedding) {
 	return compress.QuantizePair(a, b, bits)
 }
 
-// LoadEmbedding reads an embedding saved with Embedding.SaveFile.
-func LoadEmbedding(path string) (*Embedding, error) { return embedding.LoadFile(path) }
-
 // NewEigenspaceInstability returns the paper's measure with anchors
 // (e, eTilde) and the selected alpha = 3.
 func NewEigenspaceInstability(e, eTilde *Embedding) *EigenspaceInstability {

@@ -2,14 +2,15 @@
 // snapshot pairs, compress them, compute embedding distance measures,
 // measure end-to-end downstream instability, query trained snapshots, and
 // serve it all over HTTP. Every subcommand except measure (which works on
-// saved .gob files) runs on the context-aware Service API, so trained
-// embeddings are cached in the artifact store (pass -cache-dir to make
-// the cache survive across invocations and share it with `anchor serve`).
+// .bin files saved by train, in the artifact store's binary format) runs
+// on the context-aware Service API, so trained embeddings are cached in
+// the artifact store (pass -cache-dir to make the cache survive across
+// invocations and share it with `anchor serve`).
 //
 // Usage:
 //
-//	anchor train     -algo cbow -dim 64 -seed 1 -year 2017 -out emb17.gob
-//	anchor measure   -a emb17.gob -b emb18.gob -bits 4 -top 300
+//	anchor train     -algo cbow -dim 64 -seed 1 -year 2017 -out emb17.bin
+//	anchor measure   -a emb17.bin -b emb18.bin -bits 4 -top 300
 //	anchor stability -algo mc -dim 32 -bits 4 -seed 1 -task sst2
 //	anchor select    -algo mc -dims 8,16,32 -bits 1,4,32 -budget 128
 //	anchor query     -algo mc -dim 32 -bits 8 -words fezadis,dovoles -k 5 -delta
@@ -26,6 +27,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -33,6 +35,7 @@ import (
 
 	"anchor"
 	"anchor/internal/serve"
+	"anchor/internal/store"
 )
 
 func main() {
@@ -75,8 +78,8 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `anchor <command> [flags]
 
 commands:
-  train       train one embedding snapshot and save it
-  measure     compute all embedding distance measures between two embeddings
+  train       train one embedding snapshot and save it as a .bin artifact
+  measure     compute all embedding distance measures between two saved .bin embeddings
   stability   end-to-end downstream instability for one configuration
   select      rank a dim x precision grid by a measure under a memory budget
   query       query a trained snapshot: vectors, nearest neighbors, neighbor delta
@@ -138,7 +141,7 @@ func cmdTrain(ctx context.Context, args []string) error {
 	dim := fs.Int("dim", 64, "embedding dimension")
 	seed := fs.Int64("seed", 1, "training seed")
 	year := fs.Int("year", 2017, "corpus snapshot year (2017 or 2018)")
-	out := fs.String("out", "emb.gob", "output path")
+	out := fs.String("out", "emb.bin", "output path (binary artifact format)")
 	sf := addServiceFlags(fs, "repro")
 	fs.Parse(args)
 
@@ -151,7 +154,7 @@ func cmdTrain(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := e.SaveFile(*out); err != nil {
+	if err := store.SaveBinaryFile(*out, e, store.PickKind(e)); err != nil {
 		return err
 	}
 	fmt.Printf("saved %s (%d x %d) to %s\n", e.Meta, e.Rows(), e.Dim(), *out)
@@ -160,8 +163,8 @@ func cmdTrain(ctx context.Context, args []string) error {
 
 func cmdMeasure(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("measure", flag.ExitOnError)
-	aPath := fs.String("a", "", "first embedding (gob)")
-	bPath := fs.String("b", "", "second embedding (gob)")
+	aPath := fs.String("a", "", "first embedding (.bin from train)")
+	bPath := fs.String("b", "", "second embedding (.bin from train)")
 	bits := fs.Int("bits", 32, "quantize both to this precision first")
 	top := fs.Int("top", 300, "compute measures over the top-N frequent words")
 	workers := fs.Int("workers", 0, "measure goroutines (0 = all CPUs; result is identical for any value)")
@@ -172,20 +175,30 @@ func cmdMeasure(ctx context.Context, args []string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	a, err := anchor.LoadEmbedding(*aPath)
+	a, err := store.LoadBinaryFile(*aPath)
 	if err != nil {
 		return err
 	}
-	b, err := anchor.LoadEmbedding(*bPath)
+	b, err := store.LoadBinaryFile(*bPath)
 	if err != nil {
 		return err
+	}
+	if a.Rows() != b.Rows() || a.Dim() != b.Dim() {
+		return fmt.Errorf("-a is %d x %d but -b is %d x %d; measure needs two embeddings of one shape",
+			a.Rows(), a.Dim(), b.Rows(), b.Dim())
+	}
+	// The top-word ids index the default corpus's vocabulary, so both
+	// files must have been trained on it (train's default -config repro).
+	c17 := anchor.GenerateCorpus(anchor.DefaultCorpusConfig(), anchor.Wiki17)
+	if !slices.Equal(a.Words, c17.Vocab.Words) || !slices.Equal(b.Words, c17.Vocab.Words) {
+		return fmt.Errorf("-a and -b must both have the default corpus's %d-word vocabulary; train them with -config repro",
+			c17.Vocab.Size())
 	}
 	// Section 3 protocol: align, tag, quantize with a shared clip.
 	qa, qb := anchor.AlignQuantize(a, b, *bits)
 
 	// Anchors: the full-precision pair itself (callers with a dimension
 	// sweep should pass their largest pair; the CLI uses what it has).
-	c17 := anchor.GenerateCorpus(anchor.DefaultCorpusConfig(), anchor.Wiki17)
 	ids := c17.TopWords(*top)
 	sa, sb := qa.SubRows(ids), qb.SubRows(ids)
 	ea, eb := a.SubRows(ids), b.SubRows(ids)

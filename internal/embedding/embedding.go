@@ -1,15 +1,13 @@
 // Package embedding defines the embedding container shared by every
 // trainer and consumer in anchor: a dense matrix of word vectors tied to a
-// vocabulary, with persistence, orthogonal Procrustes alignment (the paper
-// aligns every Wiki'17/Wiki'18 pair before compressing and training
-// downstream models), normalization, and frequency-based row slicing.
+// vocabulary, with orthogonal Procrustes alignment (the paper aligns every
+// Wiki'17/Wiki'18 pair before compressing and training downstream models)
+// and frequency-based row slicing. Its one serialized form is
+// internal/store's binary artifact format.
 package embedding
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
-	"os"
 
 	"anchor/internal/matrix"
 )
@@ -109,60 +107,6 @@ func (e *Embedding) AlignTo(ref *Embedding) {
 func AlignTagged(ref, e *Embedding) {
 	e.AlignTo(ref)
 	e.Meta.Corpus += "a"
-}
-
-// gobEmbedding is the serialized form.
-type gobEmbedding struct {
-	Rows, Cols int
-	Data       []float64
-	Words      []string
-	Meta       Meta
-}
-
-// Save writes the embedding to w in gob format.
-func (e *Embedding) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(gobEmbedding{
-		Rows: e.Rows(), Cols: e.Dim(), Data: e.Vectors.Data, Words: e.Words, Meta: e.Meta,
-	})
-}
-
-// Load reads an embedding previously written by Save.
-func Load(r io.Reader) (*Embedding, error) {
-	var g gobEmbedding
-	if err := gob.NewDecoder(r).Decode(&g); err != nil {
-		return nil, fmt.Errorf("embedding: decode: %w", err)
-	}
-	if len(g.Data) != g.Rows*g.Cols {
-		return nil, fmt.Errorf("embedding: corrupt payload: %d values for %dx%d", len(g.Data), g.Rows, g.Cols)
-	}
-	return &Embedding{
-		Vectors: matrix.NewDenseData(g.Rows, g.Cols, g.Data),
-		Words:   g.Words,
-		Meta:    g.Meta,
-	}, nil
-}
-
-// SaveFile writes the embedding to path, creating or truncating it.
-func (e *Embedding) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("embedding: %w", err)
-	}
-	defer f.Close()
-	if err := e.Save(f); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
-// LoadFile reads an embedding from path.
-func LoadFile(path string) (*Embedding, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("embedding: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }
 
 // MemoryBitsPerWord returns the paper's memory axis for this embedding:

@@ -1,10 +1,8 @@
 package embedding
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"anchor/internal/matrix"
@@ -17,55 +15,6 @@ func randomEmbedding(n, d int, seed int64) *Embedding {
 		e.Vectors.Data[i] = rng.NormFloat64()
 	}
 	return e
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	e := randomEmbedding(7, 3, 1)
-	e.Words = []string{"a", "b", "c", "d", "e", "f", "g"}
-	e.Meta = Meta{Algorithm: "cbow", Corpus: "wiki17", Dim: 3, Seed: 9, Precision: 32}
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rows() != 7 || got.Dim() != 3 {
-		t.Fatalf("shape %dx%d", got.Rows(), got.Dim())
-	}
-	for i := range e.Vectors.Data {
-		if got.Vectors.Data[i] != e.Vectors.Data[i] {
-			t.Fatal("data mismatch after round trip")
-		}
-	}
-	if got.Meta != e.Meta {
-		t.Fatalf("meta mismatch: %+v vs %+v", got.Meta, e.Meta)
-	}
-	if got.Words[6] != "g" {
-		t.Fatal("words mismatch")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "emb.gob")
-	e := randomEmbedding(4, 2, 2)
-	if err := e.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rows() != 4 || got.Dim() != 2 {
-		t.Fatal("file round trip shape mismatch")
-	}
-}
-
-func TestLoadCorrupt(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a gob"))); err == nil {
-		t.Fatal("expected error for corrupt input")
-	}
 }
 
 func TestAlignToRecoversRotation(t *testing.T) {

@@ -21,8 +21,8 @@ import (
 //     concurrent single-word Neighbors calls (one query block each) vs one
 //     64-word NeighborsBatch (one shared MulABT block that streams the
 //     10k x 100 snapshot matrix once instead of once per query).
-//   - coldload-gob vs coldload-binary: decoding one artifact from disk
-//     through the gob tier vs the zero-copy binary format.
+//   - coldload-binary: decoding one artifact from disk in the store's
+//     zero-copy binary format, the cost of a snapshot that misses memory.
 func BenchmarkNeighborsServe(b *testing.B) {
 	const n, d, queries = 10_000, 100, 64
 	rng := rand.New(rand.NewSource(3))
@@ -47,37 +47,13 @@ func BenchmarkNeighborsServe(b *testing.B) {
 		serveRounds(b, New(src), ref, words, blockRound)
 	})
 
-	dir := b.TempDir()
-	gobPath := filepath.Join(dir, "emb.gob")
-	binPath := filepath.Join(dir, "emb.bin")
-	if err := e.SaveFile(gobPath); err != nil {
-		b.Fatal(err)
-	}
+	binPath := filepath.Join(b.TempDir(), "emb.bin")
 	if err := store.SaveBinaryFile(binPath, e, store.Float64); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("coldload-gob", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := embedding.LoadFile(gobPath); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("coldload-binary", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := store.LoadBinaryFile(binPath); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("coldload-mmap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m, close, err := store.MapBinaryFile(binPath)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = m.Vector(0)[0] // touch one page
-			if err := close(); err != nil {
 				b.Fatal(err)
 			}
 		}

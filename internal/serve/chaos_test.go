@@ -106,7 +106,6 @@ func checkChaosResponse(t *testing.T, req chaosRequest, code int, body string, h
 var chaosRules = []faults.Rule{
 	{Site: "store/bin.read", Kind: faults.KindError, Prob: 0.25},
 	{Site: "store/bin.bytes", Kind: faults.KindCorrupt, Every: 3},
-	{Site: "store/gob.read", Kind: faults.KindError, Prob: 0.2},
 	{Site: "store/write", Kind: faults.KindError, Prob: 0.3},
 	{Site: "query/load", Kind: faults.KindError, Prob: 0.15},
 	{Site: "serve/latency", Kind: faults.KindLatency, Latency: time.Millisecond, Prob: 0.3},
@@ -206,9 +205,9 @@ func TestChaosSeededFaultSchedule(t *testing.T) {
 // TestChaosCorruptArtifactRecoveredOverHTTP plants real on-disk damage —
 // a flipped byte in a persisted .bin artifact — and asserts the HTTP
 // read path recovers without a single 5xx: the damaged file is
-// quarantined, the answer is served from the gob fallback bitwise
-// identical to the pre-damage response, and the rewritten .bin is
-// healthy for the next process.
+// quarantined, the artifact is recomputed and served bitwise identical to
+// the pre-damage response, and the rewritten .bin is healthy for the next
+// process. The .bin is the only encoding, so no .gob is ever written.
 func TestChaosCorruptArtifactRecoveredOverHTTP(t *testing.T) {
 	dir := t.TempDir()
 
@@ -249,15 +248,15 @@ func TestChaosCorruptArtifactRecoveredOverHTTP(t *testing.T) {
 	if rr.Body.String() != oracle.Body.String() {
 		t.Fatal("recovered response differs from the pre-damage oracle")
 	}
-	if q := svc2.StoreStats().Quarantines; q == 0 {
-		t.Fatal("corrupt artifact served without being quarantined")
+	if st := svc2.StoreStats(); st.Quarantines == 0 || st.Computes == 0 {
+		t.Fatalf("store stats %+v: want the corrupt artifact quarantined and recomputed", st)
 	}
 	quarantined, _ := filepath.Glob(filepath.Join(dir, "*.quarantined"))
 	if len(quarantined) == 0 {
 		t.Fatal("no .quarantined file left behind for forensics")
 	}
 
-	// Process three: the rewritten binary fast path is healthy again.
+	// Process three: the rewritten .bin is healthy again.
 	svc3 := chaosService(t, dir)
 	h3 := New(svc3, nil).Handler()
 	rr = do(t, h3, http.MethodPost, "/v1/neighbors", body, nil)
@@ -266,5 +265,8 @@ func TestChaosCorruptArtifactRecoveredOverHTTP(t *testing.T) {
 	}
 	if q := svc3.StoreStats().Quarantines; q != 0 {
 		t.Fatalf("repaired artifact quarantined again (%d); the rewrite is unsound", q)
+	}
+	if gobs, _ := filepath.Glob(filepath.Join(dir, "*.gob")); len(gobs) != 0 {
+		t.Fatalf("store wrote gob files: %v", gobs)
 	}
 }

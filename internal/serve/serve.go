@@ -354,7 +354,7 @@ type healthzResponse struct {
 		Evictions     int64 `json:"evictions"`
 		PersistErrors int64 `json:"persist_errors"`
 		// Quarantines counts damaged disk artifacts moved aside and
-		// recovered from the other encoding or a recompute.
+		// recomputed.
 		Quarantines int64 `json:"quarantines"`
 	} `json:"store"`
 	Query struct {

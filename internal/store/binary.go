@@ -18,12 +18,12 @@ import (
 	"anchor/internal/matrix"
 )
 
-// Binary embedding artifact format ("ANCB"), the store's zero-copy fast
-// path. The gob tier decodes every float through reflection; this format
-// lays the vector matrix out as a raw little-endian row-major payload at a
-// 64-byte-aligned offset, so a load is one os.ReadFile (or mmap) plus a
-// header check — the payload bytes are reinterpreted in place as the
-// embedding's float64 storage with no per-row allocation and no copy.
+// Binary embedding artifact format ("ANCB"), the only serialized form of
+// an embedding: the store's disk tier and the CLI's train/measure files
+// both use it. The vector matrix is a raw little-endian row-major payload
+// at a 64-byte-aligned offset, so a load is one os.ReadFile plus a header
+// and checksum check — a float64 payload is reinterpreted in place as the
+// embedding's storage with no per-row allocation and no copy.
 //
 // Version 3 layout (all integers little-endian):
 //
@@ -48,14 +48,13 @@ import (
 //
 // The checksum is the integrity half of the failure model's "correct bits
 // or clean error" rule: a torn write or bit rot in the payload surfaces as
-// ErrCorrupt at decode time (quarantined and recovered by the store's disk
-// tier), never as a quietly different embedding. Version 1 artifacts
-// (64-byte header, no clip/code-bits fields, kinds 0 and 1 only) and
-// version 2 artifacts (identical layout with [76:80) reserved as zero)
-// remain readable; they simply carry no payload checksum to verify.
+// ErrCorrupt at decode time (quarantined and recomputed by the store's disk
+// tier), never as a quietly different embedding. Any other format version
+// is rejected with an error that is not ErrCorrupt: caches are local and
+// disposable, so the store treats such a file as a miss and rewrites it.
 //
-// Float64 payloads preserve bits exactly, so a binary load is bitwise
-// identical to the gob artifact it was written alongside. Float32 payloads
+// Float64 payloads preserve bits exactly, so a load is bitwise identical to
+// the embedding that was written. Float32 payloads
 // store float32(v) per element — lossless exactly when every value is
 // float32-representable — at half the bytes. Quantized payloads store each
 // element as a b-bit index into the 2^b level grid determined by
@@ -82,19 +81,18 @@ const (
 
 const (
 	binMagic = "ANCB"
-	// BinaryVersion is the current binary artifact format version. Readers
-	// accept versions 1 through this; the format evolves by bumping it.
-	BinaryVersion  = 3
-	binHeaderLenV1 = 64
-	binHeaderLen   = 80
-	binAlign       = 64
+	// BinaryVersion is the binary artifact format version. Readers accept
+	// exactly this version; the format evolves by bumping it.
+	BinaryVersion = 3
+	binHeaderLen  = 80
+	binAlign      = 64
 )
 
 // ErrCorrupt tags decode failures caused by damaged artifact bytes —
 // truncation, torn writes, bit rot, checksum mismatches — as opposed to a
-// missing file or an I/O error. The disk tier quarantines artifacts whose
-// load fails with errors.Is(err, ErrCorrupt) and recovers from the gob
-// tier or a recompute.
+// missing file, an I/O error or an unsupported format version. The disk
+// tier quarantines artifacts whose load fails with errors.Is(err,
+// ErrCorrupt) and recomputes them.
 var ErrCorrupt = errors.New("corrupt binary artifact")
 
 // corruptf builds a decode error carrying the ErrCorrupt sentinel.
@@ -326,30 +324,22 @@ func writePayload(w io.Writer, data []float64, kind ElemKind) error {
 // float64, the host is little-endian, and the payload offset lands
 // 8-byte-aligned in memory, the returned embedding's matrix aliases data
 // directly (zero copy) — the caller must keep data immutable and alive for
-// the embedding's lifetime (os.ReadFile allocations satisfy this; for
-// mmap, see MapBinaryFile). Other payloads decode through one bulk
-// allocation; nothing is allocated per row either way.
+// the embedding's lifetime (os.ReadFile allocations satisfy this). Other
+// payloads decode through one bulk allocation; nothing is allocated per
+// row either way.
 func DecodeBinary(data []byte) (*embedding.Embedding, error) {
-	if len(data) < binHeaderLenV1 {
-		return nil, corruptf("truncated: %d bytes < %d-byte header", len(data), binHeaderLenV1)
+	if len(data) < binHeaderLen {
+		return nil, corruptf("truncated: %d bytes < %d-byte header", len(data), binHeaderLen)
 	}
 	if string(data[0:4]) != binMagic {
 		return nil, corruptf("not a binary artifact (magic %q)", data[0:4])
 	}
-	version := binary.LittleEndian.Uint32(data[4:8])
-	if version < 1 || version > BinaryVersion {
-		return nil, fmt.Errorf("store: binary artifact version %d, want 1..%d", version, BinaryVersion)
-	}
-	headerLen := binHeaderLen
-	if version == 1 {
-		headerLen = binHeaderLenV1
-	}
-	if len(data) < headerLen {
-		return nil, corruptf("truncated: %d bytes < %d-byte header", len(data), headerLen)
+	if version := binary.LittleEndian.Uint32(data[4:8]); version != BinaryVersion {
+		return nil, fmt.Errorf("store: binary artifact version %d, want %d", version, BinaryVersion)
 	}
 	kind := ElemKind(binary.LittleEndian.Uint32(data[8:12]))
-	if kind != Float64 && kind != Float32 && !(version >= 2 && kind == Quantized) {
-		return nil, corruptf("unknown element kind %d (version %d)", kind, version)
+	if kind != Float64 && kind != Float32 && kind != Quantized {
+		return nil, corruptf("unknown element kind %d", kind)
 	}
 	metaDim := int(int32(binary.LittleEndian.Uint32(data[12:16])))
 	rows := int(binary.LittleEndian.Uint64(data[16:24]))
@@ -360,12 +350,8 @@ func DecodeBinary(data []byte) (*embedding.Embedding, error) {
 	corpLen := int(binary.LittleEndian.Uint32(data[48:52]))
 	wordsLen := int(binary.LittleEndian.Uint32(data[52:56]))
 	payloadOff := int(binary.LittleEndian.Uint64(data[56:64]))
-	var clip float64
-	codeBits := 0
-	if version >= 2 {
-		clip = math.Float64frombits(binary.LittleEndian.Uint64(data[64:72]))
-		codeBits = int(int32(binary.LittleEndian.Uint32(data[72:76])))
-	}
+	clip := math.Float64frombits(binary.LittleEndian.Uint64(data[64:72]))
+	codeBits := int(int32(binary.LittleEndian.Uint32(data[72:76])))
 	if kind == Quantized {
 		if codeBits < 1 || codeBits > 8 || codeBits != prec {
 			return nil, corruptf("quantized code bits %d (precision %d)", codeBits, prec)
@@ -378,27 +364,25 @@ func DecodeBinary(data []byte) (*embedding.Embedding, error) {
 	if rows < 0 || cols < 0 || rows > math.MaxInt/8/max(cols, 1) {
 		return nil, corruptf("%dx%d matrix", rows, cols)
 	}
-	if headerLen+algoLen+corpLen+wordsLen > payloadOff || payloadOff%binAlign != 0 {
+	if binHeaderLen+algoLen+corpLen+wordsLen > payloadOff || payloadOff%binAlign != 0 {
 		return nil, corruptf("payload offset %d under %d header bytes",
-			payloadOff, headerLen+algoLen+corpLen+wordsLen)
+			payloadOff, binHeaderLen+algoLen+corpLen+wordsLen)
 	}
 	want := payloadOff + payloadSize(rows, cols, kind, codeBits)
 	if len(data) != want {
 		return nil, corruptf("%d bytes, want %d for %dx%d %s",
 			len(data), want, rows, cols, kindName(kind))
 	}
-	if version >= 3 {
-		wantSum := binary.LittleEndian.Uint32(data[76:80])
-		d := crc32.New(castagnoli)
-		d.Write(data[:76])
-		d.Write([]byte{0, 0, 0, 0}) // the checksum field, as hashed by the writer
-		d.Write(data[80:])
-		if got := d.Sum32(); got != wantSum {
-			return nil, corruptf("artifact checksum %08x, want %08x", got, wantSum)
-		}
+	wantSum := binary.LittleEndian.Uint32(data[76:80])
+	d := crc32.New(castagnoli)
+	d.Write(data[:76])
+	d.Write([]byte{0, 0, 0, 0}) // the checksum field, as hashed by the writer
+	d.Write(data[80:])
+	if got := d.Sum32(); got != wantSum {
+		return nil, corruptf("artifact checksum %08x, want %08x", got, wantSum)
 	}
 
-	off := headerLen
+	off := binHeaderLen
 	algo := string(data[off : off+algoLen])
 	off += algoLen
 	corp := string(data[off : off+corpLen])

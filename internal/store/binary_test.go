@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -67,21 +68,9 @@ func embEqualBits(t *testing.T, a, b *embedding.Embedding) {
 	}
 }
 
-// gobRoundTrip pushes e through the gob encoding, the store's reference
-// for bit-exactness.
-func gobRoundTrip(t *testing.T, e *embedding.Embedding) *embedding.Embedding {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g, err := embedding.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
+// TestBinaryRoundTripFloat64BitEqualsGob checks a float64 round trip
+// against the source embedding; the gob encoding this was once compared
+// with is gone, and the source is the stricter reference.
 func TestBinaryRoundTripFloat64BitEqualsGob(t *testing.T) {
 	e := binTestEmbedding(t, 37, 9, false)
 	var buf bytes.Buffer
@@ -92,13 +81,13 @@ func TestBinaryRoundTripFloat64BitEqualsGob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	embEqualBits(t, gobRoundTrip(t, e), dec)
+	embEqualBits(t, e, dec)
 }
 
 func TestBinaryRoundTripFloat32BitEqualsGob(t *testing.T) {
 	// Float32 payloads are exact when every value is float32-representable
 	// (the quantized-embedding case); then the binary round trip must
-	// agree with gob bit-for-bit.
+	// agree with the source embedding bit-for-bit.
 	e := binTestEmbedding(t, 23, 5, true)
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, e, Float32); err != nil {
@@ -108,7 +97,7 @@ func TestBinaryRoundTripFloat32BitEqualsGob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	embEqualBits(t, gobRoundTrip(t, e), dec)
+	embEqualBits(t, e, dec)
 	if buf.Len() >= 23*5*8 {
 		t.Fatalf("float32 payload not narrower: %d bytes", buf.Len())
 	}
@@ -142,15 +131,6 @@ func TestBinaryFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	embEqualBits(t, e, dec)
-
-	mapped, close, err := MapBinaryFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	embEqualBits(t, e, mapped)
-	if err := close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestBinaryNoWords(t *testing.T) {
@@ -212,15 +192,16 @@ func TestBinaryRejectsCorrupt(t *testing.T) {
 func TestBinaryRejectsFutureVersion(t *testing.T) {
 	// The format evolves by bumping the version; a reader must reject a
 	// file stamped with a version it does not understand rather than
-	// misparse it.
+	// misparse it, and must not call it corrupt (the store would
+	// quarantine it instead of treating it as a miss).
 	data := encodeValid(t)
 	binary.LittleEndian.PutUint32(data[4:8], BinaryVersion+1)
 	_, err := DecodeBinary(data)
 	if err == nil {
 		t.Fatal("decode accepted artifact from a future format version")
 	}
-	if !strings.Contains(err.Error(), "version") {
-		t.Fatalf("error does not name the version mismatch: %v", err)
+	if !strings.Contains(err.Error(), "version") || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("want a non-ErrCorrupt error naming the version, got %v", err)
 	}
 }
 
@@ -237,17 +218,15 @@ func TestStoreDiskTierPrefersBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	embEqualBits(t, e, got)
-	for _, ext := range []string{BinaryExt, ".gob"} {
-		if _, err := os.Stat(filepath.Join(dir, k.ID()+ext)); err != nil {
-			t.Fatalf("missing %s artifact: %v", ext, err)
-		}
-	}
-
-	// A fresh store must hit disk via the binary tier; breaking the gob
-	// file proves the load path never touched it.
-	if err := os.WriteFile(filepath.Join(dir, k.ID()+".gob"), []byte("junk"), 0o644); err != nil {
+	files, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if len(files) != 1 || files[0].Name() != k.ID()+BinaryExt {
+		t.Fatalf("cache dir holds %v, want only %s", files, k.ID()+BinaryExt)
+	}
+
+	// A fresh store must hit disk via the binary artifact.
 	st2, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -265,35 +244,29 @@ func TestStoreDiskTierPrefersBinary(t *testing.T) {
 	}
 }
 
+// TestStoreDiskTierGobFallback pins what a cache written by an older
+// build, which kept a .gob beside each .bin, gets now that there is no gob
+// fallback: a key with only its .gob left is a miss. The store recomputes,
+// writes the .bin, and neither reads, quarantines nor removes the .gob.
 func TestStoreDiskTierGobFallback(t *testing.T) {
-	// Caches written before the binary format have only .gob files; they
-	// must still hit.
 	dir := t.TempDir()
 	k := Key{Algo: "cbow", Corpus: "wiki17", Dim: 3, Seed: 1, Bits: 32, Scope: "x"}
 	e := binTestEmbedding(t, 8, 3, false)
-	if err := e.SaveFile(filepath.Join(dir, k.ID()+".gob")); err != nil {
+	legacy := filepath.Join(dir, k.ID()+".gob")
+	if err := os.WriteFile(legacy, []byte("gob bytes from an older build"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
+	if st := recomputeOnce(t, dir, k, e); st.Computes != 1 || st.DiskHits != 0 || st.Quarantines != 0 {
+		t.Fatalf("stats = %+v, want 1 compute, no disk hit, no quarantine", st)
 	}
-	got, err := st.Get(k, true, func() (*embedding.Embedding, error) {
-		t.Fatal("recomputed despite gob disk artifact")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	embEqualBits(t, e, got)
-
-	// The gob hit must have backfilled the binary encoding, so the slow
-	// decode is paid once per artifact, not once per restart.
 	bin, err := LoadBinaryFile(filepath.Join(dir, k.ID()+BinaryExt))
 	if err != nil {
-		t.Fatalf("gob fallback did not backfill the binary artifact: %v", err)
+		t.Fatalf("recompute did not persist the binary artifact: %v", err)
 	}
 	embEqualBits(t, e, bin)
+	if data, err := os.ReadFile(legacy); err != nil || string(data) != "gob bytes from an older build" {
+		t.Fatalf("legacy .gob was touched: %q, %v", data, err)
+	}
 }
 
 func TestDecodeBinaryZeroCopy(t *testing.T) {

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -88,38 +89,45 @@ func TestPickKindLosslessCascade(t *testing.T) {
 	}
 }
 
-func TestDecodeBinaryVersion1Compat(t *testing.T) {
-	// Hand-build a version-1 artifact (64-byte header, float64 payload) and
-	// check the v2 reader still decodes it: existing disk caches must stay
-	// readable across the format bump.
-	e := binTestEmbedding(t, 5, 3, false)
+// v1Artifact hand-builds e in the version-1 layout: a 64-byte header
+// with no clip, code-bits or checksum fields, then the strings, padding
+// and a float64 payload.
+func v1Artifact(t *testing.T, e *embedding.Embedding) []byte {
+	t.Helper()
+	const v1HeaderLen = 64
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, e, Float64); err != nil {
 		t.Fatal(err)
 	}
-	v2 := buf.Bytes()
-	payloadOff := int(binary.LittleEndian.Uint64(v2[56:64]))
+	v3 := buf.Bytes()
+	payloadOff := int(binary.LittleEndian.Uint64(v3[56:64]))
 
 	algo, corp := []byte(e.Meta.Algorithm), []byte(e.Meta.Corpus)
 	words := []byte(strings.Join(e.Words, "\n"))
 	varLen := len(algo) + len(corp) + len(words)
-	v1Off := (binHeaderLenV1 + varLen + binAlign - 1) / binAlign * binAlign
-	v1 := make([]byte, 0, v1Off+len(v2)-payloadOff)
-	header := append([]byte(nil), v2[:binHeaderLenV1]...)
+	v1Off := (v1HeaderLen + varLen + binAlign - 1) / binAlign * binAlign
+	header := append([]byte(nil), v3[:v1HeaderLen]...)
 	binary.LittleEndian.PutUint32(header[4:8], 1)
 	binary.LittleEndian.PutUint64(header[56:64], uint64(v1Off))
-	v1 = append(v1, header...)
-	v1 = append(v1, algo...)
+	v1 := append(header, algo...)
 	v1 = append(v1, corp...)
 	v1 = append(v1, words...)
-	v1 = append(v1, make([]byte, v1Off-binHeaderLenV1-varLen)...)
-	v1 = append(v1, v2[payloadOff:]...)
+	v1 = append(v1, make([]byte, v1Off-v1HeaderLen-varLen)...)
+	return append(v1, v3[payloadOff:]...)
+}
 
-	got, err := DecodeBinary(v1)
-	if err != nil {
-		t.Fatal(err)
+// TestDecodeBinaryVersion1Compat pins how a version-1 artifact is handled
+// now that only version 3 is read: DecodeBinary rejects it with an error
+// that names the version and is not ErrCorrupt, so a cache holding one
+// recomputes it instead of quarantining it (TestOldVersionBinIsAMiss).
+func TestDecodeBinaryVersion1Compat(t *testing.T) {
+	_, err := DecodeBinary(v1Artifact(t, binTestEmbedding(t, 5, 3, false)))
+	if err == nil {
+		t.Fatal("decode accepted a version-1 artifact")
 	}
-	embEqualBits(t, e, got)
+	if !strings.Contains(err.Error(), "version 1") || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("want a non-ErrCorrupt error naming version 1, got %v", err)
+	}
 }
 
 func TestDecodeBinaryCorruptQuantizedHeader(t *testing.T) {

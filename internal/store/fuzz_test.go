@@ -12,8 +12,9 @@ import (
 )
 
 // fuzzArtifact builds a valid encoded artifact without *testing.T so it
-// can seed the fuzz corpus. Mirrors binTestEmbedding/encodeValid.
-func fuzzArtifact(rows, cols int, f32exact bool, kind ElemKind) []byte {
+// can seed the fuzz corpus. Mirrors binTestEmbedding/encodeValid; words
+// false leaves Words nil, as TestBinaryNoWords does.
+func fuzzArtifact(rows, cols int, f32exact, words bool, kind ElemKind) []byte {
 	rng := rand.New(rand.NewSource(7))
 	e := embedding.New(rows, cols)
 	for i := range e.Vectors.Data {
@@ -23,9 +24,11 @@ func fuzzArtifact(rows, cols int, f32exact bool, kind ElemKind) []byte {
 		}
 		e.Vectors.Data[i] = v
 	}
-	e.Words = make([]string, rows)
-	for i := range e.Words {
-		e.Words[i] = "w" + strings.Repeat("x", i%3) + string(rune('a'+i%26))
+	if words {
+		e.Words = make([]string, rows)
+		for i := range e.Words {
+			e.Words[i] = "w" + strings.Repeat("x", i%3) + string(rune('a'+i%26))
+		}
 	}
 	e.Meta = embedding.Meta{Algorithm: "cbow", Corpus: "wiki17", Dim: cols, Seed: 42, Precision: 32}
 	var buf strings.Builder
@@ -42,9 +45,9 @@ func fuzzArtifact(rows, cols int, f32exact bool, kind ElemKind) []byte {
 // an embedding a re-encode chokes on. Run by `make fuzz-smoke` and CI
 // with a 30s budget.
 func FuzzDecodeBinary(f *testing.F) {
-	valid := fuzzArtifact(8, 3, false, Float64)
+	valid := fuzzArtifact(8, 3, false, true, Float64)
 	f.Add(valid)
-	f.Add(fuzzArtifact(8, 3, true, Float32))
+	f.Add(fuzzArtifact(8, 3, true, true, Float32))
 	f.Add([]byte{})
 	// The corrupt fixtures from TestBinaryRejectsCorrupt seed the corpus
 	// so the fuzzer starts at every rejection branch.
@@ -73,6 +76,8 @@ func FuzzDecodeBinary(f *testing.F) {
 		binary.LittleEndian.PutUint32(d[76:80], 0xdeadbeef) // checksum mismatch
 		return d
 	})
+	// A words-less artifact decodes with nil Words (TestBinaryNoWords).
+	f.Add(fuzzArtifact(6, 3, false, false, Float64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
@@ -90,7 +95,9 @@ func FuzzDecodeBinary(f *testing.F) {
 		if e == nil {
 			t.Fatal("decode returned neither an embedding nor an error")
 		}
-		if len(e.Words) != e.Rows() {
+		// Words may be nil (embedding.Embedding allows it); otherwise
+		// there is one per row.
+		if e.Words != nil && len(e.Words) != e.Rows() {
 			t.Fatalf("decoded %d words for %d rows", len(e.Words), e.Rows())
 		}
 		if err := WriteBinary(io.Discard, e, PickKind(e)); err != nil {

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -28,7 +30,7 @@ func warmDir(t *testing.T) (string, Key, *embedding.Embedding) {
 }
 
 // flipLastByte damages a file's final payload byte in place, leaving its
-// length (and so every v2-era shape check) intact.
+// length (and so every shape check) intact.
 func flipLastByte(t *testing.T, path string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -58,11 +60,7 @@ func TestOpenSweepsStaleTemps(t *testing.T) {
 	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("stale temp survived Open: stat err = %v", err)
 	}
-	for _, p := range []string{
-		filepath.Join(dir, k.ID()+BinaryExt),
-		filepath.Join(dir, k.ID()+".gob"),
-		keepQuarantined,
-	} {
+	for _, p := range []string{filepath.Join(dir, k.ID()+BinaryExt), keepQuarantined} {
 		if _, err := os.Stat(p); err != nil {
 			t.Fatalf("Open swept non-temp file %s: %v", filepath.Base(p), err)
 		}
@@ -82,51 +80,10 @@ func TestChecksumRejectsPayloadFlip(t *testing.T) {
 	}
 }
 
-// TestCorruptBinQuarantinedAndRecovered: a damaged .bin is moved aside,
-// the gob fallback serves bitwise-identical data with no recompute, and
-// the binary fast path is rewritten clean.
-func TestCorruptBinQuarantinedAndRecovered(t *testing.T) {
-	dir, k, want := warmDir(t)
-	bin := filepath.Join(dir, k.ID()+BinaryExt)
-	flipLastByte(t, bin)
-
-	s, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get(k, true, func() (*embedding.Embedding, error) {
-		t.Fatal("recompute invoked despite intact gob fallback")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	embEqualBits(t, want, got)
-	st := s.Stats()
-	if st.Quarantines != 1 || st.Computes != 0 || st.DiskHits != 1 {
-		t.Fatalf("stats = %+v, want 1 quarantine, 0 computes, 1 disk hit", st)
-	}
-	if _, err := os.Stat(bin + ".quarantined"); err != nil {
-		t.Fatalf("damaged binary not quarantined: %v", err)
-	}
-	// The rewritten fast path must decode clean.
-	repaired, err := LoadBinaryFile(bin)
-	if err != nil {
-		t.Fatalf("repaired binary: %v", err)
-	}
-	embEqualBits(t, want, repaired)
-}
-
-// TestCorruptBothEncodingsRecomputed: with both disk encodings damaged the
-// store quarantines both and recomputes rather than serving bad bytes.
-func TestCorruptBothEncodingsRecomputed(t *testing.T) {
-	dir, k, want := warmDir(t)
-	flipLastByte(t, filepath.Join(dir, k.ID()+BinaryExt))
-	// Truncate the gob so it fails decode (a flipped trailing byte can
-	// land in ignored padding; truncation always breaks the stream).
-	if err := os.WriteFile(filepath.Join(dir, k.ID()+".gob"), []byte("not a gob"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+// recomputeOnce opens a fresh store over dir and gets k through a compute
+// that returns want, failing unless the answer is bitwise want.
+func recomputeOnce(t *testing.T, dir string, k Key, want *embedding.Embedding) Stats {
+	t.Helper()
 	s, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -136,45 +93,103 @@ func TestCorruptBothEncodingsRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	embEqualBits(t, want, got)
-	st := s.Stats()
-	if st.Quarantines != 2 || st.Computes != 1 {
-		t.Fatalf("stats = %+v, want 2 quarantines, 1 compute", st)
+	return s.Stats()
+}
+
+// TestCorruptBinQuarantinedAndRecovered: a damaged .bin is moved aside,
+// the artifact is recomputed bitwise identical, and the rewritten .bin
+// decodes clean.
+func TestCorruptBinQuarantinedAndRecovered(t *testing.T) {
+	dir, k, want := warmDir(t)
+	bin := filepath.Join(dir, k.ID()+BinaryExt)
+	flipLastByte(t, bin)
+
+	st := recomputeOnce(t, dir, k, want)
+	if st.Quarantines != 1 || st.Computes != 1 || st.DiskHits != 0 {
+		t.Fatalf("stats = %+v, want 1 quarantine, 1 compute, no disk hit", st)
+	}
+	if _, err := os.Stat(bin + ".quarantined"); err != nil {
+		t.Fatalf("damaged binary not quarantined: %v", err)
+	}
+	repaired, err := LoadBinaryFile(bin)
+	if err != nil {
+		t.Fatalf("rewritten binary: %v", err)
+	}
+	embEqualBits(t, want, repaired)
+}
+
+// TestCorruptBothEncodingsRecomputed: a damaged .bin beside a damaged
+// .gob left by an older build is recomputed. Only the .bin is
+// quarantined; the store never reads the .gob, so it stays as it was.
+func TestCorruptBothEncodingsRecomputed(t *testing.T) {
+	dir, k, want := warmDir(t)
+	flipLastByte(t, filepath.Join(dir, k.ID()+BinaryExt))
+	legacy := filepath.Join(dir, k.ID()+".gob")
+	if err := os.WriteFile(legacy, []byte("not a gob"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := recomputeOnce(t, dir, k, want)
+	if st.Quarantines != 1 || st.Computes != 1 {
+		t.Fatalf("stats = %+v, want 1 quarantine, 1 compute", st)
+	}
+	if data, err := os.ReadFile(legacy); err != nil || string(data) != "not a gob" {
+		t.Fatalf("legacy .gob was touched: %q, %v", data, err)
 	}
 }
 
 // TestInjectedReadErrorFallsBackWithoutQuarantine: a transient I/O error
-// on the binary read (injected) degrades to the gob tier but must not
-// quarantine or rewrite the intact binary artifact.
+// on the binary read (injected) falls back to a recompute, but must not
+// quarantine the intact artifact; the rewrite leaves its bytes as they
+// were.
 func TestInjectedReadErrorFallsBackWithoutQuarantine(t *testing.T) {
 	dir, k, want := warmDir(t)
 	bin := filepath.Join(dir, k.ID()+BinaryExt)
-	before, err := os.Stat(bin)
+	before, err := os.ReadFile(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	s, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer faults.Activate(faults.MustPlan(1, faults.Rule{Site: "store/bin.read", Kind: faults.KindError, Count: 1}))()
-	got, err := s.Get(k, true, func() (*embedding.Embedding, error) {
-		t.Fatal("recompute invoked despite intact gob fallback")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	st := recomputeOnce(t, dir, k, want)
+	if st.Quarantines != 0 || st.Computes != 1 {
+		t.Fatalf("stats = %+v, want no quarantine and 1 compute", st)
 	}
-	embEqualBits(t, want, got)
-	st := s.Stats()
-	if st.Quarantines != 0 || st.Computes != 0 {
-		t.Fatalf("stats = %+v, want no quarantines and no computes", st)
-	}
-	after, err := os.Stat(bin)
+	after, err := os.ReadFile(bin)
 	if err != nil {
 		t.Fatalf("intact binary disappeared: %v", err)
 	}
-	if after.ModTime() != before.ModTime() || after.Size() != before.Size() {
-		t.Fatal("transient read error rewrote the intact binary artifact")
+	if !bytes.Equal(after, before) {
+		t.Fatal("recompute after a transient read error changed the artifact's bytes")
+	}
+}
+
+// TestOldVersionBinIsAMiss: a .bin from an older format version (v1
+// layout, or a v2 stamp with no checksum) is not damage. The store
+// recomputes it without quarantine and rewrites it as version 3.
+func TestOldVersionBinIsAMiss(t *testing.T) {
+	for _, version := range []int{1, 2} {
+		dir, k, want := warmDir(t)
+		bin := filepath.Join(dir, k.ID()+BinaryExt)
+		v3, err := os.ReadFile(bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := v1Artifact(t, want)
+		if version == 2 {
+			// The v2 layout is v3's with the checksum field zero.
+			old = append([]byte(nil), v3...)
+			binary.LittleEndian.PutUint32(old[4:8], 2)
+			binary.LittleEndian.PutUint32(old[76:80], 0)
+		}
+		if err := os.WriteFile(bin, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st := recomputeOnce(t, dir, k, want)
+		if st.Quarantines != 0 || st.Computes != 1 || st.DiskHits != 0 {
+			t.Fatalf("v%d: stats = %+v, want no quarantine, 1 compute, no disk hit", version, st)
+		}
+		if rewritten, err := os.ReadFile(bin); err != nil || !bytes.Equal(rewritten, v3) {
+			t.Fatalf("v%d: the recompute did not rewrite the version-3 artifact (err %v)", version, err)
+		}
 	}
 }

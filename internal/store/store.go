@@ -9,35 +9,31 @@
 //
 //   - an in-process LRU of decoded *embedding.Embedding values (capacity
 //     in entries; 0 = unbounded, matching the pre-store runner maps)
-//   - an optional disk tier: one gob file per artifact under the cache
-//     directory, written atomically (temp file + rename), read back on
-//     memory misses and after restarts
+//   - an optional disk tier: one binary artifact file per key under the
+//     cache directory, written atomically (temp file + rename), read back
+//     on memory misses and after restarts
 //   - singleflight: concurrent requests for the same missing artifact
 //     share one computation instead of training the same embedding twice
 //
 // # On-disk layout
 //
-// Each persisted artifact is written twice, under
+// Each persisted artifact is one file,
 //
 //	<dir>/<algo>-<corpus>-d<dim>-s<seed>-b<bits>-<scope>.bin
-//	<dir>/<algo>-<corpus>-d<dim>-s<seed>-b<bits>-<scope>.gob
 //
-// e.g. cache/cbow-wiki17-d64-s1-b32-9f8a3c21e5b70d44.bin. The .bin file is
-// the zero-copy binary format (see binary.go): one ReadFile and a header
-// check instead of a full gob decode, which is what the serving read path
-// loads. The .gob file is the portable gob encoding written by
-// embedding.Embedding.Save, kept alongside as the compatibility tier;
-// loads prefer .bin and fall back to .gob (so caches written before the
-// binary format still hit). The scope field is a hash of the corpus
-// generation config, so caches for different corpora never collide; both
-// encodings preserve float64 bits exactly, so a disk hit is bitwise
-// identical to the original computation.
+// e.g. cache/cbow-wiki17-d64-s1-b32-9f8a3c21e5b70d44.bin, in the
+// checksummed binary format of binary.go: one ReadFile and a header and
+// checksum check, with the payload stored at the artifact's own precision
+// (packed b-bit codes for quantized artifacts). The scope field is a hash
+// of the corpus generation config, so caches for different corpora never
+// collide; the format preserves every value's bits, so a disk hit is
+// bitwise identical to the original computation.
 //
-// The disk tier is self-healing: artifacts that fail decode or checksum
-// verification are quarantined (renamed to *.quarantined) and recovered
-// from the other encoding or a recompute — damaged bytes are never
-// served — and Open sweeps stale *.tmp debris left by writers that
-// crashed before their atomic rename.
+// The disk tier is self-healing: an artifact that fails decode or checksum
+// verification is quarantined (renamed to *.quarantined) and recomputed —
+// damaged bytes are never served — and a file from another format version
+// is a plain miss that the recompute overwrites. Open sweeps stale *.tmp
+// debris left by writers that crashed before their atomic rename.
 package store
 
 import (
@@ -45,7 +41,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,7 +56,6 @@ import (
 var (
 	siteBinRead  = faults.Register("store/bin.read")
 	siteBinBytes = faults.Register("store/bin.bytes")
-	siteGobRead  = faults.Register("store/gob.read")
 	siteWrite    = faults.Register("store/write")
 )
 
@@ -120,8 +114,8 @@ type Stats struct {
 	PersistErrors int64
 	// Quarantines counts damaged disk artifacts moved aside (renamed to
 	// *.quarantined) after failing decode or checksum verification. Each
-	// quarantine is followed by fallback to the other encoding or a
-	// recompute, never by serving the damaged bytes.
+	// quarantine is followed by a recompute, never by serving the damaged
+	// bytes.
 	Quarantines int64
 }
 
@@ -195,9 +189,9 @@ func (s *Store) Stats() Stats {
 }
 
 // sweepStaleTemps removes temp files left behind by writers that crashed
-// between CreateTemp and the rename in writeAtomic. Temps match
-// <id>.tmp<digits>; finished artifacts always end in .bin or .gob, so the
-// sweep can never touch a live artifact.
+// between CreateTemp and the rename in saveDisk. Temps match
+// <id>.tmp<digits>; finished artifacts always end in .bin, so the sweep
+// can never touch a live artifact.
 func sweepStaleTemps(dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -210,7 +204,7 @@ func sweepStaleTemps(dir string) {
 	}
 }
 
-// isStaleTemp reports whether name matches writeAtomic's CreateTemp
+// isStaleTemp reports whether name matches saveDisk's CreateTemp
 // pattern: anything ending in ".tmp" plus os.CreateTemp's numeric suffix.
 func isStaleTemp(name string) bool {
 	i := strings.LastIndex(name, ".tmp")
@@ -378,53 +372,25 @@ func (s *Store) putLocked(id string, e *embedding.Embedding) {
 	}
 }
 
-func (s *Store) path(k Key) string    { return filepath.Join(s.dir, k.ID()+".gob") }
 func (s *Store) binPath(k Key) string { return filepath.Join(s.dir, k.ID()+BinaryExt) }
 
-// loadDisk returns the disk-tier artifact for k, or nil when absent or
-// unreadable (an unreadable file is treated as a miss and recomputed).
-// The zero-copy binary encoding is preferred; the gob file is the
-// fallback — for caches written before the binary format existed, and as
-// the degradation path when the binary artifact is damaged. A damaged
-// file (decode or checksum failure, errors.Is ErrCorrupt) is quarantined
-// — renamed aside, counted in Stats — so the bad bytes are never read
-// again; a gob hit then rewrites the binary fast path. Either way a disk
-// hit is bitwise identical to the original computation or it is not
-// served at all.
+// loadDisk returns the disk-tier artifact for k, or nil on a miss, which
+// the caller recomputes. A damaged file (decode or checksum failure,
+// errors.Is ErrCorrupt) is quarantined — renamed aside, counted in Stats —
+// so its bytes are never read again. A missing file, a transient read
+// error, or a file from another format version is a plain miss, and the
+// recompute's write replaces it. Either way a disk hit is bitwise
+// identical to the original computation or it is not served at all.
 func (s *Store) loadDisk(k Key) *embedding.Embedding {
 	if s.dir == "" {
 		return nil
 	}
-	e, binErr := LoadBinaryFile(s.binPath(k))
-	if binErr == nil {
-		s.diskHits.Add(1)
-		return e
-	}
-	binCorrupt := errors.Is(binErr, ErrCorrupt)
-	if binCorrupt {
-		s.quarantine(s.binPath(k))
-	}
-	if err := faults.Error(siteGobRead); err != nil {
-		return nil
-	}
-	e, gobErr := embedding.LoadFile(s.path(k))
-	if gobErr != nil {
-		if !errors.Is(gobErr, fs.ErrNotExist) {
-			// The gob exists but does not decode: damaged too. Move it
-			// aside so the recompute's fresh artifacts start clean.
-			s.quarantine(s.path(k))
+	e, err := LoadBinaryFile(s.binPath(k))
+	if err != nil {
+		if errors.Is(err, ErrCorrupt) {
+			s.quarantine(s.binPath(k))
 		}
 		return nil
-	}
-	if binCorrupt || errors.Is(binErr, fs.ErrNotExist) {
-		// Repair the fast path (pre-binary cache entry or quarantined
-		// binary), best-effort. A transient binary read error skips this:
-		// the artifact on disk may be fine.
-		if err := s.writeAtomic(k, s.binPath(k), func(w *os.File) error {
-			return WriteBinary(w, e, PickKind(e))
-		}); err != nil {
-			s.persistErrs.Add(1)
-		}
 	}
 	s.diskHits.Add(1)
 	return e
@@ -432,7 +398,7 @@ func (s *Store) loadDisk(k Key) *embedding.Embedding {
 
 // quarantine moves a damaged artifact file aside as <path>.quarantined
 // (deleting it when the rename fails) so the damaged bytes are never
-// decoded again and a repair can take its place.
+// decoded again and a recompute can take its place.
 func (s *Store) quarantine(path string) {
 	if err := os.Rename(path, path+".quarantined"); err != nil {
 		os.Remove(path)
@@ -440,23 +406,11 @@ func (s *Store) quarantine(path string) {
 	s.quarantines.Add(1)
 }
 
-// saveDisk persists an artifact atomically in both encodings — the binary
-// fast path the read tier prefers and the portable gob: each is written to
-// a temporary file in the cache directory and renamed into place, so
-// concurrent readers and crashed writers never observe a torn file.
+// saveDisk persists an artifact in the binary format, at the smallest
+// lossless element kind, via a temporary file in the cache directory
+// renamed into place, so concurrent readers and crashed writers never
+// observe a torn file.
 func (s *Store) saveDisk(k Key, e *embedding.Embedding) error {
-	if err := s.writeAtomic(k, s.binPath(k), func(w *os.File) error {
-		return WriteBinary(w, e, PickKind(e))
-	}); err != nil {
-		return err
-	}
-	return s.writeAtomic(k, s.path(k), func(w *os.File) error {
-		return e.Save(w)
-	})
-}
-
-// writeAtomic writes one artifact encoding via temp file + rename.
-func (s *Store) writeAtomic(k Key, path string, write func(*os.File) error) error {
 	if err := faults.Error(siteWrite); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -465,14 +419,14 @@ func (s *Store) writeAtomic(k Key, path string, write func(*os.File) error) erro
 		return fmt.Errorf("store: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
+	if err := WriteBinary(tmp, e, PickKind(e)); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: save %s: %w", k.ID(), err)
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := os.Rename(tmp.Name(), s.binPath(k)); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
