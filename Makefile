@@ -141,9 +141,9 @@ servebench-smoke:
 # Kernel and measure micro-benchmarks (the set CI archives per PR),
 # including the retained pre-PR k-NN loop for speedup comparison, plus the
 # downstream-training benchmarks (fast vs retained reference trainers) and
-# the grid-cell benchmark with allocation counts. The query benchmarks run
-# 5 times each; BENCH_query.json (committed) records each one's median and
-# quartiles.
+# the grid-cell benchmark with allocation counts. The query and training
+# benchmarks run 5 times each; BENCH_query.json and BENCH_train.json
+# (committed) record each one's median and quartiles.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMulATB|BenchmarkMulABT|BenchmarkKNNMeasure|BenchmarkSVD|BenchmarkEigenspaceInstability|BenchmarkPIPLoss|BenchmarkSemanticDisplacement|BenchmarkQuantize' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkKNNMeasureReference3000' -benchtime 1x ./internal/core
@@ -151,6 +151,9 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkNeighborsServe|BenchmarkNeighborsPrecision' -benchtime 3x -count 5 ./internal/query | tee BENCH_query.txt
 	$(GO) run ./cmd/benchjson -o BENCH_query.json < BENCH_query.txt
 	@rm -f BENCH_query.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkTrain(MC|GloVe|CBOW|FastText)$$' -benchtime 3x -count 5 . | tee BENCH_train.txt
+	$(GO) run ./cmd/benchjson -o BENCH_train.json < BENCH_train.txt
+	@rm -f BENCH_train.txt
 	$(GO) run ./cmd/anchorlint -bench ./... | tee BENCH_lint.txt
 	$(GO) run ./cmd/benchjson -o BENCH_lint.json < BENCH_lint.txt
 	@rm -f BENCH_lint.txt

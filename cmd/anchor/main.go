@@ -172,6 +172,9 @@ func cmdMeasure(ctx context.Context, args []string) error {
 	if *aPath == "" || *bPath == "" {
 		return fmt.Errorf("measure requires -a and -b")
 	}
+	if *top < 1 || *bits < 1 {
+		return fmt.Errorf("-top and -bits must be at least 1, got -top %d -bits %d", *top, *bits)
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -22,9 +22,10 @@ func trainFile(t *testing.T, config string, dim, year int) string {
 	return out
 }
 
-// measureOutput runs `anchor measure -a a -b b` and returns what it
+// measureOutput runs `anchor measure -a a -b b` plus any extra flags
+// (which override the defaults given before them) and returns what it
 // printed to stdout.
-func measureOutput(t *testing.T, a, b string) (string, error) {
+func measureOutput(t *testing.T, a, b string, extra ...string) (string, error) {
 	t.Helper()
 	f, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
@@ -33,7 +34,8 @@ func measureOutput(t *testing.T, a, b string) (string, error) {
 	defer f.Close()
 	stdout := os.Stdout
 	os.Stdout = f
-	err = cmdMeasure(context.Background(), []string{"-a", a, "-b", b, "-bits", "4", "-top", "200", "-workers", "2"})
+	args := []string{"-a", a, "-b", b, "-bits", "4", "-top", "200", "-workers", "2"}
+	err = cmdMeasure(context.Background(), append(args, extra...))
 	os.Stdout = stdout
 	printed, readErr := os.ReadFile(f.Name())
 	if readErr != nil {
@@ -44,13 +46,13 @@ func measureOutput(t *testing.T, a, b string) (string, error) {
 
 // TestMeasure covers `anchor measure` on .bin files written by `anchor
 // train`: a default-config pair prints the five measures, and a pair it
-// cannot measure (another corpus's vocabulary, or two shapes) is an error,
-// not a panic.
+// cannot measure (another corpus's vocabulary, or two shapes) or a -top or
+// -bits below 1 is an error, not a panic.
 func TestMeasure(t *testing.T) {
-	a8 := trainFile(t, "repro", 8, 2017)
+	a8, b8 := trainFile(t, "repro", 8, 2017), trainFile(t, "repro", 8, 2018)
 
 	t.Run("default-config pair", func(t *testing.T) {
-		out, err := measureOutput(t, a8, trainFile(t, "repro", 8, 2018))
+		out, err := measureOutput(t, a8, b8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,4 +79,12 @@ func TestMeasure(t *testing.T) {
 			t.Fatalf("err = %v, want a shape mismatch", err)
 		}
 	})
+	for _, bad := range [][2]string{{"-top", "0"}, {"-top", "-1"}, {"-bits", "0"}} {
+		t.Run(bad[0]+" "+bad[1], func(t *testing.T) {
+			_, err := measureOutput(t, a8, b8, bad[0], bad[1])
+			if err == nil || !strings.Contains(err.Error(), bad[0]+" "+bad[1]) {
+				t.Fatalf("err = %v, want an error naming %s %s", err, bad[0], bad[1])
+			}
+		})
+	}
 }

@@ -69,12 +69,14 @@ func (t *CBOW) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embedding
 	shards := parallel.Shards(t.Shards)
 	rounds := syncRounds(t.Rounds)
 	local := make([]*cbowShard, shards)
+	ins := make([]*parallel.Replica, shards)
+	outs := make([]*parallel.Replica, shards)
 	for s := range local {
+		ins[s] = parallel.NewReplica(e.Vectors.Data, dim)
+		outs[s] = parallel.NewReplica(out, dim)
 		local[s] = &cbowShard{
-			in:   parallel.NewReplica(e.Vectors.Data, dim),
-			out:  parallel.NewReplica(out, dim),
-			h:    make([]float64, dim),
-			grad: make([]float64, dim),
+			in: ins[s], out: outs[s],
+			h: make([]float64, dim), grad: make([]float64, dim),
 		}
 	}
 
@@ -150,12 +152,9 @@ func (t *CBOW) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embedding
 						}
 					}
 				}
-				st.in.Seal()
-				st.out.Seal()
-			}, func(s int) {
-				local[s].in.Reduce()
-				local[s].out.Reduce()
-			})
+			}, nil)
+			parallel.Merge(t.Workers, ins, false, nil)
+			parallel.Merge(t.Workers, outs, false, nil)
 			epochTokens += roundTokens
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // families), so subwords carry signal exactly as in natural language.
 // Sentences are sharded across cores by the deterministic parallel engine;
 // the word, n-gram, and output matrices are replicated per shard and
-// merged by ordered delta reduction.
+// merged by parallel.Merge.
 type FastText struct {
 	// Window is the maximum skipgram context half-width.
 	Window int
@@ -107,13 +107,16 @@ func (t *FastText) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embed
 	shards := parallel.Shards(t.Shards)
 	rounds := syncRounds(t.Rounds)
 	local := make([]*ftShard, shards)
+	words := make([]*parallel.Replica, shards)
+	grams := make([]*parallel.Replica, shards)
+	outs := make([]*parallel.Replica, shards)
 	for s := range local {
+		words[s] = parallel.NewReplica(wordVec, dim)
+		grams[s] = parallel.NewReplica(gramVec, dim)
+		outs[s] = parallel.NewReplica(out, dim)
 		local[s] = &ftShard{
-			word: parallel.NewReplica(wordVec, dim),
-			gram: parallel.NewReplica(gramVec, dim),
-			out:  parallel.NewReplica(out, dim),
-			h:    make([]float64, dim),
-			grad: make([]float64, dim),
+			word: words[s], gram: grams[s], out: outs[s],
+			h: make([]float64, dim), grad: make([]float64, dim),
 		}
 	}
 
@@ -186,14 +189,10 @@ func (t *FastText) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embed
 						}
 					}
 				}
-				st.word.Seal()
-				st.gram.Seal()
-				st.out.Seal()
-			}, func(s int) {
-				local[s].word.Reduce()
-				local[s].gram.Reduce()
-				local[s].out.Reduce()
-			})
+			}, nil)
+			for _, reps := range [][]*parallel.Replica{words, grams, outs} {
+				parallel.Merge(t.Workers, reps, false, nil)
+			}
 			epochTokens += roundTokens
 		}
 	}

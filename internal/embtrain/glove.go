@@ -51,7 +51,8 @@ func (t *GloVe) Name() string { return "glove" }
 
 // gloveShard is one shard's copy-on-write view of the GloVe parameters and
 // their AdaGrad accumulators. all collects every replica so the round
-// lifecycle (begin/seal/reduce) cannot silently skip one of them.
+// lifecycle (begin, then one merge per matrix) cannot silently skip one of
+// them.
 type gloveShard struct {
 	w, wc   *parallel.Replica // word / context vectors
 	b, bc   *parallel.Replica // word / context biases
@@ -63,18 +64,6 @@ type gloveShard struct {
 func (st *gloveShard) begin() {
 	for _, r := range st.all {
 		r.Begin()
-	}
-}
-
-func (st *gloveShard) seal() {
-	for _, r := range st.all {
-		r.Seal()
-	}
-}
-
-func (st *gloveShard) reduce() {
-	for _, r := range st.all {
-		r.Reduce()
 	}
 }
 
@@ -137,6 +126,7 @@ func (t *GloVe) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embeddin
 	shards := parallel.Shards(t.Shards)
 	rounds := syncRounds(t.Rounds)
 	local := make([]*gloveShard, shards)
+	var matrices [8][]*parallel.Replica // matrices[m][s] is local[s].all[m]
 	for s := range local {
 		st := &gloveShard{
 			w: parallel.NewReplica(w, dim), wc: parallel.NewReplica(wc, dim),
@@ -146,6 +136,9 @@ func (t *GloVe) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embeddin
 		}
 		st.all = []*parallel.Replica{st.w, st.wc, st.b, st.bc, st.gw, st.gwc, st.gb, st.gbc}
 		local[s] = st
+		for m, r := range st.all {
+			matrices[m] = append(matrices[m], r)
+		}
 	}
 
 	for epoch := 0; epoch < t.Epochs; epoch++ {
@@ -165,10 +158,10 @@ func (t *GloVe) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embeddin
 						t.update(st, dim, e.Col, e.Row, e.Val)
 					}
 				}
-				st.seal()
-			}, func(s int) {
-				local[s].reduce()
-			})
+			}, nil)
+			for _, reps := range matrices {
+				parallel.Merge(t.Workers, reps, false, nil)
+			}
 		}
 	}
 

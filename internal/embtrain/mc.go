@@ -18,9 +18,9 @@ const clipResidual = 5.0
 // descent on the squared error of sampled observed entries,
 // min_X Σ_{(i,j)∈Θ} (X_i·X_j − A_ij)², with a single symmetric factor.
 // Observed entries are sharded across cores by the deterministic parallel
-// engine with per-row averaged delta merges; after every merge the rows
-// are re-projected so the combined deltas cannot leave the norm ball that
-// keeps plain SGD stable.
+// engine, and parallel.Merge averages each row's shard deltas; its per-row
+// hook re-projects every merged row so the combined deltas cannot leave
+// the norm ball that keeps plain SGD stable.
 type MC struct {
 	// Window is the co-occurrence half-window used to build the PPMI matrix.
 	Window int
@@ -125,33 +125,37 @@ func (t *MC) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embedding {
 						project(xi, maxNorm)
 						continue
 					}
-					// Simultaneous update of both factors, then projection.
+					// Simultaneous update of both factors, then projection. The
+					// loop also sums each row's squares, in the ascending order
+					// floats.Norm would, so neither row is read a second time.
+					var si, sj float64
 					for k := 0; k < dim; k++ {
 						xik, xjk := xi[k], xj[k]
 						xi[k] -= g * xjk
 						xj[k] -= g * xik
+						si += xi[k] * xi[k]
+						sj += xj[k] * xj[k]
 					}
-					project(xi, maxNorm)
-					project(xj, maxNorm)
+					clampNorm(xi, math.Sqrt(si), maxNorm)
+					clampNorm(xj, math.Sqrt(sj), maxNorm)
 				}
-				vec.Seal()
 			}, nil)
 			// Merged shard deltas can push a row past the ball each shard
-			// respected locally; re-project the touched rows in fixed row
-			// order (untouched rows stayed inside the ball by induction).
-			for i, m := range parallel.ReduceAveraged(local) {
-				if m > 0 {
-					project(e.Vectors.Row(i), maxNorm)
-				}
-			}
+			// respected locally; re-project every merged row (untouched
+			// rows stayed inside the ball by induction).
+			parallel.Merge(t.Workers, local, true, func(i int) {
+				project(e.Vectors.Row(i), maxNorm)
+			})
 		}
 	}
 	return e
 }
 
 // project rescales x onto the ball of the given radius if it lies outside.
-func project(x []float64, radius float64) {
-	n := floats.Norm(x)
+func project(x []float64, radius float64) { clampNorm(x, floats.Norm(x), radius) }
+
+// clampNorm is project for an x whose norm n is already known.
+func clampNorm(x []float64, n, radius float64) {
 	if n > radius {
 		floats.Scale(radius/n, x)
 	}

@@ -5,13 +5,14 @@
 // how work is partitioned (Shards). Work is always split into a fixed,
 // configuration-derived number of shards; each shard runs sequentially with
 // its own deterministically seeded RNG against state frozen at the start of
-// the round, and shard results are folded back into the shared state by an
-// ordered reduction (shard 0 first, then shard 1, ...). Because no shard
-// observes another shard's writes and the reduction order is fixed, the
-// result is bitwise identical for every worker count: Workers only controls
-// how many shards are in flight at once. Changing Shards changes the
-// (still deterministic) result, which is why it defaults to a constant
-// rather than the machine's CPU count.
+// the round, and shard results are folded back in ascending shard order
+// (shard 0 first, then shard 1, ...): by Run's reduce callback, or, for the
+// trainers' replicated matrices, by Merge, row by row. Because no shard
+// observes another shard's writes and the fold order is fixed, the result
+// is bitwise identical for every worker count: Workers only controls how
+// many shards (or merge bands) are in flight at once. Changing Shards
+// changes the (still deterministic) result, which is why it defaults to a
+// constant rather than the machine's CPU count.
 package parallel
 
 import (
@@ -137,24 +138,22 @@ func Run(workers, shards int, work func(shard int), reduce func(shard int)) {
 
 // Replica is one shard's copy-on-write view of a shared row-major matrix.
 // During a round the shard reads and writes rows through Row, which copies
-// a row from the shared state on first touch; Seal then turns the touched
-// rows into deltas against the (still frozen) shared state, and Reduce
-// folds them back in. Copying only touched rows keeps frequent
-// synchronization rounds affordable: per round the copy and merge cost is
-// proportional to the rows the shard actually updated, not to the matrix.
+// a row from the shared state on first touch and stamps it with the round;
+// Merge then finds the touched rows from those stamps and folds each one's
+// delta against its round-start value back in. Copying only
+// touched rows keeps frequent synchronization rounds affordable: per round
+// the copy and merge cost is proportional to the rows the shards actually
+// updated, plus one stamp check per row and shard.
 //
-// The contract mirrors Run's: Begin/Row/Seal run inside work, while the
-// shared state is frozen (all shards' work completes before any
-// reduction), and Reduce runs in the ordered reduction. Under sequential
-// shard execution the order rows enter the dirty list is deterministic, so
-// reductions are bitwise reproducible for any worker count.
+// The contract mirrors Run's: Begin and Row run inside work, while the
+// shared state is frozen, and Merge runs once every shard's work has
+// returned.
 type Replica struct {
 	shared []float64
 	rowLen int
 	local  []float64 // shard-private working copy (valid where stamped)
 	stamp  []int     // round id per row; row is live when stamp[i] == round
 	round  int
-	dirty  []int32 // touched rows in first-touch order
 }
 
 // NewReplica returns a replica of the shared matrix whose rows are rowLen
@@ -174,10 +173,7 @@ func NewReplica(shared []float64, rowLen int) *Replica {
 }
 
 // Begin starts a new round: all rows revert to tracking the shared state.
-func (r *Replica) Begin() {
-	r.round++
-	r.dirty = r.dirty[:0]
-}
+func (r *Replica) Begin() { r.round++ }
 
 // Row returns the shard-local working copy of row i, copying it from the
 // shared state the first time the row is touched in this round.
@@ -186,67 +182,69 @@ func (r *Replica) Row(i int) []float64 {
 	if r.stamp[i] != r.round {
 		r.stamp[i] = r.round
 		copy(r.local[lo:hi], r.shared[lo:hi])
-		r.dirty = append(r.dirty, int32(i))
 	}
 	return r.local[lo:hi]
 }
 
-// Seal converts every touched row into a delta (local -= shared). It must
-// be the shard's last call of the round, inside work — the shared state is
-// frozen there, so no snapshot copy is needed.
-func (r *Replica) Seal() {
-	for _, i := range r.dirty {
-		lo := int(i) * r.rowLen
-		for k := 0; k < r.rowLen; k++ {
-			r.local[lo+k] -= r.shared[lo+k]
-		}
-	}
-}
-
-// Reduce folds the sealed deltas of every touched row back into the
-// shared state: shared[row] += delta[row]. Rows are processed in
-// first-touch order, which is deterministic because shard work runs
-// sequentially.
-func (r *Replica) Reduce() {
-	for _, i := range r.dirty {
-		lo := int(i) * r.rowLen
-		for k := 0; k < r.rowLen; k++ {
-			r.shared[lo+k] += r.local[lo+k]
-		}
-	}
-}
-
-// ReduceAveraged folds a whole round's worth of sealed shard replicas of
-// the same shared matrix at once, scaling each row's delta by one over the
-// number of shards that touched the row this round. Summing raw deltas is
-// correct for rows only one shard saw, but the frequent (Zipf-head) rows
-// are updated by every shard toward the same target, and summing those
-// nearly colinear deltas overshoots by up to a factor of the shard count;
-// per-row averaging removes exactly that overshoot while leaving
-// single-shard rows at full strength. The touch counts and the
-// shard-order application are pure functions of the shard contents, so the
-// merged result remains bitwise identical for every worker count.
+// Merge folds one round of shard replicas of the same shared matrix back
+// into it, once every shard's work has returned. Rows are banded over up
+// to workers goroutines. For each row some shard touched this round,
+// Merge saves the row's round-start value, adds each touching shard's
+// delta against it (working copy minus round-start value) in ascending
+// shard order, and then calls hook(i) if hook is non-nil; hook may touch
+// row i of the shared matrix only, and runs concurrently for rows in
+// different bands.
 //
-// The returned slice holds the per-row touch counts (zero for rows no
-// shard touched), letting callers post-process exactly the merged rows.
-func ReduceAveraged(reps []*Replica) []int32 {
+// With average set, each delta is scaled by one over the number of shards
+// that touched the row. Summing raw deltas is correct for rows only one
+// shard saw, but the frequent (Zipf-head) rows are updated by every shard
+// toward the same target, and summing those nearly colinear deltas
+// overshoots by up to a factor of the shard count; per-row averaging
+// removes exactly that overshoot while leaving single-shard rows at full
+// strength.
+//
+// Every element sees the same operations in the same order whatever the
+// banding, so the merged matrix is bitwise identical for every worker
+// count.
+func Merge(workers int, reps []*Replica, average bool, hook func(row int)) {
 	if len(reps) == 0 {
-		return nil
+		return
 	}
-	counts := make([]int32, len(reps[0].stamp))
-	for _, r := range reps {
-		for _, i := range r.dirty {
-			counts[i]++
-		}
-	}
-	for _, r := range reps {
-		for _, i := range r.dirty {
-			lo := int(i) * r.rowLen
-			scale := 1 / float64(counts[i])
-			for k := 0; k < r.rowLen; k++ {
-				r.shared[lo+k] += r.local[lo+k] * scale
+	shared, n := reps[0].shared, reps[0].rowLen
+	bands := Ranges(len(shared)/n, Workers(workers))
+	Run(workers, len(bands), func(b int) {
+		start := make([]float64, n)
+		for i := bands[b].Lo; i < bands[b].Hi; i++ {
+			touches := 0
+			for _, r := range reps {
+				if r.stamp[i] == r.round {
+					touches++
+				}
+			}
+			if touches == 0 {
+				continue
+			}
+			row := shared[i*n : (i+1)*n]
+			copy(start, row)
+			scale := 1 / float64(touches)
+			for _, r := range reps {
+				if r.stamp[i] != r.round {
+					continue
+				}
+				local := r.local[i*n : (i+1)*n]
+				if average {
+					for k, v := range start {
+						row[k] += (local[k] - v) * scale
+					}
+				} else {
+					for k, v := range start {
+						row[k] += local[k] - v
+					}
+				}
+			}
+			if hook != nil {
+				hook(i)
 			}
 		}
-	}
-	return counts
+	}, nil)
 }
