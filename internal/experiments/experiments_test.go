@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -117,10 +118,32 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
+// artifactRun is one artifact's memoized result on sharedRunner.
+type artifactRun struct {
+	once   sync.Once
+	tables []*Table
+	err    error
+}
+
+var (
+	artifactMu   sync.Mutex
+	artifactRuns = map[string]*artifactRun{}
+)
+
 // runAndCheck executes an experiment and requires at least one data row.
+// Each artifact runs at most once per test binary: its own test and
+// TestPaperArtifactDigests share the tables.
 func runAndCheck(t *testing.T, id string) []*Table {
 	t.Helper()
-	tables, err := Run(sharedRunner, id)
+	artifactMu.Lock()
+	run, ok := artifactRuns[id]
+	if !ok {
+		run = &artifactRun{}
+		artifactRuns[id] = run
+	}
+	artifactMu.Unlock()
+	run.once.Do(func() { run.tables, run.err = Run(sharedRunner, id) })
+	tables, err := run.tables, run.err
 	if err != nil {
 		t.Fatal(err)
 	}
