@@ -224,12 +224,11 @@ func BenchmarkMulABTLUT(b *testing.B) {
 	}
 }
 
-// ---- downstream-training benchmarks (fast path vs retained reference) ----
+// ---- downstream-training benchmarks ----
 //
-// The fast and reference trainers produce bitwise-identical models (see
-// the equality tests in internal/tasks), so the fast/reference ratio is
-// pure overhead eliminated: per-op allocation, unfused op compositions,
-// and per-call temporaries.
+// Each trainer records on one arena tape reset per minibatch, through the
+// fused ops; the equality tests in internal/tasks pin its weights to the
+// unfused compositions kept there as oracles.
 
 func benchSentimentSetup() (*embedding.Embedding, *sentiment.Dataset) {
 	c := benchCorpus()
@@ -241,18 +240,10 @@ func benchSentimentSetup() (*embedding.Embedding, *sentiment.Dataset) {
 func BenchmarkTrainLinearBOW(b *testing.B) {
 	emb, ds := benchSentimentSetup()
 	cfg := sentiment.DefaultLinearBOWConfig(1)
-	b.Run("fast", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sentiment.TrainLinearBOW(emb, ds, cfg)
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sentiment.TrainLinearBOWReference(emb, ds, cfg)
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sentiment.TrainLinearBOW(emb, ds, cfg)
+	}
 }
 
 func BenchmarkNERTrain(b *testing.B) {
@@ -263,31 +254,10 @@ func BenchmarkNERTrain(b *testing.B) {
 	ds := ner.Generate(c, corpus.TestConfig(), p)
 	cfg := ner.DefaultConfig(1)
 	cfg.Epochs = 3
-	b.Run("fast", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ner.Train(emb, ds, cfg)
-		}
-	})
-	// The bitwise-equality twin of the fast trainer: same lockstep batch
-	// schedule, retained slow ops (fresh heap tape per batch, unfused
-	// compositions, per-op temporaries).
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ner.TrainReference(emb, ds, cfg)
-		}
-	})
-	// The seed's trainer (one tape and one SGD step per sentence per
-	// epoch) at its own tuned learning rate — the pre-batching baseline.
-	oldCfg := cfg
-	oldCfg.LR = 0.4
-	b.Run("per-sentence", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ner.TrainPerSentence(emb, ds, oldCfg)
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ner.Train(emb, ds, cfg)
+	}
 }
 
 // BenchmarkGridCell times one full uncached grid-cell evaluation (all

@@ -2,7 +2,7 @@ package autodiff
 
 import "anchor/internal/matrix"
 
-// arena is the resettable allocator behind an arena-backed Tape. Nodes,
+// arena is the resettable allocator behind every Tape. Nodes,
 // Dense headers, float buffers (values, gradients, backward scratch), and
 // int scratch all come from chunked slabs that Reset rewinds without
 // freeing, so a tape that is reset between minibatches reaches a steady

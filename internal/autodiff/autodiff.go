@@ -10,22 +10,19 @@
 // per-node buffers, and parameter nodes share their gradient buffer with
 // the caller so optimizers can consume them.
 //
-// Tapes come in two flavors with identical numerics:
+// Every tape is backed by a resettable arena (arena.go): nodes, values,
+// gradients, and scratch come from bump slabs, and Reset rewinds them so
+// capacity is reused across minibatches, making steady-state training
+// nearly allocation-free. Trainers hoist one tape out of their loop and
+// Reset it each step.
 //
-//   - NewTape returns a classic tape that heap-allocates every node,
-//     value, and gradient. It is retained as the slow reference path for
-//     equality tests and benchmarks.
-//   - NewArenaTape returns a tape backed by a resettable arena (arena.go):
-//     Reset rewinds the arena so capacity is reused across minibatches,
-//     making steady-state training nearly allocation-free.
-//
-// Determinism contract (extending the matrix package's): every op performs
-// the same floating-point operations in the same per-element order on both
-// tape flavors, matrix products run through the blocked kernels whose
-// results are bitwise identical for every worker count, and the fused ops
-// in fused.go are bitwise identical to the unfused compositions they
-// replace. Training a model on an arena tape with fused ops therefore
-// yields bitwise-identical weights to the classic reference path.
+// Determinism contract (extending the matrix package's): every op fully
+// overwrites or zeroes the stale arena memory it takes, so a recording on
+// a reset tape is bitwise identical to the same recording on a fresh one;
+// matrix products run through the blocked kernels whose results are
+// bitwise identical for every worker count; and the fused ops in fused.go
+// are bitwise identical to the unfused compositions they replace, which
+// the equality tests keep as their oracles.
 package autodiff
 
 import (
@@ -75,7 +72,7 @@ func (p *Param) ZeroGrad() { floats.Fill(p.Grad.Data, 0) }
 // Tape records a computation for reverse-mode differentiation.
 type Tape struct {
 	nodes []*Node
-	arena *arena // nil for classic heap-allocating tapes
+	arena arena
 
 	// Workers is the goroutine budget for the tape's matrix-product
 	// kernels (<= 0 selects all CPUs). Products are bitwise identical for
@@ -84,53 +81,37 @@ type Tape struct {
 	Workers int
 }
 
-// NewTape returns an empty classic tape that heap-allocates per op (the
-// retained slow reference path).
-func NewTape() *Tape { return &Tape{} }
+// NewArenaTape returns an empty tape whose nodes, values, gradients, and
+// scratch come from a resettable arena. Call Reset between minibatches to
+// reuse the arena's capacity; values and gradients recorded before a
+// Reset are invalid afterwards.
+func NewArenaTape() *Tape { return &Tape{} }
 
-// NewArenaTape returns a tape whose nodes, values, gradients, and scratch
-// come from a resettable arena. Call Reset between minibatches to reuse
-// the arena's capacity; values and gradients recorded before a Reset are
-// invalid afterwards.
-func NewArenaTape() *Tape { return &Tape{arena: &arena{}} }
-
-// Reset clears the tape for re-recording. On arena tapes all previously
-// returned nodes, values, and gradients become invalid and their storage
-// is reused; parameters (and their Grad accumulators) are unaffected.
+// Reset clears the tape for re-recording. All previously returned nodes,
+// values, and gradients become invalid and their storage is reused;
+// parameters (and their Grad accumulators) are unaffected.
 func (t *Tape) Reset() {
 	t.nodes = t.nodes[:0]
-	if t.arena != nil {
-		t.arena.reset()
-	}
+	t.arena.reset()
 }
 
-// ---- allocation helpers (arena-backed when available) ----
+// ---- arena allocation helpers ----
 
-func (t *Tape) newNode() *Node {
-	if t.arena != nil {
-		return t.arena.node()
-	}
-	return &Node{}
-}
+func (t *Tape) newNode() *Node { return t.arena.node() }
 
 // newDense returns an r-by-c matrix whose contents the caller fully
 // overwrites (arena memory is stale, not zeroed).
 func (t *Tape) newDense(r, c int) *matrix.Dense {
-	if t.arena != nil {
-		d := t.arena.dense()
-		d.Rows, d.Cols = r, c
-		d.Data = t.arena.floats(r * c)
-		return d
-	}
-	return matrix.NewDense(r, c)
+	d := t.arena.dense()
+	d.Rows, d.Cols = r, c
+	d.Data = t.arena.floats(r * c)
+	return d
 }
 
 // newZeroDense returns a zeroed r-by-c matrix.
 func (t *Tape) newZeroDense(r, c int) *matrix.Dense {
 	d := t.newDense(r, c)
-	if t.arena != nil {
-		floats.Fill(d.Data, 0)
-	}
+	floats.Fill(d.Data, 0)
 	return d
 }
 
@@ -141,19 +122,9 @@ func (t *Tape) newDenseCopy(src *matrix.Dense) *matrix.Dense {
 	return d
 }
 
-func (t *Tape) newFloats(n int) []float64 {
-	if t.arena != nil {
-		return t.arena.floats(n)
-	}
-	return make([]float64, n)
-}
+func (t *Tape) newFloats(n int) []float64 { return t.arena.floats(n) }
 
-func (t *Tape) newInts(n int) []int {
-	if t.arena != nil {
-		return t.arena.ints(n)
-	}
-	return make([]int, n)
-}
+func (t *Tape) newInts(n int) []int { return t.arena.ints(n) }
 
 func (t *Tape) add(n *Node) *Node {
 	n.tape = t
@@ -168,9 +139,9 @@ func (t *Tape) Const(v *matrix.Dense) *Node {
 	return t.add(n)
 }
 
-// NewConstBuf returns a constant node with a freshly allocated zeroed
-// r-by-c value for the caller to fill in place (arena-backed on arena
-// tapes). It is the allocation-free analogue of Const(matrix.NewDense(..)).
+// NewConstBuf returns a constant node with an arena-backed zeroed r-by-c
+// value for the caller to fill in place. It is the allocation-free
+// analogue of Const(matrix.NewDense(..)).
 func (t *Tape) NewConstBuf(r, c int) *Node {
 	n := t.newNode()
 	n.Value = t.newZeroDense(r, c)
@@ -284,8 +255,7 @@ func (t *Tape) Scale(a *Node, alpha float64) *Node {
 }
 
 // MatMul returns a · b, computed by the blocked kernel; the backward pass
-// runs the transposed-product kernels into tape scratch, avoiding the two
-// temporaries the pre-arena implementation allocated per call.
+// runs the transposed-product kernels into tape scratch.
 func (t *Tape) MatMul(a, b *Node) *Node {
 	v := t.newDense(a.Value.Rows, b.Value.Cols)
 	matrix.MulInto(v, a.Value, b.Value, t.Workers)

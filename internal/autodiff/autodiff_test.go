@@ -13,7 +13,7 @@ import (
 // current parameter values each call.
 func gradCheck(t *testing.T, name string, params []*Param, buildLoss func(tp *Tape) *Node) {
 	t.Helper()
-	tp := NewTape()
+	tp := NewArenaTape()
 	loss := buildLoss(tp)
 	tp.Backward(loss)
 
@@ -22,9 +22,9 @@ func gradCheck(t *testing.T, name string, params []*Param, buildLoss func(tp *Ta
 		for i := range p.Value.Data {
 			orig := p.Value.Data[i]
 			p.Value.Data[i] = orig + eps
-			lp := buildLoss(NewTape()).Value.At(0, 0)
+			lp := buildLoss(NewArenaTape()).Value.At(0, 0)
 			p.Value.Data[i] = orig - eps
-			lm := buildLoss(NewTape()).Value.At(0, 0)
+			lm := buildLoss(NewArenaTape()).Value.At(0, 0)
 			p.Value.Data[i] = orig
 			want := (lp - lm) / (2 * eps)
 			got := p.Grad.Data[i]
@@ -183,7 +183,7 @@ func TestGradComposite(t *testing.T) {
 
 func TestDropoutIdentityAtZero(t *testing.T) {
 	a := randParam("a", 3, 3, 28)
-	tp := NewTape()
+	tp := NewArenaTape()
 	n := tp.Use(a)
 	if tp.Dropout(n, 0, rand.New(rand.NewSource(1))) != n {
 		t.Fatal("dropout with p=0 should be identity")
@@ -192,7 +192,7 @@ func TestDropoutIdentityAtZero(t *testing.T) {
 
 func TestDropoutMaskConsistency(t *testing.T) {
 	a := randParam("a", 10, 10, 29)
-	tp := NewTape()
+	tp := NewArenaTape()
 	rng := rand.New(rand.NewSource(2))
 	d := tp.Dropout(tp.Use(a), 0.5, rng)
 	loss := tp.SumAll(d)
@@ -215,13 +215,13 @@ func TestBackwardRequiresScalar(t *testing.T) {
 			t.Fatal("expected panic for non-scalar loss")
 		}
 	}()
-	tp := NewTape()
+	tp := NewArenaTape()
 	a := tp.Use(randParam("a", 2, 2, 30))
 	tp.Backward(a)
 }
 
 func TestConstHasNoGradient(t *testing.T) {
-	tp := NewTape()
+	tp := NewArenaTape()
 	c := tp.Const(matrix.NewDense(2, 2))
 	p := randParam("p", 2, 2, 31)
 	loss := tp.SumAll(tp.Mul(c, tp.Use(p)))
@@ -234,7 +234,7 @@ func TestConstHasNoGradient(t *testing.T) {
 func TestGradAccumulationAcrossUses(t *testing.T) {
 	// Using the same parameter twice must sum both contributions.
 	p := randParam("p", 1, 1, 32)
-	tp := NewTape()
+	tp := NewArenaTape()
 	n1 := tp.Use(p)
 	n2 := tp.Use(p)
 	loss := tp.SumAll(tp.Add(n1, n2)) // d/dp = 2

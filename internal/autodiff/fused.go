@@ -13,16 +13,15 @@ import (
 // in its comment: it performs the same floating-point operations in the
 // same per-element order, and its backward pass accumulates into each
 // gradient element exactly the values the unfused chain would, in the same
-// order. The equality is enforced by tests (fused_test.go), which is what
-// lets the fast trainers use fused ops while the retained reference
-// trainers use the unfused compositions and still produce bitwise
-// identical weights.
+// order. The equality is enforced by tests (fused_test.go, and the
+// trainer-level tests of the nn, ner and sentiment packages), which keep
+// the unfused compositions as oracles.
 
 // LookupRows stacks rows of src selected by idx into a constant node — the
 // fused embedding-lookup/stack op. src is raw storage (typically a frozen
-// embedding matrix), not a tape value, so no gradients flow; on arena
-// tapes the stacked value is arena-backed, making per-minibatch token
-// gathering allocation-free.
+// embedding matrix), not a tape value, so no gradients flow; the stacked
+// value is arena-backed, making per-minibatch token gathering
+// allocation-free.
 func (t *Tape) LookupRows(src *matrix.Dense, idx []int32) *Node {
 	v := t.newDense(len(idx), src.Cols)
 	for r, id := range idx {

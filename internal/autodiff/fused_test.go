@@ -1,6 +1,7 @@
 package autodiff
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -118,7 +119,7 @@ func TestFusedLSTMStepBitwiseEqualsUnfused(t *testing.T) {
 	wx.ZeroGrad()
 	wh.ZeroGrad()
 	b.ZeroGrad()
-	unfusedOut := run(NewTape(), false)
+	unfusedOut := run(NewArenaTape(), false)
 
 	sameDense(t, "hidden states", fusedOut, unfusedOut)
 	sameDense(t, "dWx", gWx, wx.Grad)
@@ -138,7 +139,7 @@ func TestMaxPoolSegRowsBitwiseEqualsComposition(t *testing.T) {
 	a.ZeroGrad()
 	w.ZeroGrad()
 
-	tp2 := NewTape()
+	tp2 := NewArenaTape()
 	an := tp2.Use(a)
 	parts := make([]*Node, segs)
 	for s := 0; s < segs; s++ {
@@ -170,38 +171,102 @@ func TestLookupRows(t *testing.T) {
 
 // ---- arena behavior ----
 
+// everyOpParams are the parameters of everyOpGraph.
+type everyOpParams struct {
+	x, w, b, col, emb, gain, bias, wx, wh, lb *Param
+}
+
+func newEveryOpParams(seed int64, scale float64) everyOpParams {
+	rng := rand.New(rand.NewSource(seed))
+	p := func(name string, r, c int) *Param {
+		return NewParam(name, matrix.NewDenseRand(r, c, scale, rng))
+	}
+	return everyOpParams{
+		x: p("x", 4, 3), w: p("w", 3, 5), b: p("b", 1, 5), col: p("col", 4, 1),
+		emb: p("emb", 6, 3), gain: p("gain", 1, 5), bias: p("bias", 1, 5),
+		wx: p("wx", 3, 8), wh: p("wh", 2, 8), lb: p("lb", 1, 8),
+	}
+}
+
+func (ps everyOpParams) all() []*Param {
+	return []*Param{ps.x, ps.w, ps.b, ps.col, ps.emb, ps.gain, ps.bias, ps.wx, ps.wh, ps.lb}
+}
+
+// everyOpGraph records one graph that uses every Tape op, plain and
+// fused, differentiates it, and returns the loss node.
+func everyOpGraph(tp *Tape, ps everyOpParams, src *matrix.Dense) *Node {
+	x := tp.Use(ps.x)
+	h := tp.AddColVec(tp.AddRowVec(tp.MatMul(x, tp.Use(ps.w)), tp.Use(ps.b)), tp.Use(ps.col))
+	h = tp.LayerNormRows(h, tp.Use(ps.gain), tp.Use(ps.bias))
+	a, th, r, g := tp.Sigmoid(h), tp.Tanh(h), tp.ReLU(h), tp.GELU(h)
+	s := tp.SoftmaxRows(tp.MatMulABT(a, th))
+	m := tp.Mul(tp.Sub(tp.Add(a, th), tp.Scale(r, 0.5)), g)
+	d := tp.Dropout(m, 0.3, rand.New(rand.NewSource(1)))
+	cat := tp.ConcatCols(tp.SliceCols(d, 1, 4), tp.GatherRows(tp.Use(ps.emb), []int{1, 4, 4, 0}))
+	rows := tp.ConcatRows(tp.SliceRows(cat, 0, 2), tp.MeanRows(cat), tp.MaxPoolRows(cat))
+
+	const hid = 2
+	wx, wh, lb := tp.Use(ps.wx), tp.Use(ps.wh), tp.Use(ps.lb)
+	c0 := tp.Const(matrix.NewDenseData(3, hid, []float64{0.1, -0.2, 0.3, 0.4, -0.5, 0.6}))
+	h1, c1 := tp.LSTMStep(tp.SliceRows(x, 1, 4), tp.NewConstBuf(3, hid), c0, wx, wh, lb, hid)
+	act := tp.GateActivations(tp.LSTMPreact(tp.LookupRows(src, []int32{2, 5, 0}), h1, wx, wh, lb), hid)
+	h2, c2 := tp.LSTMCell(act, hid, c1)
+	pool := tp.MaxPoolSegRows(tp.StackBiRows([]*Node{h1, h2}, []*Node{c2, c1}), 3)
+
+	loss := tp.SumAll(tp.ConcatCols(
+		tp.LogSumExpCols(rows),
+		tp.Reshape(pool, 1, 8),
+		tp.CrossEntropy(rows, []int{0, 5, 2, 3}),
+		tp.At(s, 1, 2),
+	))
+	tp.Backward(loss)
+	return loss
+}
+
 func TestArenaTapeResetReproducesBitwise(t *testing.T) {
-	// The same recording on a reset arena tape (reusing memory) and on a
-	// classic tape must produce identical values and gradients.
-	const h = 3
-	p := randParam("p", 4, 4*h, 55)
-	c0 := randParam("c0", 4, h, 56)
-
-	record := func(tp *Tape) (*matrix.Dense, *matrix.Dense, *matrix.Dense) {
-		act := tp.GateActivations(tp.Use(p), h)
-		hN, _ := tp.LSTMCell(act, h, tp.Use(c0))
-		loss := tp.CrossEntropy(hN, []int{0, 2, 1, 0})
-		tp.Backward(loss)
-		gp := p.Grad.Clone()
-		gc := c0.Grad.Clone()
-		p.ZeroGrad()
-		c0.ZeroGrad()
-		return hN.Value.Clone(), gp, gc
+	// A recording on a reset arena tape reads stale memory wherever an op
+	// fails to overwrite or zero what it takes. Record every op on a fresh
+	// tape, then again on a tape that a large-valued recording of another
+	// layout has dirtied and Reset: every node value and every parameter
+	// gradient must match bit for bit.
+	src := matrix.NewDenseRand(6, 3, 1, rand.New(rand.NewSource(55)))
+	ps := newEveryOpParams(56, 1)
+	record := func(tp *Tape) ([]*matrix.Dense, []*matrix.Dense) {
+		everyOpGraph(tp, ps, src)
+		values := make([]*matrix.Dense, len(tp.nodes))
+		for i, n := range tp.nodes {
+			values[i] = n.Value.Clone()
+		}
+		var grads []*matrix.Dense
+		for _, p := range ps.all() {
+			grads = append(grads, p.Grad.Clone())
+			p.ZeroGrad()
+		}
+		return values, grads
 	}
+	v1, g1 := record(NewArenaTape())
 
+	big := newEveryOpParams(57, 1e6)
+	bigSrc := matrix.NewDenseRand(6, 3, 1e6, rand.New(rand.NewSource(58)))
 	tp := NewArenaTape()
-	v1, gp1, gc1 := record(tp)
-	for i := 0; i < 3; i++ {
+	for round := 0; round < 2; round++ {
+		// Shift the layout by an odd number of floats, so the dirty
+		// values land under different ops than in the recording checked.
+		tp.Scale(tp.Use(NewParam("shift", matrix.NewDenseRand(1, 7, 1e6, rand.New(rand.NewSource(59))))), 3)
+		everyOpGraph(tp, big, bigSrc)
 		tp.Reset()
-		v2, gp2, gc2 := record(tp)
-		sameDense(t, "value after reset", v1, v2)
-		sameDense(t, "p grad after reset", gp1, gp2)
-		sameDense(t, "c0 grad after reset", gc1, gc2)
+		v2, g2 := record(tp)
+		if len(v2) != len(v1) {
+			t.Fatalf("round %d: %d nodes, fresh tape recorded %d", round, len(v2), len(v1))
+		}
+		for i := range v1 {
+			sameDense(t, fmt.Sprintf("round %d node %d value", round, i), v1[i], v2[i])
+		}
+		for i, p := range ps.all() {
+			sameDense(t, fmt.Sprintf("round %d grad %s", round, p.Name), g1[i], g2[i])
+		}
+		tp.Reset()
 	}
-	v3, gp3, gc3 := record(NewTape())
-	sameDense(t, "value vs classic", v1, v3)
-	sameDense(t, "p grad vs classic", gp1, gp3)
-	sameDense(t, "c0 grad vs classic", gc1, gc3)
 }
 
 func TestArenaTapeSteadyStateAllocations(t *testing.T) {

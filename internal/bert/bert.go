@@ -10,6 +10,7 @@ package bert
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"anchor/internal/autodiff"
 	"anchor/internal/corpus"
@@ -93,6 +94,12 @@ type Model struct {
 	posEmb    *autodiff.Param
 	layers    []*encoderLayer
 	mlmOut    *nn.Linear
+
+	// mu guards tape: the arena tape Pretrain trains on, which Encode,
+	// SentenceFeature and MLMLoss then Reset and record on for each
+	// sentence, so evaluation takes no fresh arena per call.
+	mu   sync.Mutex
+	tape *autodiff.Tape
 }
 
 func (m *Model) params() []*autodiff.Param {
@@ -161,6 +168,8 @@ func Pretrain(c *corpus.Corpus, cfg Config) *Model {
 	params := m.params()
 	opt := nn.NewAdam(cfg.LR)
 	maskTok := vocab
+	tp := autodiff.NewArenaTape()
+	m.tape = tp
 
 	order := make([]int, len(sentences))
 	for i := range order {
@@ -202,7 +211,7 @@ func Pretrain(c *corpus.Corpus, cfg Config) *Model {
 				maskedTarget = []int{tokens[i]}
 				tokens[i] = maskTok
 			}
-			tp := autodiff.NewTape()
+			tp.Reset()
 			hidden := m.encode(tp, tokens)
 			masked := tp.GatherRows(hidden, maskedPos)
 			loss := tp.CrossEntropy(m.mlmOut.Forward(tp, masked), maskedTarget)
@@ -213,25 +222,33 @@ func Pretrain(c *corpus.Corpus, cfg Config) *Model {
 	return m
 }
 
-// Encode returns the frozen last-layer hidden states for a sentence
-// (truncated to SeqLen), with no gradient tracking.
-func (m *Model) Encode(tokens []int32) *matrix.Dense {
-	n := len(tokens)
-	if n > m.Cfg.SeqLen {
-		n = m.Cfg.SeqLen
-	}
+// encodeFrozen records a sentence (truncated to SeqLen) on the model's
+// reset tape and returns its last-layer hidden states, valid until the
+// next Reset. The caller holds m.mu.
+func (m *Model) encodeFrozen(tokens []int32) *matrix.Dense {
+	n := min(len(tokens), m.Cfg.SeqLen)
 	ids := make([]int, n)
 	for i := 0; i < n; i++ {
 		ids[i] = int(tokens[i])
 	}
-	tp := autodiff.NewTape()
-	return m.encode(tp, ids).Value
+	m.tape.Reset()
+	return m.encode(m.tape, ids).Value
+}
+
+// Encode returns the frozen last-layer hidden states for a sentence
+// (truncated to SeqLen).
+func (m *Model) Encode(tokens []int32) *matrix.Dense {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.encodeFrozen(tokens).Clone()
 }
 
 // SentenceFeature returns the mean-pooled last-layer representation, the
 // sentence embedding the downstream linear classifiers consume.
 func (m *Model) SentenceFeature(tokens []int32) []float64 {
-	h := m.Encode(tokens)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	h := m.encodeFrozen(tokens)
 	out := make([]float64, m.Cfg.Hidden)
 	for i := 0; i < h.Rows; i++ {
 		row := h.Row(i)
@@ -248,6 +265,9 @@ func (m *Model) SentenceFeature(tokens []int32) []float64 {
 // MLMLoss evaluates the average masked-LM loss over up to maxSentences
 // corpus sentences (deterministic masking), for convergence tests.
 func (m *Model) MLMLoss(c *corpus.Corpus, maxSentences int, seed int64) float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	tp := m.tape
 	rng := rand.New(rand.NewSource(seed))
 	var total float64
 	count := 0
@@ -267,7 +287,7 @@ func (m *Model) MLMLoss(c *corpus.Corpus, maxSentences int, seed int64) float64 
 		pos := rng.Intn(n)
 		target := tokens[pos]
 		tokens[pos] = m.VocabSize
-		tp := autodiff.NewTape()
+		tp.Reset()
 		hidden := m.encode(tp, tokens)
 		masked := tp.GatherRows(hidden, []int{pos})
 		loss := tp.CrossEntropy(m.mlmOut.Forward(tp, masked), []int{target})

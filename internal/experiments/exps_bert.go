@@ -1,16 +1,11 @@
 package experiments
 
 import (
-	"math/rand"
-
 	"anchor/internal/bert"
 	"anchor/internal/compress"
 	"anchor/internal/core"
 	"anchor/internal/matrix"
-	"anchor/internal/nn"
 	"anchor/internal/tasks/sentiment"
-
-	ad "anchor/internal/autodiff"
 )
 
 // bertFeatures extracts mean-pooled frozen features for a dataset split.
@@ -22,51 +17,6 @@ func bertFeatures(m *bert.Model, examples []sentiment.Example) *matrix.Dense {
 	return out
 }
 
-// trainFeatureClassifier trains a linear softmax classifier on fixed
-// feature rows (the linear layer the paper trains on BERT outputs).
-func trainFeatureClassifier(x *matrix.Dense, labels []int, seed int64) *nn.Linear {
-	rng := rand.New(rand.NewSource(seed))
-	lin := nn.NewLinear("clf", x.Cols, 2, rng)
-	opt := nn.NewAdam(0.01)
-	idx := make([]int, x.Rows)
-	for i := range idx {
-		idx[i] = i
-	}
-	const batch = 32
-	for epoch := 0; epoch < 30; epoch++ {
-		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
-		for s := 0; s < len(idx); s += batch {
-			e := s + batch
-			if e > len(idx) {
-				e = len(idx)
-			}
-			bx := matrix.NewDense(e-s, x.Cols)
-			by := make([]int, e-s)
-			for i := s; i < e; i++ {
-				copy(bx.Row(i-s), x.Row(idx[i]))
-				by[i-s] = labels[idx[i]]
-			}
-			tp := ad.NewTape()
-			loss := tp.CrossEntropy(lin.Forward(tp, tp.Const(bx)), by)
-			tp.Backward(loss)
-			opt.Step(lin.Params())
-		}
-	}
-	return lin
-}
-
-func classify(lin *nn.Linear, x *matrix.Dense) []int {
-	tp := ad.NewTape()
-	logits := lin.Forward(tp, tp.Const(x)).Value
-	out := make([]int, x.Rows)
-	for i := range out {
-		if logits.At(i, 1) > logits.At(i, 0) {
-			out[i] = 1
-		}
-	}
-	return out
-}
-
 // Fig11 reproduces Appendix Figure 11 (referenced from Section 6.2):
 // downstream instability of frozen BERT features on sentiment analysis,
 // (a) as the transformer output dimension varies and (b) as the features
@@ -74,14 +24,16 @@ func classify(lin *nn.Linear, x *matrix.Dense) []int {
 func Fig11(r *Runner) []*Table {
 	c17, c18 := r.Corpora()
 	ds := r.SentimentData(r.Cfg.SentimentTasks[0])
-	labels := func(ex []sentiment.Example) []int {
-		out := make([]int, len(ex))
-		for i, e := range ex {
-			out[i] = e.Label
-		}
-		return out
+	trainY := make([]int, len(ds.Train))
+	for i, ex := range ds.Train {
+		trainY[i] = ex.Label
 	}
-	trainY, testY := labels(ds.Train), labels(ds.Test)
+	// The linear layer the paper trains on BERT outputs: Adam 0.01, batch
+	// 32, 30 epochs, seeded like the embedding.
+	trainAndPredict := func(train, test *matrix.Dense, seed int64) []int {
+		cfg := sentiment.LinearBOWConfig{LR: 0.01, Epochs: 30, Batch: 32, Seed: seed}
+		return sentiment.TrainClassifier(train, trainY, cfg).PredictFeatures(test)
+	}
 
 	dimT := &Table{
 		ID: "fig11", Title: "BERT instability vs output dimension (" + ds.Name + ")",
@@ -101,16 +53,9 @@ func Fig11(r *Runner) []*Table {
 			tr17, tr18 := bertFeatures(m17, ds.Train), bertFeatures(m18, ds.Train)
 			te17, te18 := bertFeatures(m17, ds.Test), bertFeatures(m18, ds.Test)
 
-			l17 := trainFeatureClassifier(tr17, trainY, seed)
-			l18 := trainFeatureClassifier(tr18, trainY, seed)
-			diSum += core.PredictionDisagreementPct(classify(l17, te17), classify(l18, te18))
-			acc := 0.0
-			for i, p := range classify(l17, te17) {
-				if p == testY[i] {
-					acc++
-				}
-			}
-			accSum += acc / float64(len(testY))
+			p17 := trainAndPredict(tr17, te17, seed)
+			diSum += core.PredictionDisagreementPct(p17, trainAndPredict(tr18, te18, seed))
+			accSum += sentiment.AccuracyOf(p17, ds.Test)
 
 			// Precision sweep: quantize train+test features with a clip
 			// computed on the Wiki'17 features, shared with Wiki'18.
@@ -124,10 +69,8 @@ func Fig11(r *Runner) []*Table {
 				if prec < 32 {
 					clip = compress.OptimalClip(tr17.Data, prec)
 				}
-				ql17 := trainFeatureClassifier(q(tr17, clip), trainY, seed)
-				ql18 := trainFeatureClassifier(q(tr18, clip), trainY, seed)
 				precSums[prec] += core.PredictionDisagreementPct(
-					classify(ql17, q(te17, clip)), classify(ql18, q(te18, clip)))
+					trainAndPredict(q(tr17, clip), q(te17, clip), seed), trainAndPredict(q(tr18, clip), q(te18, clip), seed))
 			}
 		}
 		n := float64(len(r.Cfg.BERTSeeds))

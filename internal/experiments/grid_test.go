@@ -62,8 +62,12 @@ func TestSentimentGridGoldenAcrossWorkers(t *testing.T) {
 }
 
 // TestGridCellMatchesReferenceTrainer recomputes one grid cell's DI and
-// Acc with the retained slow-path trainer and prediction pipeline and
-// requires bitwise equality with the fast grid values.
+// Acc through the library pipeline, TrainLinearBOW then Predict on freshly
+// built test features, and requires bitwise equality with the grid
+// values, which come from the cached count matrices and the parallel cell
+// sweep. The link from that pipeline to the per-example reference
+// trainer, which lives in the sentiment package's tests where this
+// package cannot import it, is TestLinearBOWBitwiseMatchesReference.
 func TestGridCellMatchesReferenceTrainer(t *testing.T) {
 	r := NewRunner(tinyGridConfig())
 	r.Cfg.Workers = 1
@@ -73,8 +77,8 @@ func TestGridCellMatchesReferenceTrainer(t *testing.T) {
 	q17, q18 := r.QuantizedPair(cell.Algo, cell.Dim, cell.Prec, cell.Seed)
 	ds := r.SentimentData("sst2")
 	cfg := sentiment.DefaultLinearBOWConfig(cell.Seed)
-	m17 := sentiment.TrainLinearBOWReference(q17, ds, cfg)
-	m18 := sentiment.TrainLinearBOWReference(q18, ds, cfg)
+	m17 := sentiment.TrainLinearBOW(q17, ds, cfg)
+	m18 := sentiment.TrainLinearBOW(q18, ds, cfg)
 	p17, p18 := m17.Predict(ds.Test), m18.Predict(ds.Test)
 	di := core.PredictionDisagreementPct(p17, p18)
 	acc := sentiment.AccuracyOf(p17, ds.Test)

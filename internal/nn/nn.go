@@ -2,6 +2,12 @@
 // autodiff engine: linear layers, LSTM/BiLSTM, 1-D convolutions (Kim 2014
 // style), a linear-chain CRF, and the SGD/Adam optimizers used to train
 // the sentiment and NER models.
+//
+// Sequence models run one path: lockstep minibatches of equal-length
+// sentences through the fused ops (LSTMStep, StackBiRows,
+// MaxPoolSegRows). The generic op compositions they replace, and the
+// per-sentence forwards, live in the tests as the oracles those paths
+// are checked against bit for bit.
 package nn
 
 import (
@@ -80,57 +86,11 @@ func NewLSTM(name string, in, hidden int, rng *rand.Rand) *LSTM {
 // Params implements Module.
 func (l *LSTM) Params() []*autodiff.Param { return []*autodiff.Param{l.Wx, l.Wh, l.B} }
 
-// Step advances the cell one timestep. x is B-by-In (B = 1 for a single
-// sentence, larger for a lockstep batch); h and c are B-by-H (pass nil for
-// the initial zero state). It returns the new h and c.
-func (l *LSTM) Step(tp *autodiff.Tape, x, h, c *autodiff.Node) (hNew, cNew *autodiff.Node) {
-	if h == nil {
-		h = tp.NewConstBuf(x.Value.Rows, l.H)
-		c = tp.NewConstBuf(x.Value.Rows, l.H)
-	}
-	gates := tp.AddRowVec(tp.Add(tp.MatMul(x, tp.Use(l.Wx)), tp.MatMul(h, tp.Use(l.Wh))), tp.Use(l.B))
-	i := tp.Sigmoid(tp.SliceCols(gates, 0, l.H))
-	f := tp.Sigmoid(tp.SliceCols(gates, l.H, 2*l.H))
-	g := tp.Tanh(tp.SliceCols(gates, 2*l.H, 3*l.H))
-	o := tp.Sigmoid(tp.SliceCols(gates, 3*l.H, 4*l.H))
-	cNew = tp.Add(tp.Mul(f, c), tp.Mul(i, g))
-	hNew = tp.Mul(o, tp.Tanh(cNew))
-	return hNew, cNew
-}
-
-// Run unrolls the cell over a sequence (seq-by-In) and returns the hidden
-// states stacked as seq-by-H.
-func (l *LSTM) Run(tp *autodiff.Tape, seq *autodiff.Node) *autodiff.Node {
-	n := seq.Value.Rows
-	var h, c *autodiff.Node
-	outs := make([]*autodiff.Node, n)
-	for t := 0; t < n; t++ {
-		x := tp.SliceRows(seq, t, t+1)
-		h, c = l.Step(tp, x, h, c)
-		outs[t] = h
-	}
-	return tp.ConcatRows(outs...)
-}
-
-// RunReverse unrolls the cell right-to-left and returns hidden states in
-// the original (left-to-right) order.
-func (l *LSTM) RunReverse(tp *autodiff.Tape, seq *autodiff.Node) *autodiff.Node {
-	n := seq.Value.Rows
-	var h, c *autodiff.Node
-	outs := make([]*autodiff.Node, n)
-	for t := n - 1; t >= 0; t-- {
-		x := tp.SliceRows(seq, t, t+1)
-		h, c = l.Step(tp, x, h, c)
-		outs[t] = h
-	}
-	return tp.ConcatRows(outs...)
-}
-
-// stepFused advances the cell one lockstep timestep through the fully
-// fused LSTMStep op. wx, wh, b are the parameter nodes, hoisted by the
-// caller so one Use per parameter serves the whole sequence. Bitwise
-// identical to Step.
-func (l *LSTM) stepFused(tp *autodiff.Tape, x, h, c, wx, wh, b *autodiff.Node) (hNew, cNew *autodiff.Node) {
+// step advances the cell one lockstep timestep through the fused
+// LSTMStep op, from the zero state when h is nil. wx, wh, b are the
+// parameter nodes, hoisted by the caller so one Use per parameter serves
+// the whole sequence.
+func (l *LSTM) step(tp *autodiff.Tape, x, h, c, wx, wh, b *autodiff.Node) (hNew, cNew *autodiff.Node) {
 	if h == nil {
 		h = tp.NewConstBuf(x.Value.Rows, l.H)
 		c = tp.NewConstBuf(x.Value.Rows, l.H)
@@ -140,44 +100,29 @@ func (l *LSTM) stepFused(tp *autodiff.Tape, x, h, c, wx, wh, b *autodiff.Node) (
 
 // RunSeq unrolls the cell over per-timestep input batches xs (each
 // B-by-In, one node per timestep of a length-bucketed minibatch) and
-// returns the per-timestep hidden-state nodes (each B-by-H). With
-// fused=true the step runs through the fused LSTM ops; with fused=false it
-// replays the generic op composition (the retained reference path). Both
-// produce bitwise-identical values and gradients.
-func (l *LSTM) RunSeq(tp *autodiff.Tape, xs []*autodiff.Node, fused bool) []*autodiff.Node {
+// returns the per-timestep hidden-state nodes (each B-by-H). Each
+// timestep is one fused LSTMStep op, bitwise identical in values and
+// gradients to the generic op composition it replaces.
+func (l *LSTM) RunSeq(tp *autodiff.Tape, xs []*autodiff.Node) []*autodiff.Node {
 	outs := make([]*autodiff.Node, len(xs))
+	wx, wh, b := tp.Use(l.Wx), tp.Use(l.Wh), tp.Use(l.B)
 	var h, c *autodiff.Node
-	if fused {
-		wx, wh, b := tp.Use(l.Wx), tp.Use(l.Wh), tp.Use(l.B)
-		for t, x := range xs {
-			h, c = l.stepFused(tp, x, h, c, wx, wh, b)
-			outs[t] = h
-		}
-	} else {
-		for t, x := range xs {
-			h, c = l.Step(tp, x, h, c)
-			outs[t] = h
-		}
+	for t, x := range xs {
+		h, c = l.step(tp, x, h, c, wx, wh, b)
+		outs[t] = h
 	}
 	return outs
 }
 
 // RunSeqReverse is RunSeq right-to-left, with hidden states returned in
 // the original (left-to-right) timestep order.
-func (l *LSTM) RunSeqReverse(tp *autodiff.Tape, xs []*autodiff.Node, fused bool) []*autodiff.Node {
+func (l *LSTM) RunSeqReverse(tp *autodiff.Tape, xs []*autodiff.Node) []*autodiff.Node {
 	outs := make([]*autodiff.Node, len(xs))
+	wx, wh, b := tp.Use(l.Wx), tp.Use(l.Wh), tp.Use(l.B)
 	var h, c *autodiff.Node
-	if fused {
-		wx, wh, b := tp.Use(l.Wx), tp.Use(l.Wh), tp.Use(l.B)
-		for t := len(xs) - 1; t >= 0; t-- {
-			h, c = l.stepFused(tp, xs[t], h, c, wx, wh, b)
-			outs[t] = h
-		}
-	} else {
-		for t := len(xs) - 1; t >= 0; t-- {
-			h, c = l.Step(tp, xs[t], h, c)
-			outs[t] = h
-		}
+	for t := len(xs) - 1; t >= 0; t-- {
+		h, c = l.step(tp, xs[t], h, c, wx, wh, b)
+		outs[t] = h
 	}
 	return outs
 }
@@ -197,28 +142,12 @@ func NewBiLSTM(name string, in, hidden int, rng *rand.Rand) *BiLSTM {
 	}
 }
 
-// Forward returns seq-by-2H hidden states.
-func (b *BiLSTM) Forward(tp *autodiff.Tape, seq *autodiff.Node) *autodiff.Node {
-	return tp.ConcatCols(b.Fwd.Run(tp, seq), b.Bwd.RunReverse(tp, seq))
-}
-
 // ForwardSeq runs both directions over per-timestep batches xs (each
 // B-by-In) and returns the hidden states stacked as (T*B)-by-2H, with row
-// t*B+b holding sentence b at timestep t. The fused flag selects the fast
-// fused step or the retained generic composition; results are bitwise
-// identical, and each sentence's rows equal what a per-sentence Forward
-// would produce.
-func (b *BiLSTM) ForwardSeq(tp *autodiff.Tape, xs []*autodiff.Node, fused bool) *autodiff.Node {
-	hf := b.Fwd.RunSeq(tp, xs, fused)
-	hb := b.Bwd.RunSeqReverse(tp, xs, fused)
-	if fused {
-		return tp.StackBiRows(hf, hb)
-	}
-	cat := make([]*autodiff.Node, len(xs))
-	for t := range xs {
-		cat[t] = tp.ConcatCols(hf[t], hb[t])
-	}
-	return tp.ConcatRows(cat...)
+// t*B+b holding sentence b at timestep t. Each sentence's rows are
+// bitwise what the sentence alone would produce.
+func (b *BiLSTM) ForwardSeq(tp *autodiff.Tape, xs []*autodiff.Node) *autodiff.Node {
+	return tp.StackBiRows(b.Fwd.RunSeq(tp, xs), b.Bwd.RunSeqReverse(tp, xs))
 }
 
 // Params implements Module.
@@ -250,34 +179,6 @@ func NewConv1D(name string, widths []int, in, out int, rng *rand.Rand) *Conv1D {
 	return c
 }
 
-// Forward maps a seq-by-In sequence to a 1-by-(len(Widths)*Out) feature
-// vector: convolution, ReLU, max-over-time pooling per width. Sequences
-// shorter than a width reuse the largest possible window.
-func (c *Conv1D) Forward(tp *autodiff.Tape, seq *autodiff.Node) *autodiff.Node {
-	var pooled []*autodiff.Node
-	n := seq.Value.Rows
-	for wi, w := range c.Widths {
-		eff := w
-		if n < eff {
-			eff = n
-		}
-		var windows []*autodiff.Node
-		for s := 0; s+eff <= n; s++ {
-			win := tp.Reshape(tp.SliceRows(seq, s, s+eff), 1, eff*c.In)
-			if eff < w {
-				// Zero-pad the flattened window to the filter width.
-				pad := tp.Const(matrix.NewDense(1, (w-eff)*c.In))
-				win = tp.ConcatCols(win, pad)
-			}
-			windows = append(windows, win)
-		}
-		stacked := tp.ConcatRows(windows...)
-		conv := tp.ReLU(tp.AddRowVec(tp.MatMul(stacked, tp.Use(c.W[wi])), tp.Use(c.B[wi])))
-		pooled = append(pooled, tp.MaxPoolRows(conv))
-	}
-	return tp.ConcatCols(pooled...)
-}
-
 // Params implements Module.
 func (c *Conv1D) Params() []*autodiff.Param {
 	out := make([]*autodiff.Param, 0, 2*len(c.W))
@@ -288,15 +189,13 @@ func (c *Conv1D) Params() []*autodiff.Param {
 
 // ForwardBatch maps a length-bucketed minibatch of batch sequences, each n
 // tokens long, to a batch-by-(len(Widths)*Out) feature matrix in lockstep:
-// one window-stack, one matrix product, and one segmented max-pool per
-// filter width for the whole batch. tok(b, t) returns the (frozen)
-// embedding of token t of sequence b; windows are constants, so no
-// gradient flows into them. With fused=true pooling uses the fused
-// MaxPoolSegRows op; fused=false replays the per-sequence
-// SliceRows+MaxPoolRows+ConcatRows composition (the retained reference
-// path). Both are bitwise identical to each other and to per-sequence
-// Forward calls over the same inputs.
-func (c *Conv1D) ForwardBatch(tp *autodiff.Tape, tok func(b, t int) []float64, batch, n int, fused bool) *autodiff.Node {
+// one window-stack, one matrix product, and one segmented max-pool
+// (MaxPoolSegRows) per filter width for the whole batch. tok(b, t) returns
+// the (frozen) embedding of token t of sequence b; windows are constants,
+// so no gradient flows into them. Sequences shorter than a width use the
+// one window they have, zero-padded to the width. Each sequence's
+// features are bitwise what the sequence alone would produce.
+func (c *Conv1D) ForwardBatch(tp *autodiff.Tape, tok func(b, t int) []float64, batch, n int) *autodiff.Node {
 	var pooled []*autodiff.Node
 	for wi, w := range c.Widths {
 		eff := w
@@ -305,7 +204,7 @@ func (c *Conv1D) ForwardBatch(tp *autodiff.Tape, tok func(b, t int) []float64, b
 		}
 		perSeq := n - eff + 1
 		// Zero-filled buffer: when eff < w the tail of each flattened
-		// window stays zero, matching Forward's explicit padding.
+		// window stays zero, the padding.
 		win := tp.NewConstBuf(batch*perSeq, w*c.In)
 		for b := 0; b < batch; b++ {
 			for s := 0; s < perSeq; s++ {
@@ -316,15 +215,7 @@ func (c *Conv1D) ForwardBatch(tp *autodiff.Tape, tok func(b, t int) []float64, b
 			}
 		}
 		conv := tp.ReLU(tp.AddRowVec(tp.MatMul(win, tp.Use(c.W[wi])), tp.Use(c.B[wi])))
-		if fused {
-			pooled = append(pooled, tp.MaxPoolSegRows(conv, perSeq))
-		} else {
-			segs := make([]*autodiff.Node, batch)
-			for b := 0; b < batch; b++ {
-				segs[b] = tp.MaxPoolRows(tp.SliceRows(conv, b*perSeq, (b+1)*perSeq))
-			}
-			pooled = append(pooled, tp.ConcatRows(segs...))
-		}
+		pooled = append(pooled, tp.MaxPoolSegRows(conv, perSeq))
 	}
 	return tp.ConcatCols(pooled...)
 }
@@ -333,8 +224,8 @@ func (c *Conv1D) ForwardBatch(tp *autodiff.Tape, tok func(b, t int) []float64, b
 // training: it groups sequence indices by exact length (ascending) —
 // preserving original order within a group — and slices each group into
 // minibatches of at most batch indices. Zero-length sequences are
-// dropped. The schedule is a pure function of (lengths, batch), so the
-// fast and reference trainers sharing it see identical batches.
+// dropped. The schedule is a pure function of (lengths, batch), so every
+// trainer sharing it (and its test oracles) sees identical batches.
 func LengthBatches(lengths []int, batch int) [][]int {
 	if batch <= 0 {
 		batch = 1

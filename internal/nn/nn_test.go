@@ -12,16 +12,16 @@ import (
 // gradCheckModule verifies module gradients against finite differences.
 func gradCheckModule(t *testing.T, name string, params []*autodiff.Param, buildLoss func(tp *autodiff.Tape) *autodiff.Node) {
 	t.Helper()
-	tp := autodiff.NewTape()
+	tp := autodiff.NewArenaTape()
 	tp.Backward(buildLoss(tp))
 	const eps = 1e-6
 	for _, p := range params {
 		for i := range p.Value.Data {
 			orig := p.Value.Data[i]
 			p.Value.Data[i] = orig + eps
-			lp := buildLoss(autodiff.NewTape()).Value.At(0, 0)
+			lp := buildLoss(autodiff.NewArenaTape()).Value.At(0, 0)
 			p.Value.Data[i] = orig - eps
-			lm := buildLoss(autodiff.NewTape()).Value.At(0, 0)
+			lm := buildLoss(autodiff.NewArenaTape()).Value.At(0, 0)
 			p.Value.Data[i] = orig
 			want := (lp - lm) / (2 * eps)
 			if got := p.Grad.Data[i]; math.Abs(got-want) > 2e-4*(1+math.Abs(want)) {
@@ -56,7 +56,7 @@ func TestBiLSTMGradAndShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	bi := NewBiLSTM("bi", 3, 2, rng)
 	seq := matrix.NewDenseRand(4, 3, 1, rng)
-	tp := autodiff.NewTape()
+	tp := autodiff.NewArenaTape()
 	out := bi.Forward(tp, tp.Const(seq))
 	if out.Value.Rows != 4 || out.Value.Cols != 4 {
 		t.Fatalf("BiLSTM output %dx%d, want 4x4", out.Value.Rows, out.Value.Cols)
@@ -75,11 +75,11 @@ func TestBiLSTMBackwardDirectionMatters(t *testing.T) {
 	seq2 := seq1.Clone()
 	seq2.Set(3, 0, seq2.At(3, 0)+1) // change the LAST token
 
-	out1 := bi.Forward(autodiff.NewTape(), autodiff.NewTape().Const(seq1))
+	out1 := bi.Forward(autodiff.NewArenaTape(), autodiff.NewArenaTape().Const(seq1))
 	_ = out1
-	tp1 := autodiff.NewTape()
+	tp1 := autodiff.NewArenaTape()
 	o1 := bi.Forward(tp1, tp1.Const(seq1))
-	tp2 := autodiff.NewTape()
+	tp2 := autodiff.NewArenaTape()
 	o2 := bi.Forward(tp2, tp2.Const(seq2))
 	// Forward half at position 0 must be identical; backward half must differ.
 	for j := 0; j < 3; j++ {
@@ -102,7 +102,7 @@ func TestConv1DGradAndShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	conv := NewConv1D("conv", []int{2, 3}, 3, 4, rng)
 	seq := matrix.NewDenseRand(6, 3, 1, rng)
-	tp := autodiff.NewTape()
+	tp := autodiff.NewArenaTape()
 	out := conv.Forward(tp, tp.Const(seq))
 	if out.Value.Rows != 1 || out.Value.Cols != 8 {
 		t.Fatalf("conv output %dx%d, want 1x8", out.Value.Rows, out.Value.Cols)
@@ -118,7 +118,7 @@ func TestConv1DShortSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	conv := NewConv1D("conv", []int{3, 5}, 2, 3, rng)
 	seq := matrix.NewDenseRand(2, 2, 1, rng)
-	tp := autodiff.NewTape()
+	tp := autodiff.NewArenaTape()
 	out := conv.Forward(tp, tp.Const(seq))
 	if out.Value.Cols != 6 {
 		t.Fatalf("short sequence conv output cols = %d", out.Value.Cols)
@@ -131,7 +131,7 @@ func TestCRFForwardMatchesBruteForce(t *testing.T) {
 	emissions := matrix.NewDenseRand(4, 3, 1, rng)
 	tags := []int{0, 2, 1, 1}
 
-	tp := autodiff.NewTape()
+	tp := autodiff.NewArenaTape()
 	nll := crf.NegLogLikelihood(tp, tp.Const(emissions), tags)
 
 	// Brute force: logZ − goldScore.
@@ -206,7 +206,7 @@ func TestCRFLearnsTransitions(t *testing.T) {
 	tags := []int{0, 1, 0, 1, 0, 1}
 	opt := NewSGD(0.5)
 	for it := 0; it < 60; it++ {
-		tp := autodiff.NewTape()
+		tp := autodiff.NewArenaTape()
 		nll := crf.NegLogLikelihood(tp, tp.Const(emissions), tags)
 		tp.Backward(nll)
 		opt.Step(crf.Params())
@@ -255,14 +255,14 @@ func TestLinearTrainsXORWithHidden(t *testing.T) {
 	y := []int{0, 1, 1, 0}
 	opt := NewAdam(0.05)
 	for it := 0; it < 400; it++ {
-		tp := autodiff.NewTape()
+		tp := autodiff.NewArenaTape()
 		h := tp.Tanh(l1.Forward(tp, tp.Const(x)))
 		logits := l2.Forward(tp, h)
 		loss := tp.CrossEntropy(logits, y)
 		tp.Backward(loss)
 		opt.Step(params)
 	}
-	tp := autodiff.NewTape()
+	tp := autodiff.NewArenaTape()
 	logits := l2.Forward(tp, tp.Tanh(l1.Forward(tp, tp.Const(x)))).Value
 	for i, want := range y {
 		pred := 0
@@ -288,9 +288,8 @@ func sameDense(t *testing.T, name string, a, b *matrix.Dense) {
 }
 
 // TestForwardSeqFusedBitwiseEqualsReference drives the lockstep BiLSTM
-// down both paths — fused ops on an arena tape vs the retained generic
-// composition on a classic tape — and requires bitwise-identical hidden
-// states and parameter gradients.
+// down the fused path and down the unfused reference composition, and
+// requires bitwise-identical hidden states and parameter gradients.
 func TestForwardSeqFusedBitwiseEqualsReference(t *testing.T) {
 	const in, hid, batch, steps = 5, 4, 3, 6
 	rng := rand.New(rand.NewSource(21))
@@ -300,12 +299,13 @@ func TestForwardSeqFusedBitwiseEqualsReference(t *testing.T) {
 		xs[i] = matrix.NewDenseRand(batch, in, 1, rng)
 	}
 
-	run := func(tp *autodiff.Tape, fused bool) (*matrix.Dense, []*matrix.Dense) {
+	run := func(forward func(*autodiff.Tape, []*autodiff.Node) *autodiff.Node) (*matrix.Dense, []*matrix.Dense) {
+		tp := autodiff.NewArenaTape()
 		nodes := make([]*autodiff.Node, steps)
 		for i, x := range xs {
 			nodes[i] = tp.Const(x)
 		}
-		h := bi.ForwardSeq(tp, nodes, fused)
+		h := forward(tp, nodes)
 		tp.Backward(tp.SumAll(tp.Mul(h, h)))
 		grads := make([]*matrix.Dense, 0, len(bi.Params()))
 		for _, p := range bi.Params() {
@@ -315,16 +315,15 @@ func TestForwardSeqFusedBitwiseEqualsReference(t *testing.T) {
 		return h.Value.Clone(), grads
 	}
 
-	atp := autodiff.NewArenaTape()
-	vFast, gFast := run(atp, true)
-	vRef, gRef := run(autodiff.NewTape(), false)
+	vFast, gFast := run(bi.ForwardSeq)
+	vRef, gRef := run(bi.forwardSeqReference)
 	sameDense(t, "hidden states", vFast, vRef)
 	for i, p := range bi.Params() {
 		sameDense(t, "grad "+p.Name, gFast[i], gRef[i])
 	}
 
 	// Each sentence's rows must also equal a per-sentence Forward pass.
-	tp := autodiff.NewTape()
+	tp := autodiff.NewArenaTape()
 	for b := 0; b < batch; b++ {
 		seq := matrix.NewDense(steps, in)
 		for s := 0; s < steps; s++ {
@@ -343,8 +342,9 @@ func TestForwardSeqFusedBitwiseEqualsReference(t *testing.T) {
 }
 
 // TestConvForwardBatchFusedBitwiseEqualsReference checks the batched CNN
-// feature extractor down both pooling paths, including the short-sequence
-// zero-padding case.
+// feature extractor against its per-sequence pooling composition, values
+// and gradients bit for bit, and its features against per-sequence
+// Forward passes, including the short-sequence zero-padding case.
 func TestConvForwardBatchFusedBitwiseEqualsReference(t *testing.T) {
 	for _, n := range []int{6, 2} { // 2 < max width exercises padding
 		rng := rand.New(rand.NewSource(22))
@@ -353,21 +353,30 @@ func TestConvForwardBatchFusedBitwiseEqualsReference(t *testing.T) {
 		toks := matrix.NewDenseRand(batch*n, 3, 1, rng)
 		tok := func(b, t int) []float64 { return toks.Row(b*n + t) }
 
-		run := func(tp *autodiff.Tape, fused bool) (*matrix.Dense, []*matrix.Dense) {
-			f := conv.ForwardBatch(tp, tok, batch, n, fused)
-			tp.Backward(tp.SumAll(tp.Mul(f, f)))
+		type forward func(*autodiff.Tape, func(b, t int) []float64, int, int) *autodiff.Node
+		run := func(f forward) (*matrix.Dense, []*matrix.Dense) {
+			tp := autodiff.NewArenaTape()
+			out := f(tp, tok, batch, n)
+			tp.Backward(tp.SumAll(tp.Mul(out, out)))
 			grads := make([]*matrix.Dense, 0, len(conv.Params()))
 			for _, p := range conv.Params() {
 				grads = append(grads, p.Grad.Clone())
 				p.ZeroGrad()
 			}
-			return f.Value.Clone(), grads
+			return out.Value.Clone(), grads
 		}
-		vFast, gFast := run(autodiff.NewArenaTape(), true)
-		vRef, gRef := run(autodiff.NewTape(), false)
+		vFast, gFast := run(conv.ForwardBatch)
+		vRef, gRef := run(conv.forwardBatchReference)
 		sameDense(t, "features", vFast, vRef)
 		for i, p := range conv.Params() {
 			sameDense(t, "grad "+p.Name, gFast[i], gRef[i])
+		}
+
+		tp := autodiff.NewArenaTape()
+		for b := 0; b < batch; b++ {
+			seq := matrix.NewDenseData(n, 3, toks.Data[b*n*3:(b+1)*n*3])
+			sameDense(t, "single-sequence features", matrix.NewDenseData(1, vFast.Cols, vFast.Row(b)),
+				conv.Forward(tp, tp.Const(seq)).Value)
 		}
 	}
 }
@@ -402,7 +411,7 @@ func TestCRFNLLValueMatchesTape(t *testing.T) {
 	crf := NewCRF("crf", 3, rng)
 	emissions := matrix.NewDenseRand(5, 3, 1, rng)
 	tags := []int{0, 2, 1, 1, 0}
-	tp := autodiff.NewTape()
+	tp := autodiff.NewArenaTape()
 	want := crf.NegLogLikelihood(tp, tp.Const(emissions), tags).Value.At(0, 0)
 	got := crf.NLLValue(emissions, tags)
 	if math.Abs(got-want) > 1e-12 {

@@ -178,22 +178,11 @@ type Tagger struct {
 // sentences are batched, so this is a pure throughput knob.
 const inferBatch = 32
 
-// Train fits the tagger on ds.Train with the fixed embedding, using the
-// fast path: one arena-backed tape reused across minibatches, fused LSTM
-// ops, and lockstep length-bucketed batches.
+// Train fits the tagger on ds.Train with the fixed embedding: lockstep
+// length-bucketed minibatches through the fused LSTM ops, recorded on one
+// arena-backed tape that is reset between steps. The weights are bitwise
+// those of the unfused op composition over the same batch schedule.
 func Train(emb *embedding.Embedding, ds *Dataset, cfg Config) *Tagger {
-	return train(emb, ds, cfg, true)
-}
-
-// TrainReference trains the same model over the same batch schedule on
-// the retained slow path — a fresh heap-allocating tape per minibatch and
-// the unfused op compositions. It produces bitwise-identical weights and
-// predictions to Train and is kept for equality tests and benchmarks.
-func TrainReference(emb *embedding.Embedding, ds *Dataset, cfg Config) *Tagger {
-	return train(emb, ds, cfg, false)
-}
-
-func train(emb *embedding.Embedding, ds *Dataset, cfg Config, fast bool) *Tagger {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Tagger{
 		emb: emb,
@@ -219,25 +208,15 @@ func train(emb *embedding.Embedding, ds *Dataset, cfg Config, fast bool) *Tagger
 		order[i] = i
 	}
 
-	var tp *autodiff.Tape
-	if fast {
-		tp = autodiff.NewArenaTape()
-		tp.Workers = 1
-	}
+	tp := autodiff.NewArenaTape()
+	tp.Workers = 1
 	bestVal := 1e30
 	sincePlateau := 0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 		for _, bi := range order {
-			batch := batches[bi]
-			if fast {
-				tp.Reset()
-			} else {
-				tp = autodiff.NewTape()
-				tp.Workers = 1
-			}
-			loss := m.batchLoss(tp, ds.Train, batch, fast)
-			tp.Backward(loss)
+			tp.Reset()
+			tp.Backward(m.batchLoss(tp, ds.Train, batches[bi]))
 			opt.Step(params)
 		}
 		// Anneal on validation plateau. The final epoch's validation pass
@@ -245,92 +224,7 @@ func train(emb *embedding.Embedding, ds *Dataset, cfg Config, fast bool) *Tagger
 		if epoch == cfg.Epochs-1 {
 			break
 		}
-		val := m.valLoss(ds.Val, fast)
-		if val < bestVal-1e-4 {
-			bestVal = val
-			sincePlateau = 0
-		} else {
-			sincePlateau++
-			if sincePlateau >= cfg.Patience {
-				opt.LR *= cfg.AnnealFactor
-				sincePlateau = 0
-			}
-		}
-	}
-	return m
-}
-
-// TrainPerSentence is the seed's original training loop, retained for
-// benchmarking what lockstep batching replaced: one fresh tape, one
-// forward/backward, and one SGD step per sentence per epoch, with the
-// per-sentence validation pass. Because it updates parameters at a
-// different granularity than the lockstep trainers, its trained weights
-// necessarily differ from Train/TrainReference (batching changes the
-// optimization trajectory, not just the arithmetic order).
-func TrainPerSentence(emb *embedding.Embedding, ds *Dataset, cfg Config) *Tagger {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &Tagger{
-		emb: emb,
-		bi:  nn.NewBiLSTM("bi", emb.Dim(), cfg.Hidden, rng),
-		out: nn.NewLinear("out", 2*cfg.Hidden, NumTags, rng),
-	}
-	if cfg.UseCRF {
-		m.crf = nn.NewCRF("crf", NumTags, rng)
-	}
-	params := append(m.bi.Params(), m.out.Params()...)
-	if m.crf != nil {
-		params = append(params, m.crf.Params()...)
-	}
-	opt := nn.NewSGD(cfg.LR)
-
-	idx := make([]int, len(ds.Train))
-	for i := range idx {
-		idx[i] = i
-	}
-	bestVal := 1e30
-	sincePlateau := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
-		for _, i := range idx {
-			ex := ds.Train[i]
-			if len(ex.Tokens) == 0 {
-				continue
-			}
-			tp := autodiff.NewTape()
-			tp.Workers = 1
-			emissions := m.emissions(tp, ex.Tokens)
-			var loss *autodiff.Node
-			if m.crf != nil {
-				loss = m.crf.NegLogLikelihood(tp, emissions, ex.Tags)
-			} else {
-				loss = tp.CrossEntropy(emissions, ex.Tags)
-			}
-			tp.Backward(loss)
-			opt.Step(params)
-		}
-		if epoch == cfg.Epochs-1 {
-			break
-		}
-		var total float64
-		n := 0
-		for _, ex := range ds.Val {
-			if len(ex.Tokens) == 0 {
-				continue
-			}
-			tp := autodiff.NewTape()
-			tp.Workers = 1
-			emissions := m.emissions(tp, ex.Tokens)
-			if m.crf != nil {
-				total += m.crf.NegLogLikelihood(tp, emissions, ex.Tags).Value.At(0, 0)
-			} else {
-				total += tp.CrossEntropy(emissions, ex.Tags).Value.At(0, 0)
-			}
-			n++
-		}
-		val := 0.0
-		if n > 0 {
-			val = total / float64(n)
-		}
+		val := m.valLoss(tp, ds.Val)
 		if val < bestVal-1e-4 {
 			bestVal = val
 			sincePlateau = 0
@@ -350,8 +244,8 @@ func TrainPerSentence(emb *embedding.Embedding, ds *Dataset, cfg Config) *Tagger
 // BiLSTM, or the summed per-sentence CRF negative log-likelihoods scaled
 // by 1/(B·T) so both variants share the cross-entropy's gradient scale
 // (and thus the same learning rate).
-func (m *Tagger) batchLoss(tp *autodiff.Tape, examples []Example, batch []int, fused bool) *autodiff.Node {
-	emissions := m.emissionsBatch(tp, examples, batch, fused)
+func (m *Tagger) batchLoss(tp *autodiff.Tape, examples []Example, batch []int) *autodiff.Node {
+	emissions := m.emissionsBatch(tp, examples, batch)
 	b := len(batch)
 	n := len(examples[batch[0]].Tokens)
 	if m.crf != nil {
@@ -381,7 +275,7 @@ func (m *Tagger) batchLoss(tp *autodiff.Tape, examples []Example, batch []int, f
 
 // emissionsBatch returns the stacked (T*B)-by-NumTags emission scores of a
 // length-bucketed minibatch; row t*B+b is sentence batch[b] at timestep t.
-func (m *Tagger) emissionsBatch(tp *autodiff.Tape, examples []Example, batch []int, fused bool) *autodiff.Node {
+func (m *Tagger) emissionsBatch(tp *autodiff.Tape, examples []Example, batch []int) *autodiff.Node {
 	n := len(examples[batch[0]].Tokens)
 	xs := make([]*autodiff.Node, n)
 	ids := make([]int32, len(batch))
@@ -391,44 +285,24 @@ func (m *Tagger) emissionsBatch(tp *autodiff.Tape, examples []Example, batch []i
 		}
 		xs[t] = tp.LookupRows(m.emb.Vectors, ids)
 	}
-	return m.out.Forward(tp, m.bi.ForwardSeq(tp, xs, fused))
+	return m.out.Forward(tp, m.bi.ForwardSeq(tp, xs))
 }
 
-func (m *Tagger) emissions(tp *autodiff.Tape, tokens []int32) *autodiff.Node {
-	seq := matrix.NewDense(len(tokens), m.emb.Dim())
-	for i, tk := range tokens {
-		copy(seq.Row(i), m.emb.Vector(int(tk)))
-	}
-	h := m.bi.Forward(tp, tp.Const(seq))
-	return m.out.Forward(tp, h)
-}
-
-// valLoss scores the validation split in lockstep batches, down the fast
-// or the retained slow emission path. Emission values are bitwise
-// independent of fusion, so the two trainers' anneal-on-plateau decisions
-// — and thus their trained weights — are identical. The value is the mean
-// of the per-sentence losses, summed in original example order.
-func (m *Tagger) valLoss(val []Example, fast bool) float64 {
+// valLoss scores the validation split in lockstep batches on the
+// trainer's tape (reset per batch). Emission values are bitwise
+// independent of batching, so the value is the mean of the per-sentence
+// losses, summed in original example order.
+func (m *Tagger) valLoss(tp *autodiff.Tape, val []Example) float64 {
 	lengths := make([]int, len(val))
 	for i, ex := range val {
 		lengths[i] = len(ex.Tokens)
 	}
 	losses := make([]float64, len(val))
 	used := make([]bool, len(val))
-	var tp *autodiff.Tape
-	if fast {
-		tp = autodiff.NewArenaTape()
-		tp.Workers = 1
-	}
 	probs := make([]float64, NumTags)
 	for _, batch := range nn.LengthBatches(lengths, inferBatch) {
-		if fast {
-			tp.Reset()
-		} else {
-			tp = autodiff.NewTape()
-			tp.Workers = 1
-		}
-		em := m.emissionsBatch(tp, val, batch, fast).Value
+		tp.Reset()
+		em := m.emissionsBatch(tp, val, batch).Value
 		b := len(batch)
 		n := len(val[batch[0]].Tokens)
 		for bi, i := range batch {
@@ -467,14 +341,10 @@ func (m *Tagger) valLoss(val []Example, fast bool) float64 {
 	return total / float64(n)
 }
 
-// Predict returns the predicted tag sequence for one sentence.
+// Predict returns the predicted tag sequence for one sentence: the
+// lockstep emission path with a one-sentence batch.
 func (m *Tagger) Predict(tokens []int32) []int {
-	if len(tokens) == 0 {
-		return nil
-	}
-	tp := autodiff.NewTape()
-	emissions := m.emissions(tp, tokens).Value
-	return m.decodeEmissions(emissions)
+	return m.predictAll([]Example{{Tokens: tokens}})[0]
 }
 
 func (m *Tagger) decodeEmissions(emissions *matrix.Dense) []int {
@@ -495,7 +365,7 @@ func (m *Tagger) decodeEmissions(emissions *matrix.Dense) []int {
 }
 
 // predictAll tags every example in lockstep batches; predictions are
-// bitwise identical to per-sentence Predict calls.
+// bitwise independent of how the sentences are batched.
 func (m *Tagger) predictAll(examples []Example) [][]int {
 	lengths := make([]int, len(examples))
 	for i, ex := range examples {
@@ -506,7 +376,7 @@ func (m *Tagger) predictAll(examples []Example) [][]int {
 	tp.Workers = 1
 	for _, batch := range nn.LengthBatches(lengths, inferBatch) {
 		tp.Reset()
-		em := m.emissionsBatch(tp, examples, batch, true).Value
+		em := m.emissionsBatch(tp, examples, batch).Value
 		b := len(batch)
 		n := len(examples[batch[0]].Tokens)
 		sent := matrix.NewDense(n, NumTags)

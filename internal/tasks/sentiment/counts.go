@@ -1,8 +1,6 @@
 package sentiment
 
 import (
-	"sort"
-
 	"anchor/internal/embedding"
 	"anchor/internal/floats"
 	"anchor/internal/matrix"
@@ -17,32 +15,34 @@ import (
 // cell then pays a single matrix product per split.
 //
 // Determinism: the blocked kernel accumulates each feature element over
-// ascending word ids with a single accumulator (see matrix/kernels.go), so
-// Features is bitwise identical to the retained per-example reference loop
-// (featuresReference) for every worker count.
+// ascending word ids with a single accumulator, skipping zero counts (see
+// matrix/kernels.go), so Features is bitwise identical for every worker
+// count to a per-example loop that adds each distinct word's
+// count-weighted vector in ascending id order (the oracle the tests keep).
 
-// splitCounts lazily builds and caches the bag-of-words count matrix of
-// one split: row i holds the token counts of example i, with one column
-// per word id up to the largest id in the split.
+// countMatrix returns the bag-of-words count matrix of the examples: row i
+// holds the token counts of example i, with one column per word id up to
+// the largest id among them.
+func countMatrix(examples []Example) *matrix.Dense {
+	maxID := int32(-1)
+	for _, ex := range examples {
+		for _, tk := range ex.Tokens {
+			maxID = max(maxID, tk)
+		}
+	}
+	m := matrix.NewDense(len(examples), int(maxID)+1)
+	for i, ex := range examples {
+		row := m.Row(i)
+		for _, tk := range ex.Tokens {
+			row[tk]++
+		}
+	}
+	return m
+}
+
+// splitCounts lazily builds and caches the count matrix of one split.
 func (d *Dataset) splitCounts(which int, examples []Example) *matrix.Dense {
-	d.countsOnce[which].Do(func() {
-		maxID := int32(-1)
-		for _, ex := range examples {
-			for _, tk := range ex.Tokens {
-				if tk > maxID {
-					maxID = tk
-				}
-			}
-		}
-		m := matrix.NewDense(len(examples), int(maxID)+1)
-		for i, ex := range examples {
-			row := m.Row(i)
-			for _, tk := range ex.Tokens {
-				row[tk]++
-			}
-		}
-		d.counts[which] = m
-	})
+	d.countsOnce[which].Do(func() { d.counts[which] = countMatrix(examples) })
 	return d.counts[which]
 }
 
@@ -71,30 +71,4 @@ func Features(emb *embedding.Embedding, counts *matrix.Dense, examples []Example
 		}
 	}
 	return f
-}
-
-// featuresReference computes the same features with the retained
-// per-example loop: ascending word ids, count-weighted accumulation —
-// the exact per-element operation order of the blocked product, kept as
-// the slow path for equality tests and benchmarks.
-func featuresReference(emb *embedding.Embedding, examples []Example) *matrix.Dense {
-	out := matrix.NewDense(len(examples), emb.Dim())
-	var ids []int32
-	for i, ex := range examples {
-		ids = append(ids[:0], ex.Tokens...)
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		row := out.Row(i)
-		for s := 0; s < len(ids); {
-			e := s
-			for e < len(ids) && ids[e] == ids[s] {
-				e++
-			}
-			floats.Axpy(float64(e-s), emb.Vector(int(ids[s])), row)
-			s = e
-		}
-		if len(ex.Tokens) > 0 {
-			floats.Scale(1/float64(len(ex.Tokens)), row)
-		}
-	}
-	return out
 }

@@ -30,95 +30,58 @@ func DefaultLinearBOWConfig(seed int64) LinearBOWConfig {
 	return LinearBOWConfig{LR: 0.01, Epochs: 40, Batch: 32, Seed: seed}
 }
 
-// LinearBOW is a trained linear bag-of-words classifier over fixed
-// embeddings.
-type LinearBOW struct {
-	emb *embedding.Embedding
+// Classifier is a trained linear softmax classifier over fixed feature
+// rows: the layer the linear BOW model trains on averaged embeddings, and
+// Fig11 on frozen BERT features.
+type Classifier struct {
 	lin *nn.Linear
 }
 
-// TrainLinearBOW trains the model on ds.Train with fixed embeddings using
-// the fast path: features come from the dataset's cached count matrix as
-// one blocked product (counts.go), and the training loop records each
-// minibatch on a single arena-backed tape that is reset between steps.
-// Weights are bitwise identical to TrainLinearBOWReference for every
-// worker count.
-func TrainLinearBOW(emb *embedding.Embedding, ds *Dataset, cfg LinearBOWConfig) *LinearBOW {
-	return trainLinearBOW(emb, ds, cfg, true)
-}
-
-// TrainLinearBOWReference trains the same model on the retained slow path
-// — per-example feature loops and a fresh heap-allocating tape per
-// minibatch — kept for equality tests and benchmarks.
-func TrainLinearBOWReference(emb *embedding.Embedding, ds *Dataset, cfg LinearBOWConfig) *LinearBOW {
-	return trainLinearBOW(emb, ds, cfg, false)
-}
-
-func trainLinearBOW(emb *embedding.Embedding, ds *Dataset, cfg LinearBOWConfig, fast bool) *LinearBOW {
+// TrainClassifier trains a two-class linear classifier on fixed feature
+// rows x (one per example; labels[i] is row i's class) with Adam over
+// shuffled minibatches, recorded on one arena-backed tape that is reset
+// between steps. cfg.Seed draws the initial weights and, unless
+// cfg.SampleSeed is set, the batch order. Weights are bitwise identical
+// for every worker count.
+func TrainClassifier(x *matrix.Dense, labels []int, cfg LinearBOWConfig) *Classifier {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sampleRng := rng
 	if cfg.SampleSeed != 0 {
 		sampleRng = rand.New(rand.NewSource(cfg.SampleSeed))
 	}
-	lin := nn.NewLinear("bow", emb.Dim(), 2, rng)
+	lin := nn.NewLinear("bow", x.Cols, 2, rng)
 	opt := nn.NewAdam(cfg.LR)
 
-	var x *matrix.Dense
-	if fast {
-		x = Features(emb, ds.TrainCounts(), ds.Train, 1)
-	} else {
-		x = featuresReference(emb, ds.Train)
-	}
-	labels := make([]int, len(ds.Train))
-	for i, ex := range ds.Train {
-		labels[i] = ex.Label
-	}
-
-	idx := make([]int, len(ds.Train))
+	idx := make([]int, x.Rows)
 	for i := range idx {
 		idx[i] = i
 	}
-	var tp *autodiff.Tape
-	var byBuf []int
-	if fast {
-		tp = autodiff.NewArenaTape()
-		tp.Workers = 1
-		byBuf = make([]int, cfg.Batch)
-	}
+	tp := autodiff.NewArenaTape()
+	tp.Workers = 1
+	by := make([]int, cfg.Batch)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		sampleRng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
 		for s := 0; s < len(idx); s += cfg.Batch {
 			e := min(s+cfg.Batch, len(idx))
-			var bx *autodiff.Node
-			var by []int
-			if fast {
-				tp.Reset()
-				bx = tp.NewConstBuf(e-s, emb.Dim())
-				by = byBuf[:e-s]
-			} else {
-				tp = autodiff.NewTape()
-				tp.Workers = 1
-				bx = tp.Const(matrix.NewDense(e-s, emb.Dim()))
-				by = make([]int, e-s)
-			}
+			tp.Reset()
+			bx := tp.NewConstBuf(e-s, x.Cols)
 			for i := s; i < e; i++ {
 				copy(bx.Value.Row(i-s), x.Row(idx[i]))
 				by[i-s] = labels[idx[i]]
 			}
-			loss := tp.CrossEntropy(lin.Forward(tp, bx), by)
-			tp.Backward(loss)
+			tp.Backward(tp.CrossEntropy(lin.Forward(tp, bx), by[:e-s]))
 			opt.Step(lin.Params())
 		}
 	}
-	return &LinearBOW{emb: emb, lin: lin}
+	return &Classifier{lin: lin}
 }
 
-// PredictFeatures returns the predicted labels for precomputed features
-// (one row per example, from Features). Grid cells use it to score the
-// test split with a single blocked product per embedding.
-func (m *LinearBOW) PredictFeatures(x *matrix.Dense) []int {
-	tp := autodiff.NewTape()
-	logits := m.lin.Forward(tp, tp.Const(x)).Value
+// PredictFeatures returns the predicted labels for feature rows x (one
+// per example, as in training). Grid cells use it to score the test split
+// with a single blocked product per embedding.
+func (c *Classifier) PredictFeatures(x *matrix.Dense) []int {
+	tp := autodiff.NewArenaTape()
+	logits := c.lin.Forward(tp, tp.Const(x)).Value
 	out := make([]int, x.Rows)
 	for i := range out {
 		if logits.At(i, 1) > logits.At(i, 0) {
@@ -128,9 +91,29 @@ func (m *LinearBOW) PredictFeatures(x *matrix.Dense) []int {
 	return out
 }
 
-// Predict returns the predicted labels for the examples.
+// LinearBOW is a trained linear bag-of-words classifier over fixed
+// embeddings.
+type LinearBOW struct {
+	*Classifier
+	emb *embedding.Embedding
+}
+
+// TrainLinearBOW trains the model on ds.Train with fixed embeddings: a
+// Classifier on the split's averaged-embedding features, which come from
+// the dataset's cached count matrix as one blocked product (counts.go).
+func TrainLinearBOW(emb *embedding.Embedding, ds *Dataset, cfg LinearBOWConfig) *LinearBOW {
+	labels := make([]int, len(ds.Train))
+	for i, ex := range ds.Train {
+		labels[i] = ex.Label
+	}
+	x := Features(emb, ds.TrainCounts(), ds.Train, 1)
+	return &LinearBOW{Classifier: TrainClassifier(x, labels, cfg), emb: emb}
+}
+
+// Predict returns the predicted labels for the examples, scored on their
+// Features.
 func (m *LinearBOW) Predict(examples []Example) []int {
-	return m.PredictFeatures(featuresReference(m.emb, examples))
+	return m.PredictFeatures(Features(m.emb, countMatrix(examples), examples, 1))
 }
 
 // AccuracyOf returns the fraction of predictions matching the example
@@ -190,7 +173,7 @@ func TrainLinearBOWFineTuned(emb *embedding.Embedding, ds *Dataset, cfg LinearBO
 			opt.Step(params)
 		}
 	}
-	return &LinearBOW{emb: tuned, lin: lin}
+	return &LinearBOW{Classifier: &Classifier{lin: lin}, emb: tuned}
 }
 
 // CNNConfig configures the Kim (2014) convolutional sentence classifier
@@ -221,23 +204,12 @@ type CNN struct {
 	out  *nn.Linear
 }
 
-// TrainCNN trains the CNN sentiment model with fixed embeddings using the
-// fast path: length-bucketed minibatches stepped in lockstep (one window
-// stack, matrix product, and segmented max-pool per filter width per
-// batch) on an arena-backed tape with fused pooling. Weights are bitwise
-// identical to TrainCNNReference for every worker count.
+// TrainCNN trains the CNN sentiment model with fixed embeddings:
+// length-bucketed minibatches stepped in lockstep (one window stack,
+// matrix product, and segmented max-pool per filter width per batch) on
+// one arena-backed tape that is reset between steps. Weights are bitwise
+// identical for every worker count.
 func TrainCNN(emb *embedding.Embedding, ds *Dataset, cfg CNNConfig) *CNN {
-	return trainCNN(emb, ds, cfg, true)
-}
-
-// TrainCNNReference trains the same model over the same batch schedule on
-// the retained slow path (heap tape per minibatch, unfused per-sequence
-// pooling), kept for equality tests and benchmarks.
-func TrainCNNReference(emb *embedding.Embedding, ds *Dataset, cfg CNNConfig) *CNN {
-	return trainCNN(emb, ds, cfg, false)
-}
-
-func trainCNN(emb *embedding.Embedding, ds *Dataset, cfg CNNConfig, fast bool) *CNN {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	conv := nn.NewConv1D("conv", cfg.Widths, emb.Dim(), cfg.Filters, rng)
 	out := nn.NewLinear("out", len(cfg.Widths)*cfg.Filters, 2, rng)
@@ -254,33 +226,24 @@ func trainCNN(emb *embedding.Embedding, ds *Dataset, cfg CNNConfig, fast bool) *
 	for i := range order {
 		order[i] = i
 	}
-	var tp *autodiff.Tape
-	if fast {
-		tp = autodiff.NewArenaTape()
-		tp.Workers = 1
-	}
+	tp := autodiff.NewArenaTape()
+	tp.Workers = 1
+	by := make([]int, max(cfg.Batch, 1)) // LengthBatches treats Batch <= 0 as 1
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 		for _, bi := range order {
 			batch := batches[bi]
-			if fast {
-				tp.Reset()
-			} else {
-				tp = autodiff.NewTape()
-				tp.Workers = 1
-			}
+			tp.Reset()
 			n := len(ds.Train[batch[0]].Tokens)
 			tok := func(b, t int) []float64 {
 				return emb.Vector(int(ds.Train[batch[b]].Tokens[t]))
 			}
-			feats := conv.ForwardBatch(tp, tok, len(batch), n, fast)
-			by := make([]int, len(batch))
-			for bi2, i := range batch {
-				by[bi2] = ds.Train[i].Label
+			feats := conv.ForwardBatch(tp, tok, len(batch), n)
+			for b, i := range batch {
+				by[b] = ds.Train[i].Label
 			}
 			dropped := tp.Dropout(feats, cfg.Dropout, dropRng)
-			loss := tp.CrossEntropy(out.Forward(tp, dropped), by)
-			tp.Backward(loss)
+			tp.Backward(tp.CrossEntropy(out.Forward(tp, dropped), by[:len(batch)]))
 			opt.Step(params)
 		}
 	}
@@ -288,8 +251,8 @@ func trainCNN(emb *embedding.Embedding, ds *Dataset, cfg CNNConfig, fast bool) *
 }
 
 // Predict returns predicted labels for the examples, evaluated in
-// length-bucketed lockstep batches (bitwise identical to per-example
-// forward passes).
+// length-bucketed lockstep batches (bitwise independent of the
+// batching).
 func (m *CNN) Predict(examples []Example) []int {
 	lengths := make([]int, len(examples))
 	for i, ex := range examples {
@@ -304,7 +267,7 @@ func (m *CNN) Predict(examples []Example) []int {
 		tok := func(b, t int) []float64 {
 			return m.emb.Vector(int(examples[batch[b]].Tokens[t]))
 		}
-		feats := m.conv.ForwardBatch(tp, tok, len(batch), n, true)
+		feats := m.conv.ForwardBatch(tp, tok, len(batch), n)
 		logits := m.out.Forward(tp, feats).Value
 		for bi, i := range batch {
 			if logits.At(bi, 1) > logits.At(bi, 0) {
