@@ -139,16 +139,20 @@ servebench-smoke:
 	done
 
 # Kernel and measure micro-benchmarks (the set CI archives per PR),
-# including the retained pre-PR k-NN loop for speedup comparison, plus the
-# downstream-training benchmarks (fast vs retained reference trainers) and
-# the grid-cell benchmark with allocation counts. The query and training
-# benchmarks run 5 times each; BENCH_query.json and BENCH_train.json
-# (committed) record each one's median and quartiles.
+# including the retained pre-PR k-NN loop for speedup comparison. The
+# downstream-training benchmarks (linear BOW, NER, one uncached grid
+# cell; with allocation counts), the query benchmarks and the embedding
+# training benchmarks run 5 times each; BENCH_downstream.json,
+# BENCH_query.json and BENCH_train.json (committed) record each one's
+# median and quartiles. A query sample is 30 rounds: at 3, the first
+# samples of the 64 concurrent singletons ran at about half rate.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMulATB|BenchmarkMulABT|BenchmarkKNNMeasure|BenchmarkSVD|BenchmarkEigenspaceInstability|BenchmarkPIPLoss|BenchmarkSemanticDisplacement|BenchmarkQuantize' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkKNNMeasureReference3000' -benchtime 1x ./internal/core
-	$(GO) test -run '^$$' -bench 'BenchmarkTrainLinearBOW|BenchmarkNERTrain|BenchmarkGridCell' -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkNeighborsServe|BenchmarkNeighborsPrecision' -benchtime 3x -count 5 ./internal/query | tee BENCH_query.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkTrainLinearBOW|BenchmarkNERTrain|BenchmarkGridCell' -benchmem -count 5 . | tee BENCH_downstream.txt
+	$(GO) run ./cmd/benchjson -o BENCH_downstream.json < BENCH_downstream.txt
+	@rm -f BENCH_downstream.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkNeighborsServe|BenchmarkNeighborsPrecision' -benchtime 30x -count 5 ./internal/query | tee BENCH_query.txt
 	$(GO) run ./cmd/benchjson -o BENCH_query.json < BENCH_query.txt
 	@rm -f BENCH_query.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkTrain(MC|GloVe|CBOW|FastText)$$' -benchtime 3x -count 5 . | tee BENCH_train.txt

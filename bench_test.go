@@ -240,7 +240,9 @@ func benchSentimentSetup() (*embedding.Embedding, *sentiment.Dataset) {
 func BenchmarkTrainLinearBOW(b *testing.B) {
 	emb, ds := benchSentimentSetup()
 	cfg := sentiment.DefaultLinearBOWConfig(1)
+	ds.TrainCounts() // built once per dataset, as in the grid
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sentiment.TrainLinearBOW(emb, ds, cfg)
 	}
@@ -255,6 +257,7 @@ func BenchmarkNERTrain(b *testing.B) {
 	cfg := ner.DefaultConfig(1)
 	cfg.Epochs = 3
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ner.Train(emb, ds, cfg)
 	}

@@ -204,7 +204,7 @@ func (c *Conv1D) ForwardBatch(tp *autodiff.Tape, tok func(b, t int) []float64, b
 		}
 		perSeq := n - eff + 1
 		// Zero-filled buffer: when eff < w the tail of each flattened
-		// window stays zero, the padding.
+		// window stays zero (the padding).
 		win := tp.NewConstBuf(batch*perSeq, w*c.In)
 		for b := 0; b < batch; b++ {
 			for s := 0; s < perSeq; s++ {

@@ -5,6 +5,11 @@
 //
 // As in the paper, instability and quality are measured only over tokens
 // whose gold label is an entity (PER, ORG, LOC, MISC), not O.
+//
+// Training, validation and prediction run one path: lockstep minibatches
+// of equal-length sentences through the fused BiLSTM on a reset arena
+// tape. The tests keep the unfused per-step composition, trained over the
+// same batch schedule, as the oracle the weights must match bit for bit.
 package ner
 
 import (

@@ -135,11 +135,11 @@ func TestNERInstabilityPipeline(t *testing.T) {
 	t.Logf("NER downstream instability: %.2f%%", di)
 }
 
-// TestTrainBitwiseMatchesReference is the tentpole determinism contract:
-// the fast trainer (arena tape, fused ops) must produce bitwise-identical
-// weights, predictions, and quality to the retained slow reference over
-// the same lockstep batch schedule — for the plain BiLSTM and the CRF
-// variant.
+// TestTrainBitwiseMatchesReference is the trainer-level determinism
+// contract: Train (arena tape, fused ops) must produce bitwise-identical
+// weights, predictions, and quality to TrainReference (reference_test.go,
+// unfused ops) over the same lockstep batch schedule — for the plain
+// BiLSTM and the CRF variant.
 func TestTrainBitwiseMatchesReference(t *testing.T) {
 	_, c, ds := testSetup(t)
 	emb := embtrain.NewMC().Train(c, 16, 1)

@@ -11,6 +11,12 @@
 // a per-dataset noise rate flips lexicon words to the opposite polarity.
 // The four datasets differ in size, sentence length, lexicon size, and
 // noise, mirroring the difficulty spread of the real benchmarks.
+//
+// Each model trains down one path: the linear model on blocked
+// count-matrix features (counts.go) and the CNN on lockstep minibatches
+// through the fused pooling op, each on one arena tape reset per step.
+// The tests keep per-example features and the unfused compositions as
+// the oracles the trained weights must match bit for bit.
 package sentiment
 
 import (
