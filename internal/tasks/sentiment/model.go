@@ -11,7 +11,7 @@ import (
 
 // LinearBOWConfig configures the paper's linear bag-of-words sentiment
 // model (Appendix C.3.1): average the fixed word embeddings of a sentence
-// and classify with a linear layer trained by Adam.
+// and label it with a linear layer trained by Adam.
 type LinearBOWConfig struct {
 	LR     float64
 	Epochs int
