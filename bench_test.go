@@ -242,8 +242,7 @@ func BenchmarkTrainLinearBOW(b *testing.B) {
 	cfg := sentiment.DefaultLinearBOWConfig(1)
 	ds.TrainCounts() // built once per dataset, as in the grid
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		sentiment.TrainLinearBOW(emb, ds, cfg)
 	}
 }
@@ -257,8 +256,7 @@ func BenchmarkNERTrain(b *testing.B) {
 	cfg := ner.DefaultConfig(1)
 	cfg.Epochs = 3
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		ner.Train(emb, ds, cfg)
 	}
 }

@@ -1,6 +1,7 @@
 package bert
 
 import (
+	"sync"
 	"testing"
 
 	"anchor/internal/corpus"
@@ -109,4 +110,42 @@ func TestSeedChangesModel(t *testing.T) {
 	if same {
 		t.Fatal("different seeds gave identical models")
 	}
+}
+
+func TestEncodeConcurrentCallsMatchSerial(t *testing.T) {
+	// Encode, SentenceFeature and MLMLoss share the model's one tape; calls
+	// from several goroutines must serialize on it and return what serial
+	// calls return.
+	m, c := pretrainTiny(t, 8)
+	const n = 6
+	want := make([][]float64, n)
+	for i := range want {
+		want[i] = m.SentenceFeature(c.Sentences[i])
+	}
+	wantLoss := m.MLMLoss(c, 10, 3)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range want {
+				got := m.SentenceFeature(c.Sentences[i])
+				h := m.Encode(c.Sentences[i])
+				for j := range got {
+					if got[j] != want[i][j] {
+						t.Errorf("sentence %d feature %d: concurrent %v != serial %v", i, j, got[j], want[i][j])
+						return
+					}
+				}
+				if h.Rows != min(len(c.Sentences[i]), m.Cfg.SeqLen) {
+					t.Errorf("sentence %d: Encode returned %d rows", i, h.Rows)
+					return
+				}
+			}
+			if got := m.MLMLoss(c, 10, 3); got != wantLoss {
+				t.Errorf("concurrent MLM loss %v != serial %v", got, wantLoss)
+			}
+		}()
+	}
+	wg.Wait()
 }
