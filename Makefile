@@ -5,7 +5,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build test vet fmt lint anchorlint anchorlint-sarif staticcheck govulncheck lint-tools docs race race-full chaos fuzz-smoke serve-smoke servebench-smoke bench bench-artifacts cover
+.PHONY: build test vet fmt lint anchorlint anchorlint-sarif staticcheck govulncheck lint-tools docs race race-full chaos fuzz-smoke serve-smoke servebench-smoke paper-workers bench bench-artifacts cover
 
 build:
 	$(GO) build ./...
@@ -137,6 +137,17 @@ servebench-smoke:
 		echo "$$out" | grep -q '"correct":true' && echo "$$out" | grep -q '"failed":0[,}]' || { \
 			echo "servebench-smoke: $$w: wrong answers or failed requests" >&2; exit 1; }; \
 	done
+
+# Worker-count invariance of the paper reproduction: all 25 artifacts at
+# -config small, rendered at -workers 1 and at -workers 4, must be byte
+# identical. Every float is printed at %.3f, the same cell strings
+# TestPaperArtifactDigests hashes at the default worker count.
+paper-workers:
+	@dir=$$(mktemp -d) && \
+	$(GO) run ./cmd/experiments -all -config small -workers 1 > $$dir/w1.txt && \
+	$(GO) run ./cmd/experiments -all -config small -workers 4 > $$dir/w4.txt && \
+	cmp $$dir/w1.txt $$dir/w4.txt; status=$$?; rm -rf $$dir; \
+	[ $$status -eq 0 ] && echo "paper output identical at -workers 1 and 4"; exit $$status
 
 # Kernel and measure micro-benchmarks (the set CI archives per PR),
 # including the retained pre-PR k-NN loop for speedup comparison. The

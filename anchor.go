@@ -59,15 +59,12 @@
 // (see internal/serve). New trainers, measures, and tasks plug in by name
 // via embtrain.Register, core.RegisterMeasure, and tasks.Register.
 //
-// The flat helper functions below (TrainEmbedding, AllMeasures, ...) are
-// the original facade; they remain for small scripts and to pin the
-// golden tests, but new code should prefer the Service.
+// The flat helper functions below (AllMeasures, QuantizePair, ...) are
+// pure functions over embeddings the caller already has; everything that
+// trains, caches, or can be canceled goes through the Service.
 package anchor
 
 import (
-	"fmt"
-	"io"
-
 	"anchor/internal/compress"
 	"anchor/internal/core"
 	"anchor/internal/corpus"
@@ -120,32 +117,6 @@ func GenerateCorpus(cfg CorpusConfig, year corpus.Year) *Corpus {
 // Algorithms lists the registered embedding algorithm names (see
 // embtrain.Register for plugging in new ones).
 func Algorithms() []string { return embtrain.Names() }
-
-// TrainEmbedding trains an embedding with the named algorithm's default
-// configuration on all CPUs. The result is deterministic in (corpus, dim,
-// seed): training runs over a fixed set of seed-derived shards whose
-// deltas merge in a fixed order, so the embedding is bitwise identical no
-// matter how many cores execute it (see TrainEmbeddingWorkers to bound
-// the core count).
-//
-// Deprecated: prefer Service.Train, which caches results in the
-// artifact store and supports cancellation.
-func TrainEmbedding(algo string, c *Corpus, dim int, seed int64) (*Embedding, error) {
-	return TrainEmbeddingWorkers(algo, c, dim, seed, 0)
-}
-
-// TrainEmbeddingWorkers is TrainEmbedding with an explicit goroutine
-// budget (workers <= 0 selects all CPUs). Worker count is a pure
-// throughput knob: it never changes the trained embedding.
-//
-// Deprecated: prefer Service.Train with WithWorkers.
-func TrainEmbeddingWorkers(algo string, c *Corpus, dim int, seed int64, workers int) (*Embedding, error) {
-	tr, ok := embtrain.ByNameWorkers(algo, workers)
-	if !ok {
-		return nil, fmt.Errorf("anchor: unknown algorithm %q (have %v)", algo, Algorithms())
-	}
-	return tr.Train(c, dim, seed), nil
-}
 
 // QuantizePair compresses an embedding pair to the given precision (bits
 // per entry) with uniform quantization, computing the clipping threshold
@@ -226,42 +197,3 @@ func ReproExperimentConfig() ExperimentConfig { return experiments.ReproConfig()
 
 // ExperimentIDs lists every reproducible paper artifact.
 func ExperimentIDs() []string { return experiments.IDs() }
-
-// RunExperiment executes a paper artifact reproduction by id ("fig1",
-// "table3", ...) and renders its tables to w. The runner caches trained
-// embeddings, so reuse it across experiments via RunAllExperiments when
-// reproducing several artifacts.
-//
-// Deprecated: prefer Service.Experiment, which shares one runner
-// (and one artifact store) across calls.
-func RunExperiment(cfg ExperimentConfig, id string, w io.Writer) error {
-	return renderExperiment(experiments.NewRunner(cfg), id, w)
-}
-
-// RunAllExperiments executes the given artifact ids (or all registered
-// ones if empty) against one shared runner and renders results to w.
-//
-// Deprecated: prefer Service.Experiments.
-func RunAllExperiments(cfg ExperimentConfig, ids []string, w io.Writer) error {
-	if len(ids) == 0 {
-		ids = experiments.IDs()
-	}
-	r := experiments.NewRunner(cfg)
-	for _, id := range ids {
-		if err := renderExperiment(r, id, w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func renderExperiment(r *experiments.Runner, id string, w io.Writer) error {
-	tables, err := experiments.Run(r, id)
-	if err != nil {
-		return err
-	}
-	for _, t := range tables {
-		t.Render(w)
-	}
-	return nil
-}

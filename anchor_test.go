@@ -2,27 +2,41 @@ package anchor_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"anchor"
 )
 
-func TestFacadeEndToEnd(t *testing.T) {
-	cfg := anchor.DefaultCorpusConfig()
-	cfg.VocabSize = 300
-	cfg.NumDocs = 120
-	c17 := anchor.GenerateCorpus(cfg, anchor.Wiki17)
-	c18 := anchor.GenerateCorpus(cfg, anchor.Wiki18)
+// trainPair trains mc at d8, seed 1, on both snapshots of a 300-word
+// corpus through a Service, and returns unaligned copies the caller may
+// mutate (the service's own artifacts are shared with its cache).
+func trainPair(t *testing.T) (e17, e18 *anchor.Embedding) {
+	t.Helper()
+	cfg := anchor.SmallExperimentConfig()
+	cfg.Corpus = anchor.DefaultCorpusConfig()
+	cfg.Corpus.VocabSize = 300
+	cfg.Corpus.NumDocs = 120
+	svc, err := anchor.NewService(anchor.WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	a, err := svc.Train(ctx, "mc", 2017, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := svc.Train(ctx, "mc", 2018, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.Clone(), b.Clone()
+}
 
-	e17, err := anchor.TrainEmbedding("mc", c17, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e18, err := anchor.TrainEmbedding("mc", c18, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestFacadeEndToEnd(t *testing.T) {
+	e17, e18 := trainPair(t)
 	e18.AlignTo(e17)
 	e18.Meta.Corpus = "wiki18a"
 	q17, q18 := anchor.QuantizePair(e17, e18, 4)
@@ -40,12 +54,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeUnknownAlgorithm(t *testing.T) {
-	cfg := anchor.DefaultCorpusConfig()
-	cfg.VocabSize = 300
-	cfg.NumDocs = 50
-	c := anchor.GenerateCorpus(cfg, anchor.Wiki17)
-	if _, err := anchor.TrainEmbedding("elmo", c, 8, 1); err == nil {
-		t.Fatal("expected error for unknown algorithm")
+	var unknown *anchor.UnknownNameError
+	if _, err := newTinyService(t).Train(context.Background(), "elmo", 2017, 8, 1); !errors.As(err, &unknown) {
+		t.Fatalf("err = %v, want *UnknownNameError", err)
 	}
 }
 
@@ -89,8 +100,12 @@ func TestFacadeExperimentIDsAndRun(t *testing.T) {
 	if len(ids) != 25 {
 		t.Fatalf("expected 25 experiment ids, got %d", len(ids))
 	}
+	svc, err := anchor.NewService(anchor.WithConfig(anchor.SmallExperimentConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := anchor.RunExperiment(anchor.SmallExperimentConfig(), "prop1", &buf); err != nil {
+	if err := svc.Experiment(context.Background(), "prop1", &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Proposition 1") {
@@ -100,7 +115,10 @@ func TestFacadeExperimentIDsAndRun(t *testing.T) {
 
 func TestFacadeRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := anchor.RunExperiment(anchor.SmallExperimentConfig(), "fig99", &buf); err == nil {
+	if err := newTinyService(t).Experiment(context.Background(), "fig99", &buf); err == nil {
 		t.Fatal("expected error")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("unknown experiment rendered %q", buf.String())
 	}
 }

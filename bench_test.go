@@ -11,6 +11,7 @@
 package anchor_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -53,7 +54,7 @@ func benchArtifact(b *testing.B, id string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		tables, err = experiments.Run(r, id)
+		tables, err = experiments.Run(context.Background(), r, id)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -266,18 +267,27 @@ func BenchmarkNERTrain(b *testing.B) {
 // embeddings, anchors, and datasets pre-warmed — the unit of work the
 // dimension × precision × seed sweep repeats.
 func BenchmarkGridCell(b *testing.B) {
+	ctx := context.Background()
 	r := experiments.NewRunner(experiments.SmallConfig())
 	r.Cfg.Workers = 1
 	tasks := []string{"sst2", "subj"}
-	r.Pair("mc", 16, 1)
-	r.Anchors("mc", 1)
+	if _, _, err := r.Pair(ctx, "mc", 16, 1); err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := r.Anchors(ctx, "mc", 1); err != nil {
+		b.Fatal(err)
+	}
 	for _, task := range tasks {
-		r.SentimentData(task)
+		if _, err := r.TaskEvaluator(task); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.EvalCell("mc", 16, 4, 1, tasks, false)
+		if _, err := r.EvalCell(ctx, "mc", 16, 4, 1, tasks, false); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

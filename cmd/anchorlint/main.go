@@ -40,7 +40,6 @@ func main() {
 	writeBaseline := flag.String("write-baseline", "", "write the current unsuppressed findings to this baseline file and exit")
 	severityFlag := flag.String("severity", "", "per-rule severity overrides, e.g. ctxflow=warning,syncguard=error (levels: error, warning, note); only error-severity findings fail the run")
 	bench := flag.Bool("bench", false, "print the load+analysis wall time in go-benchmark format (for cmd/benchjson) instead of findings, and exit 0")
-	cacheDir := flag.String("cache", lint.CacheDir, "directory for the go-list load cache and per-package fact store (empty disables)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: anchorlint [flags] [packages]\n")
 		flag.PrintDefaults()
@@ -56,7 +55,6 @@ func main() {
 	if *detPkgs != "" {
 		lint.DeterministicPackages = strings.Split(*detPkgs, ",")
 	}
-	lint.CacheDir = *cacheDir
 	severityOf, err := severityResolver(*severityFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "anchorlint:", err)

@@ -32,204 +32,6 @@ func (t *Tape) LookupRows(src *matrix.Dense, idx []int32) *Node {
 	return t.add(n)
 }
 
-// LSTMPreact returns x·wx + h·wh + b (b broadcast over rows): the packed
-// LSTM gate pre-activations, fused from
-//
-//	AddRowVec(Add(MatMul(x, wx), MatMul(h, wh)), b)
-//
-// into one node. Forward adds per element in the same order ((x·wx + h·wh)
-// + b), and backward feeds each operand the same product the unfused chain
-// would (the intermediate grads of the chain are single adds from zero, so
-// they equal the output grad bitwise).
-func (t *Tape) LSTMPreact(x, h, wx, wh, b *Node) *Node {
-	rows, cols := x.Value.Rows, wx.Value.Cols
-	v := t.newDense(rows, cols)
-	matrix.MulInto(v, x.Value, wx.Value, t.Workers)
-	s := t.newDense(rows, cols)
-	matrix.MulInto(s, h.Value, wh.Value, t.Workers)
-	v.Add(s)
-	for i := 0; i < rows; i++ {
-		row := v.Row(i)
-		brow := b.Value.Row(0)
-		for j := range row {
-			row[j] += brow[j]
-		}
-	}
-	out := t.newNode()
-	out.Value = v
-	out.needs = x.needs || h.needs || wx.needs || wh.needs || b.needs
-	if out.needs {
-		out.back = func(out *Node) {
-			tp := out.tape
-			if b.needs {
-				g := b.ensureGrad().Row(0)
-				for i := 0; i < rows; i++ {
-					ogr := out.grad.Row(i)
-					for j := range g {
-						g[j] += ogr[j]
-					}
-				}
-			}
-			if h.needs {
-				sc := tp.newDense(h.Value.Rows, h.Value.Cols)
-				matrix.MulABTInto(sc, out.grad, wh.Value, tp.Workers)
-				h.ensureGrad().Add(sc)
-			}
-			if wh.needs {
-				sc := tp.newDense(wh.Value.Rows, wh.Value.Cols)
-				matrix.MulATBInto(sc, h.Value, out.grad, tp.Workers)
-				wh.ensureGrad().Add(sc)
-			}
-			if x.needs {
-				sc := tp.newDense(x.Value.Rows, x.Value.Cols)
-				matrix.MulABTInto(sc, out.grad, wx.Value, tp.Workers)
-				x.ensureGrad().Add(sc)
-			}
-			if wx.needs {
-				sc := tp.newDense(wx.Value.Rows, wx.Value.Cols)
-				matrix.MulATBInto(sc, x.Value, out.grad, tp.Workers)
-				wx.ensureGrad().Add(sc)
-			}
-		}
-	}
-	return t.add(out)
-}
-
-// GateActivations applies the LSTM gate nonlinearities to packed
-// pre-activations (rows-by-4h, gate order [input, forget, cell, output]):
-// sigmoid on the input/forget/output thirds, tanh on the cell third. Fused
-// from four SliceCols + Sigmoid/Tanh pairs into one node; the derivative
-// uses the stored activation (s·(1−s), 1−th²), which is bitwise what the
-// unfused ops recompute.
-func (t *Tape) GateActivations(gates *Node, h int) *Node {
-	rows, cols := gates.Value.Rows, gates.Value.Cols
-	if cols != 4*h {
-		panic("autodiff: GateActivations expects 4h columns")
-	}
-	v := t.newDense(rows, cols)
-	for i := 0; i < rows; i++ {
-		gr := gates.Value.Row(i)
-		vr := v.Row(i)
-		for j, x := range gr {
-			if j >= 2*h && j < 3*h {
-				vr[j] = math.Tanh(x)
-			} else {
-				vr[j] = 1 / (1 + math.Exp(-x))
-			}
-		}
-	}
-	return t.unary(gates, v, func(out *Node) {
-		g := gates.ensureGrad()
-		for i := 0; i < rows; i++ {
-			ogr := out.grad.Row(i)
-			vr := out.Value.Row(i)
-			gr := g.Row(i)
-			for j := range gr {
-				var d float64
-				if j >= 2*h && j < 3*h {
-					d = 1 - vr[j]*vr[j]
-				} else {
-					d = vr[j] * (1 - vr[j])
-				}
-				gr[j] += ogr[j] * d
-			}
-		}
-	})
-}
-
-// LSTMCell computes the cell update from activated gates act (rows-by-4h,
-// order [i f g o]) and the previous cell state cPrev (rows-by-h):
-//
-//	cNew = f ⊙ cPrev + i ⊙ g
-//	hNew = o ⊙ tanh(cNew)
-//
-// fused from Add(Mul(f, cPrev), Mul(i, g)) and Mul(o, Tanh(cNew)). It
-// returns two nodes; cNew is recorded first so hNew's backward (which
-// feeds cNew's gradient) runs before cNew's, exactly as in the unfused
-// chain.
-func (t *Tape) LSTMCell(act *Node, h int, cPrev *Node) (hNew, cNew *Node) {
-	rows := act.Value.Rows
-	if act.Value.Cols != 4*h || cPrev.Value.Rows != rows || cPrev.Value.Cols != h {
-		panic("autodiff: LSTMCell shape mismatch")
-	}
-	cv := t.newDense(rows, h)
-	hv := t.newDense(rows, h)
-	th := t.newFloats(rows * h)
-	for b := 0; b < rows; b++ {
-		av := act.Value.Row(b)
-		cp := cPrev.Value.Row(b)
-		cr := cv.Row(b)
-		hr := hv.Row(b)
-		for j := 0; j < h; j++ {
-			c := av[h+j]*cp[j] + av[j]*av[2*h+j]
-			cr[j] = c
-			tj := math.Tanh(c)
-			th[b*h+j] = tj
-			hr[j] = av[3*h+j] * tj
-		}
-	}
-	needs := act.needs || cPrev.needs
-	cNode := t.newNode()
-	cNode.Value = cv
-	cNode.needs = needs
-	if needs {
-		cNode.back = func(out *Node) {
-			for b := 0; b < rows; b++ {
-				cg := out.grad.Row(b)
-				av := act.Value.Row(b)
-				cp := cPrev.Value.Row(b)
-				var agr []float64
-				if act.needs {
-					agr = act.ensureGrad().Row(b)
-				}
-				var cpg []float64
-				if cPrev.needs {
-					cpg = cPrev.ensureGrad().Row(b)
-				}
-				for j := 0; j < h; j++ {
-					cgj := cg[j]
-					if agr != nil {
-						agr[j] += cgj * av[2*h+j] // i ← cg·g
-						agr[2*h+j] += cgj * av[j] // g ← cg·i
-						agr[h+j] += cgj * cp[j]   // f ← cg·cPrev
-					}
-					if cpg != nil {
-						cpg[j] += cgj * av[h+j] // cPrev ← cg·f
-					}
-				}
-			}
-		}
-	}
-	t.add(cNode)
-
-	hNode := t.newNode()
-	hNode.Value = hv
-	hNode.needs = needs
-	if needs {
-		hNode.back = func(out *Node) {
-			cg := cNode.ensureGrad()
-			for b := 0; b < rows; b++ {
-				hg := out.grad.Row(b)
-				av := act.Value.Row(b)
-				cgr := cg.Row(b)
-				var agr []float64
-				if act.needs {
-					agr = act.ensureGrad().Row(b)
-				}
-				for j := 0; j < h; j++ {
-					tj := th[b*h+j]
-					if agr != nil {
-						agr[3*h+j] += hg[j] * tj // o ← hg·tanh(c)
-					}
-					cgr[j] += (hg[j] * av[3*h+j]) * (1 - tj*tj)
-				}
-			}
-		}
-	}
-	t.add(hNode)
-	return hNode, cNode
-}
-
 // LSTMStep fuses one full LSTM timestep — pre-activation, gate
 // nonlinearities, and cell update — into a single op producing the two
 // nodes (hNew, cNew):
@@ -239,12 +41,16 @@ func (t *Tape) LSTMCell(act *Node, h int, cPrev *Node) (hNew, cNew *Node) {
 //	cNew = f ⊙ cPrev + i ⊙ g
 //	hNew = o ⊙ tanh(cNew)
 //
-// Unlike the composition LSTMPreact → GateActivations → LSTMCell, the
-// pre-activation and activation intermediates here are tape scratch, not
-// nodes: the backward pass writes the activation gradient directly
-// (each element receives exactly one contribution, so the unfused chain's
-// zeroed accumulators collapse to plain stores) and applies the gate
-// derivative in place. Bitwise identical to the unfused chain.
+// It replaces the unfused composition AddRowVec(Add(MatMul(x, wx),
+// MatMul(h, wh)), b), four SliceCols + Sigmoid/Tanh gate activations, and
+// Add(Mul(f, cPrev), Mul(i, g)), Mul(o, Tanh(cNew)). The pre-activation
+// and activation intermediates are tape scratch, not nodes: the backward
+// pass writes the activation gradient directly (each element receives
+// exactly one contribution, so the unfused chain's zeroed accumulators
+// collapse to plain stores) and applies the gate derivative in place, using
+// the stored activations (s·(1−s), 1−th²). cNew is recorded before hNew, so
+// hNew's backward, which feeds cNew's gradient, runs first, as in the
+// unfused chain. Bitwise identical to that chain.
 func (t *Tape) LSTMStep(x, h, cPrev, wx, wh, b *Node, hid int) (hNew, cNew *Node) {
 	rows, h4 := x.Value.Rows, 4*hid
 	if wx.Value.Cols != h4 || cPrev.Value.Cols != hid {

@@ -23,37 +23,17 @@ func sameDense(t *testing.T, name string, a, b *matrix.Dense) {
 
 // ---- finite-difference gradient checks for every fused op ----
 
-func TestGradGateActivations(t *testing.T) {
-	const h = 3
-	gates := randParam("gates", 2, 4*h, 41)
-	w := randParam("w", 2, 4*h, 42)
-	gradCheck(t, "gateact", []*Param{gates, w}, func(tp *Tape) *Node {
-		return tp.SumAll(tp.Mul(tp.GateActivations(tp.Use(gates), h), tp.Use(w)))
-	})
-}
-
-func TestGradLSTMCell(t *testing.T) {
-	const h = 3
-	act := randParam("act", 2, 4*h, 43)
-	cPrev := randParam("cPrev", 2, h, 44)
-	// Squash act through sigmoid-ish ranges first so tanh'(c) is far from
-	// the flat tails, keeping finite differences well conditioned.
-	gradCheck(t, "lstmcell", []*Param{act, cPrev}, func(tp *Tape) *Node {
-		hN, cN := tp.LSTMCell(tp.GateActivations(tp.Use(act), h), h, tp.Use(cPrev))
-		return tp.Add(tp.SumAll(tp.Mul(hN, hN)), tp.SumAll(tp.Mul(cN, cN)))
-	})
-}
-
-func TestGradLSTMPreact(t *testing.T) {
+func TestGradLSTMStep(t *testing.T) {
 	const in, hid = 3, 2
-	x := randParam("x", 4, in, 45)
-	h := randParam("h", 4, hid, 46)
-	wx := randParam("wx", in, 4*hid, 47)
-	wh := randParam("wh", hid, 4*hid, 48)
-	b := randParam("b", 1, 4*hid, 49)
-	gradCheck(t, "lstmpreact", []*Param{x, h, wx, wh, b}, func(tp *Tape) *Node {
-		pre := tp.LSTMPreact(tp.Use(x), tp.Use(h), tp.Use(wx), tp.Use(wh), tp.Use(b))
-		return tp.SumAll(tp.Mul(pre, pre))
+	x := randParam("x", 4, in, 43)
+	h := randParam("h", 4, hid, 44)
+	cPrev := randParam("cPrev", 4, hid, 45)
+	wx := randParam("wx", in, 4*hid, 46)
+	wh := randParam("wh", hid, 4*hid, 47)
+	b := randParam("b", 1, 4*hid, 48)
+	gradCheck(t, "lstmstep", []*Param{x, h, cPrev, wx, wh, b}, func(tp *Tape) *Node {
+		hN, cN := tp.LSTMStep(tp.Use(x), tp.Use(h), tp.Use(cPrev), tp.Use(wx), tp.Use(wh), tp.Use(b), hid)
+		return tp.Add(tp.SumAll(tp.Mul(hN, hN)), tp.SumAll(tp.Mul(cN, cN)))
 	})
 }
 
@@ -98,9 +78,7 @@ func TestFusedLSTMStepBitwiseEqualsUnfused(t *testing.T) {
 		for _, x := range xs {
 			xN := tp.Const(x)
 			if fused {
-				pre := tp.LSTMPreact(xN, h, wxN, whN, bN)
-				act := tp.GateActivations(pre, hid)
-				h, c = tp.LSTMCell(act, hid, c)
+				h, c = tp.LSTMStep(xN, h, c, wxN, whN, bN, hid)
 			} else {
 				gates := tp.AddRowVec(tp.Add(tp.MatMul(xN, wxN), tp.MatMul(h, whN)), bN)
 				h, c = lstmUnfusedStep(tp, gates, c, hid)
@@ -209,8 +187,7 @@ func everyOpGraph(tp *Tape, ps everyOpParams, src *matrix.Dense) *Node {
 	wx, wh, lb := tp.Use(ps.wx), tp.Use(ps.wh), tp.Use(ps.lb)
 	c0 := tp.Const(matrix.NewDenseData(3, hid, []float64{0.1, -0.2, 0.3, 0.4, -0.5, 0.6}))
 	h1, c1 := tp.LSTMStep(tp.SliceRows(x, 1, 4), tp.NewConstBuf(3, hid), c0, wx, wh, lb, hid)
-	act := tp.GateActivations(tp.LSTMPreact(tp.LookupRows(src, []int32{2, 5, 0}), h1, wx, wh, lb), hid)
-	h2, c2 := tp.LSTMCell(act, hid, c1)
+	h2, c2 := tp.LSTMStep(tp.LookupRows(src, []int32{2, 5, 0}), h1, c1, wx, wh, lb, hid)
 	pool := tp.MaxPoolSegRows(tp.StackBiRows([]*Node{h1, h2}, []*Node{c2, c1}), 3)
 
 	loss := tp.SumAll(tp.ConcatCols(
@@ -273,16 +250,21 @@ func TestArenaTapeSteadyStateAllocations(t *testing.T) {
 	// After warmup, re-recording the same minibatch graph on a reset arena
 	// tape must allocate far less than one heap object per op (only the
 	// backward closures remain; values, gradients, and nodes are reused).
-	p := randParam("p", 8, 12, 57)
-	c0 := randParam("c0", 8, 3, 58)
+	x := randParam("x", 8, 4, 57)
+	h0 := randParam("h0", 8, 3, 58)
+	c0 := randParam("c0", 8, 3, 59)
+	wx := randParam("wx", 4, 12, 60)
+	wh := randParam("wh", 3, 12, 61)
+	b := randParam("b", 1, 12, 62)
+	ps := []*Param{x, h0, c0, wx, wh, b}
 	tp := NewArenaTape()
 	step := func() {
 		tp.Reset()
-		act := tp.GateActivations(tp.Use(p), 3)
-		hN, _ := tp.LSTMCell(act, 3, tp.Use(c0))
+		hN, _ := tp.LSTMStep(tp.Use(x), tp.Use(h0), tp.Use(c0), tp.Use(wx), tp.Use(wh), tp.Use(b), 3)
 		tp.Backward(tp.CrossEntropy(hN, []int{0, 1, 2, 0, 1, 2, 0, 1}))
-		p.ZeroGrad()
-		c0.ZeroGrad()
+		for _, p := range ps {
+			p.ZeroGrad()
+		}
 	}
 	step() // warm the arena
 	allocs := testing.AllocsPerRun(20, step)

@@ -16,7 +16,10 @@ func TestNoDivergenceAcrossDims(t *testing.T) {
 	ccfg.NumDocs = 300
 	c := corpus.Generate(ccfg, corpus.Wiki17)
 	for _, name := range []string{"cbow", "glove", "mc", "fasttext"} {
-		tr, _ := ByName(name)
+		tr, err := Lookup(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, dim := range []int{8, 32, 128} {
 			e := tr.Train(c, dim, 1)
 			for _, v := range e.Vectors.Data {

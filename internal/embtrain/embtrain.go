@@ -80,28 +80,11 @@ func init() {
 	})
 }
 
-// ByName returns the trainer with default configuration for the given
-// registered algorithm name; ok is false for unknown names. The default
-// trainers use all CPUs; the result does not depend on how many (see
-// ByNameWorkers).
-func ByName(name string) (Trainer, bool) {
-	return ByNameWorkers(name, 0)
-}
-
-// ByNameWorkers returns the named trainer with its Workers knob set
-// (workers <= 0 selects all CPUs). Worker count only controls how many of
-// the fixed training shards run concurrently; embeddings are bitwise
-// identical for any value.
-func ByNameWorkers(name string, workers int) (Trainer, bool) {
-	f, ok := trainers.Get(name)
-	if !ok {
-		return nil, false
-	}
-	return f(workers), true
-}
-
-// Lookup is ByNameWorkers with the error form the service layer wants: it
-// returns a *registry.UnknownError naming the known algorithms.
+// Lookup returns the named trainer with default configuration and its
+// Workers knob set (workers <= 0 selects all CPUs), or a
+// *registry.UnknownError naming the known algorithms. Worker count only
+// controls how many of the fixed training shards run concurrently;
+// embeddings are bitwise identical for any value.
 func Lookup(name string, workers int) (Trainer, error) {
 	f, err := trainers.Lookup(name)
 	if err != nil {

@@ -1,6 +1,7 @@
 package embtrain
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"anchor/internal/corpus"
 	"anchor/internal/embedding"
 	"anchor/internal/floats"
+	"anchor/internal/registry"
 )
 
 func testCorpus(t *testing.T, year corpus.Year) *corpus.Corpus {
@@ -114,10 +116,10 @@ func TestFastTextWorkerInvariant(t *testing.T) {
 	checkWorkerInvariance(t, func(w int) Trainer { tr := NewFastText(); tr.Workers = w; return tr })
 }
 
-func TestByNameWorkersSetsKnob(t *testing.T) {
-	tr, ok := ByNameWorkers("cbow", 3)
-	if !ok {
-		t.Fatal("cbow not found")
+func TestLookupSetsWorkers(t *testing.T) {
+	tr, err := Lookup("cbow", 3)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got := tr.(*CBOW).Workers; got != 3 {
 		t.Fatalf("Workers = %d, want 3", got)
@@ -144,9 +146,9 @@ func TestSeedChangesEmbedding(t *testing.T) {
 func TestMetaRecorded(t *testing.T) {
 	c := testCorpus(t, corpus.Wiki18)
 	for _, name := range []string{"cbow", "glove", "mc", "fasttext"} {
-		tr, ok := ByName(name)
-		if !ok {
-			t.Fatalf("ByName(%q) not found", name)
+		tr, err := Lookup(name, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
 		e := tr.Train(c, 8, 3)
 		m := e.Meta
@@ -156,9 +158,10 @@ func TestMetaRecorded(t *testing.T) {
 	}
 }
 
-func TestByNameUnknown(t *testing.T) {
-	if _, ok := ByName("elmo"); ok {
-		t.Fatal("unknown algorithm should not resolve")
+func TestLookupUnknown(t *testing.T) {
+	var unknown *registry.UnknownError
+	if _, err := Lookup("elmo", 0); !errors.As(err, &unknown) {
+		t.Fatalf("err = %v, want *registry.UnknownError", err)
 	}
 }
 

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"anchor/internal/core"
 )
 
 // sharedRunner is reused across tests in this package so embeddings and
@@ -31,14 +34,20 @@ func TestRegistryCoversAllArtifacts(t *testing.T) {
 }
 
 func TestRunUnknownID(t *testing.T) {
-	if _, err := Run(sharedRunner, "fig99"); err == nil {
+	if _, err := Run(context.Background(), sharedRunner, "fig99"); err == nil {
 		t.Fatal("expected error for unknown id")
 	}
 }
 
 func TestGridCachedAndComplete(t *testing.T) {
-	g1 := sharedRunner.SentimentGrid()
-	g2 := sharedRunner.SentimentGrid()
+	g1, err := sharedRunner.SentimentGrid(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := sharedRunner.SentimentGrid(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if &g1[0] != &g2[0] {
 		t.Fatal("grid not cached")
 	}
@@ -48,7 +57,7 @@ func TestGridCachedAndComplete(t *testing.T) {
 		t.Fatalf("grid has %d cells, want %d", len(g1), want)
 	}
 	for _, c := range g1 {
-		for _, m := range MeasureNames() {
+		for _, m := range core.MeasureNames() {
 			if _, ok := c.Measures[m]; !ok {
 				t.Fatalf("cell missing measure %s", m)
 			}
@@ -70,7 +79,11 @@ func TestGridCachedAndComplete(t *testing.T) {
 
 func TestFullPrecisionHighDimMoreStableThanOneBitLowDim(t *testing.T) {
 	// The paper's central claim at the extremes of the grid.
-	cells := AverageOverSeeds(sharedRunner.SentimentGrid())
+	grid, err := sharedRunner.SentimentGrid(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := AverageOverSeeds(grid)
 	cfg := sharedRunner.Cfg
 	var lowMem, highMem float64
 	n := 0
@@ -142,7 +155,7 @@ func runAndCheck(t *testing.T, id string) []*Table {
 		artifactRuns[id] = run
 	}
 	artifactMu.Unlock()
-	run.once.Do(func() { run.tables, run.err = Run(sharedRunner, id) })
+	run.once.Do(func() { run.tables, run.err = Run(context.Background(), sharedRunner, id) })
 	tables, err := run.tables, run.err
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +230,10 @@ func TestProp1(t *testing.T) {
 }
 
 func TestMonotonicityReport(t *testing.T) {
-	tables := MonotonicityReport(sharedRunner)
+	tables, err := MonotonicityReport(context.Background(), sharedRunner)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tables[0].Rows) == 0 {
 		t.Fatal("no monotonicity rows")
 	}

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
+
 	"anchor/internal/bert"
 	"anchor/internal/compress"
 	"anchor/internal/core"
 	"anchor/internal/matrix"
+	"anchor/internal/tasks"
 	"anchor/internal/tasks/sentiment"
 )
 
@@ -21,9 +24,13 @@ func bertFeatures(m *bert.Model, examples []sentiment.Example) *matrix.Dense {
 // downstream instability of frozen BERT features on sentiment analysis,
 // (a) as the transformer output dimension varies and (b) as the features
 // are quantized to different precisions.
-func Fig11(r *Runner) []*Table {
+func Fig11(ctx context.Context, r *Runner) ([]*Table, error) {
 	c17, c18 := r.Corpora()
-	ds := r.SentimentData(r.Cfg.SentimentTasks[0])
+	st, err := taskEval[*tasks.Sentiment](r, r.Cfg.SentimentTasks[0])
+	if err != nil {
+		return nil, err
+	}
+	ds := st.Data
 	trainY := make([]int, len(ds.Train))
 	for i, ex := range ds.Train {
 		trainY[i] = ex.Label
@@ -48,6 +55,9 @@ func Fig11(r *Runner) []*Table {
 		var diSum, accSum float64
 		precSums := map[int]float64{}
 		for _, seed := range r.Cfg.BERTSeeds {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			m17 := bert.Pretrain(c17, bert.DefaultConfig(hidden, seed))
 			m18 := bert.Pretrain(c18, bert.DefaultConfig(hidden, seed))
 			tr17, tr18 := bertFeatures(m17, ds.Train), bertFeatures(m18, ds.Train)
@@ -79,5 +89,5 @@ func Fig11(r *Runner) []*Table {
 			precT.AddRow(hidden, prec, precSums[prec]/n)
 		}
 	}
-	return []*Table{dimT, precT}
+	return []*Table{dimT, precT}, nil
 }

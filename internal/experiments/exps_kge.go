@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
 	"anchor/internal/core"
 	"anchor/internal/kge"
+	"anchor/internal/parallel"
 	"anchor/internal/stats"
 )
 
@@ -20,13 +22,16 @@ var (
 	kgeCache = map[string]kgePair{}
 )
 
-func (r *Runner) kgePair(dim int, seed int64) kgePair {
+func (r *Runner) kgePair(ctx context.Context, dim int, seed int64) (kgePair, error) {
 	key := fmt.Sprintf("%v|%d|%d", r.Cfg.KGEGraph, dim, seed)
 	kgeMu.Lock()
 	p, ok := kgeCache[key]
 	kgeMu.Unlock()
 	if ok {
-		return p
+		return p, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return kgePair{}, err
 	}
 	g := kge.GenerateGraph(r.Cfg.KGEGraph)
 	g95 := kge.Subsample(g, 0.95, 7)
@@ -35,7 +40,7 @@ func (r *Runner) kgePair(dim int, seed int64) kgePair {
 	kgeMu.Lock()
 	kgeCache[key] = p
 	kgeMu.Unlock()
-	return p
+	return p, nil
 }
 
 // kgeEval evaluates one quantized pair on both KGE tasks. sharedThreshold
@@ -59,7 +64,7 @@ func kgeEval(g *kge.Graph, q95, qFull *kge.TransE, sharedThreshold bool) (unstab
 	return unstableRank, disagreement
 }
 
-func (r *Runner) kgeTable(id string, sharedThreshold bool) []*Table {
+func (r *Runner) kgeTable(ctx context.Context, id string, sharedThreshold bool) ([]*Table, error) {
 	g := kge.GenerateGraph(r.Cfg.KGEGraph)
 	t := &Table{
 		ID:    id,
@@ -85,20 +90,31 @@ func (r *Runner) kgeTable(id string, sharedThreshold bool) []*Table {
 			}
 		}
 	}
-	// Warm the model cache serially (training is cached per dim/seed).
-	for _, dim := range r.Cfg.KGEDims {
-		for _, seed := range r.Cfg.KGESeeds {
-			r.kgePair(dim, seed)
+	// Train the models serially (training is cached per dim/seed), so
+	// the parallel phase below only quantizes and evaluates.
+	pairs := make([]kgePair, len(jobs))
+	for i, j := range jobs {
+		var err error
+		if pairs[i], err = r.kgePair(ctx, j.dim, j.seed); err != nil {
+			return nil, err
 		}
 	}
 	results := make([]row, len(jobs))
-	parallelFor(r.Cfg.Workers, len(jobs), func(i int) {
-		j := jobs[i]
-		p := r.kgePair(j.dim, j.seed)
+	errs := make([]error, len(jobs))
+	parallel.Run(r.Cfg.Workers, len(jobs), func(i int) {
+		if errs[i] = ctx.Err(); errs[i] != nil {
+			return
+		}
+		j, p := jobs[i], pairs[i]
 		q95, qFull := kge.QuantizePair(p.m95, p.mFull, j.prec)
 		ur, di := kgeEval(g, q95, qFull, sharedThreshold)
 		results[i] = row{j.dim, j.prec, ur * 100, di}
-	})
+	}, nil)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 
 	// Average over seeds per (dim, prec).
 	type key struct{ dim, prec int }
@@ -134,13 +150,17 @@ func (r *Runner) kgeTable(id string, sharedThreshold bool) []*Table {
 	if len(pts) >= 2 {
 		fitT.AddRow("link prediction", stats.FitLinearLog(pts).Slope)
 	}
-	return []*Table{t, fitT}
+	return []*Table{t, fitT}, nil
 }
 
 // Fig3 reproduces Figure 3: KGE link prediction and triplet
 // classification stability vs memory with shared thresholds.
-func Fig3(r *Runner) []*Table { return r.kgeTable("fig3", true) }
+func Fig3(ctx context.Context, r *Runner) ([]*Table, error) {
+	return r.kgeTable(ctx, "fig3", true)
+}
 
 // Fig10 reproduces Appendix Figure 10: triplet classification with
 // per-dataset thresholds.
-func Fig10(r *Runner) []*Table { return r.kgeTable("fig10", false) }
+func Fig10(ctx context.Context, r *Runner) ([]*Table, error) {
+	return r.kgeTable(ctx, "fig10", false)
+}

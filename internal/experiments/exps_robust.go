@@ -1,20 +1,26 @@
 package experiments
 
 import (
-	"anchor/internal/compress"
+	"context"
+
 	"anchor/internal/core"
-	"anchor/internal/embtrain"
+	"anchor/internal/tasks"
 	"anchor/internal/tasks/ner"
 	"anchor/internal/tasks/sentiment"
 )
 
 // Fig12 reproduces Appendix Figure 12: the stability-memory tradeoff for
 // fastText subword embeddings on SST-2 and CoNLL-2003.
-func Fig12(r *Runner) []*Table {
-	c17, c18 := r.Corpora()
-	sst := r.SentimentData("sst2")
-	nerDS := r.NERData()
-	tr := embtrain.NewFastText()
+func Fig12(ctx context.Context, r *Runner) ([]*Table, error) {
+	st, err := taskEval[*tasks.Sentiment](r, "sst2")
+	if err != nil {
+		return nil, err
+	}
+	conll, err := taskEval[*tasks.NER](r, "conll2003")
+	if err != nil {
+		return nil, err
+	}
+	sst, nerDS := st.Data, conll.Data
 
 	t := &Table{
 		ID: "fig12", Title: "fastText subword embeddings: instability vs memory",
@@ -22,18 +28,20 @@ func Fig12(r *Runner) []*Table {
 	}
 	seed := r.Cfg.Seeds[0]
 	for _, dim := range r.Cfg.NERDims {
-		e17 := tr.Train(c17, dim, seed)
-		e18 := tr.Train(c18, dim, seed)
-		e18.AlignTo(e17)
-		e18.Meta.Corpus = "wiki18a"
 		for _, prec := range r.Cfg.NERPrecisions {
-			q17, q18 := compress.QuantizePair(e17, e18, prec)
+			q17, q18, err := r.QuantizedPair(ctx, "fasttext", dim, prec, seed)
+			if err != nil {
+				return nil, err
+			}
 			scfg := sentiment.DefaultLinearBOWConfig(seed)
 			sm17 := sentiment.TrainLinearBOW(q17, sst, scfg)
 			sm18 := sentiment.TrainLinearBOW(q18, sst, scfg)
 			t.AddRow("sst2", dim, prec, dim*prec,
 				core.PredictionDisagreementPct(sm17.Predict(sst.Test), sm18.Predict(sst.Test)))
 
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			ncfg := ner.DefaultConfig(seed)
 			nm17 := ner.Train(q17, nerDS, ncfg)
 			nm18 := ner.Train(q18, nerDS, ncfg)
@@ -41,14 +49,21 @@ func Fig12(r *Runner) []*Table {
 				core.PredictionDisagreementPct(nm17.EntityPredictions(nerDS.Test), nm18.EntityPredictions(nerDS.Test)))
 		}
 	}
-	return []*Table{t}
+	return []*Table{t}, nil
 }
 
 // Fig13 reproduces Appendix Figure 13: the tradeoff under more complex
 // downstream models — a CNN for SST-2 and a BiLSTM-CRF for CoNLL-2003.
-func Fig13(r *Runner) []*Table {
-	sst := r.SentimentData("sst2")
-	nerDS := r.NERData()
+func Fig13(ctx context.Context, r *Runner) ([]*Table, error) {
+	st, err := taskEval[*tasks.Sentiment](r, "sst2")
+	if err != nil {
+		return nil, err
+	}
+	conll, err := taskEval[*tasks.NER](r, "conll2003")
+	if err != nil {
+		return nil, err
+	}
+	sst, nerDS := st.Data, conll.Data
 	seed := r.Cfg.Seeds[0]
 
 	t := &Table{
@@ -70,7 +85,10 @@ func Fig13(r *Runner) []*Table {
 	}
 	for _, dim := range dims {
 		for _, prec := range precs {
-			q17, q18 := r.QuantizedPair(algo, dim, prec, seed)
+			q17, q18, err := r.QuantizedPair(ctx, algo, dim, prec, seed)
+			if err != nil {
+				return nil, err
+			}
 
 			ccfg := sentiment.DefaultCNNConfig(seed)
 			cm17 := sentiment.TrainCNN(q17, sst, ccfg)
@@ -78,6 +96,9 @@ func Fig13(r *Runner) []*Table {
 			t.AddRow("cnn-sst2", algo, dim, prec, dim*prec,
 				core.PredictionDisagreementPct(cm17.Predict(sst.Test), cm18.Predict(sst.Test)))
 
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			ncfg := ner.DefaultConfig(seed)
 			ncfg.UseCRF = true
 			nm17 := ner.Train(q17, nerDS, ncfg)
@@ -86,14 +107,18 @@ func Fig13(r *Runner) []*Table {
 				core.PredictionDisagreementPct(nm17.EntityPredictions(nerDS.Test), nm18.EntityPredictions(nerDS.Test)))
 		}
 	}
-	return []*Table{t}
+	return []*Table{t}, nil
 }
 
 // Fig14 reproduces Appendix Figure 14: (a) instability when downstream
 // model seeds are NOT matched between the two models, and (b) instability
 // when the embeddings are fine-tuned during downstream training.
-func Fig14(r *Runner) []*Table {
-	sst := r.SentimentData("sst2")
+func Fig14(ctx context.Context, r *Runner) ([]*Table, error) {
+	st, err := taskEval[*tasks.Sentiment](r, "sst2")
+	if err != nil {
+		return nil, err
+	}
+	sst := st.Data
 	seed := r.Cfg.Seeds[0]
 	algo := r.Cfg.Algorithms[0]
 
@@ -103,7 +128,10 @@ func Fig14(r *Runner) []*Table {
 	}
 	for _, dim := range r.Cfg.NERDims {
 		for _, prec := range r.Cfg.NERPrecisions {
-			q17, q18 := r.QuantizedPair(algo, dim, prec, seed)
+			q17, q18, err := r.QuantizedPair(ctx, algo, dim, prec, seed)
+			if err != nil {
+				return nil, err
+			}
 
 			// (a) mismatched downstream seeds.
 			m17 := sentiment.TrainLinearBOW(q17, sst, sentiment.DefaultLinearBOWConfig(seed))
@@ -121,13 +149,17 @@ func Fig14(r *Runner) []*Table {
 				core.PredictionDisagreementPct(f17.Predict(sst.Test), f18.Predict(sst.Test)))
 		}
 	}
-	return []*Table{t}
+	return []*Table{t}, nil
 }
 
 // Fig15 reproduces Appendix Figure 15: the downstream learning rate's
 // effect on instability at two dimensions.
-func Fig15(r *Runner) []*Table {
-	sst := r.SentimentData("sst2")
+func Fig15(ctx context.Context, r *Runner) ([]*Table, error) {
+	st, err := taskEval[*tasks.Sentiment](r, "sst2")
+	if err != nil {
+		return nil, err
+	}
+	sst := st.Data
 	seed := r.Cfg.Seeds[0]
 	algo := r.Cfg.Algorithms[0]
 	dims := []int{r.Cfg.midDim(), r.Cfg.maxDim()}
@@ -137,7 +169,10 @@ func Fig15(r *Runner) []*Table {
 		Columns: []string{"algo", "dim", "lr", "%disagreement", "wiki17 accuracy"},
 	}
 	for _, dim := range dims {
-		e17, e18 := r.Pair(algo, dim, seed)
+		e17, e18, err := r.Pair(ctx, algo, dim, seed)
+		if err != nil {
+			return nil, err
+		}
 		for _, lr := range []float64{1e-4, 1e-3, 1e-2, 1e-1} {
 			cfg := sentiment.DefaultLinearBOWConfig(seed)
 			cfg.LR = lr
@@ -148,14 +183,14 @@ func Fig15(r *Runner) []*Table {
 				m17.Accuracy(sst.Test))
 		}
 	}
-	return []*Table{t}
+	return []*Table{t}, nil
 }
 
 // Table13 reproduces Appendix Table 13: the instability contributed by
 // each randomness source — downstream model initialization seed, sampling
 // order seed, and the embedding training data — with everything else
 // fixed.
-func Table13(r *Runner) []*Table {
+func Table13(ctx context.Context, r *Runner) ([]*Table, error) {
 	seed := r.Cfg.Seeds[0]
 	dim := r.Cfg.maxDim()
 	t := &Table{
@@ -163,9 +198,16 @@ func Table13(r *Runner) []*Table {
 		Columns: []string{"source", "task", "algo", "%disagreement"},
 	}
 	for _, algo := range r.Cfg.Algorithms {
-		e17, e18 := r.Pair(algo, dim, seed)
+		e17, e18, err := r.Pair(ctx, algo, dim, seed)
+		if err != nil {
+			return nil, err
+		}
 		for _, task := range r.Cfg.SentimentTasks {
-			ds := r.SentimentData(task)
+			st, err := taskEval[*tasks.Sentiment](r, task)
+			if err != nil {
+				return nil, err
+			}
+			ds := st.Data
 
 			// Model initialization seed: same embedding, same order, new init.
 			base := sentiment.DefaultLinearBOWConfig(seed)
@@ -190,25 +232,34 @@ func Table13(r *Runner) []*Table {
 				core.PredictionDisagreementPct(a.Predict(ds.Test), d.Predict(ds.Test)))
 		}
 	}
-	return []*Table{t}
+	return []*Table{t}, nil
 }
 
 // Prop1 reports the Proposition 1 verification: the eigenspace
 // instability measure against the Monte-Carlo estimate of the expected
 // linear regression disagreement under the anchor covariance.
-func Prop1(r *Runner) []*Table {
+func Prop1(ctx context.Context, r *Runner) ([]*Table, error) {
 	algo := r.Cfg.Algorithms[0]
 	seed := r.Cfg.Seeds[0]
 	ids := r.TopWordIDs()
-	e, et := r.Anchors(algo, seed)
+	e, et, err := r.Anchors(ctx, algo, seed)
+	if err != nil {
+		return nil, err
+	}
 
 	t := &Table{
 		ID: "prop1", Title: "Proposition 1: closed form vs Monte-Carlo (linear regression)",
 		Columns: []string{"dim pair", "alpha", "eigenspace instability", "monte-carlo"},
 	}
 	dims := r.Cfg.Dims
-	x17, _ := r.Pair(algo, dims[0], seed)
-	_, x18 := r.Pair(algo, dims[len(dims)-1], seed)
+	x17, _, err := r.Pair(ctx, algo, dims[0], seed)
+	if err != nil {
+		return nil, err
+	}
+	_, x18, err := r.Pair(ctx, algo, dims[len(dims)-1], seed)
+	if err != nil {
+		return nil, err
+	}
 	x := x17.SubRows(ids)
 	xt := x18.SubRows(ids)
 	for _, alpha := range []float64{1, 3} {
@@ -218,5 +269,5 @@ func Prop1(r *Runner) []*Table {
 		mc := core.ExpectedLinearDisagreement(x, xt, sqrtSigma, 500, 99)
 		t.AddRow("min-dim vs max-dim", alpha, closed, mc)
 	}
-	return []*Table{t}
+	return []*Table{t}, nil
 }

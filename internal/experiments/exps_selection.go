@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"anchor/internal/core"
@@ -28,11 +29,11 @@ func taskCells(cells []Cell, task, algo string, seed int64) []selection.Candidat
 }
 
 // gridFor returns the grid holding the given task's instability values.
-func (r *Runner) gridFor(task string) []Cell {
+func (r *Runner) gridFor(ctx context.Context, task string) ([]Cell, error) {
 	if task == "conll2003" {
-		return r.NERGrid()
+		return r.NERGrid(ctx)
 	}
-	return r.SentimentGrid()
+	return r.SentimentGrid(ctx)
 }
 
 // seedsFor returns the seeds evaluated for the task's grid.
@@ -71,14 +72,17 @@ func (r *Runner) table9Tasks() []string {
 // spearmanTable builds a Table 1-style table for the given tasks: the
 // Spearman correlation between each measure and the downstream
 // disagreement, averaged over seeds.
-func (r *Runner) spearmanTable(id string, tasks []string) *Table {
+func (r *Runner) spearmanTable(ctx context.Context, id string, tasks []string) (*Table, error) {
 	t := &Table{
 		ID: id, Title: "Spearman correlation: measure vs downstream disagreement",
 		Columns: []string{"measure", "task", "algo", "spearman"},
 	}
-	for _, m := range MeasureNames() {
+	for _, m := range core.MeasureNames() {
 		for _, task := range tasks {
-			cells := r.gridFor(task)
+			cells, err := r.gridFor(ctx, task)
+			if err != nil {
+				return nil, err
+			}
 			for _, algo := range r.Cfg.Algorithms {
 				var sum float64
 				n := 0
@@ -101,25 +105,28 @@ func (r *Runner) spearmanTable(id string, tasks []string) *Table {
 			}
 		}
 	}
-	return t
+	return t, nil
 }
 
 // Table1 reproduces Table 1 (Spearman correlations on SST-2, Subj,
 // CoNLL-2003).
-func Table1(r *Runner) []*Table {
-	return []*Table{r.spearmanTable("table1", r.table1Tasks())}
+func Table1(ctx context.Context, r *Runner) ([]*Table, error) {
+	return oneTable(r.spearmanTable(ctx, "table1", r.table1Tasks()))
 }
 
 // selectionErrorTable builds a Table 2-style table.
-func (r *Runner) selectionErrorTable(id string, tasks []string, worstCase bool) *Table {
+func (r *Runner) selectionErrorTable(ctx context.Context, id string, tasks []string, worstCase bool) (*Table, error) {
 	title := "Pairwise dim-prec selection error"
 	if worstCase {
 		title = "Worst-case pairwise selection regret (abs % instability)"
 	}
 	t := &Table{ID: id, Title: title, Columns: []string{"measure", "task", "algo", "value"}}
-	for _, m := range MeasureNames() {
+	for _, m := range core.MeasureNames() {
 		for _, task := range tasks {
-			cells := r.gridFor(task)
+			cells, err := r.gridFor(ctx, task)
+			if err != nil {
+				return nil, err
+			}
 			for _, algo := range r.Cfg.Algorithms {
 				var sum float64
 				n := 0
@@ -141,17 +148,17 @@ func (r *Runner) selectionErrorTable(id string, tasks []string, worstCase bool) 
 			}
 		}
 	}
-	return t
+	return t, nil
 }
 
 // Table2 reproduces Table 2 (pairwise selection error).
-func Table2(r *Runner) []*Table {
-	return []*Table{r.selectionErrorTable("table2", r.table1Tasks(), false)}
+func Table2(ctx context.Context, r *Runner) ([]*Table, error) {
+	return oneTable(r.selectionErrorTable(ctx, "table2", r.table1Tasks(), false))
 }
 
 // budgetTable builds a Table 3-style table, optionally the worst-case
 // variant (Table 11), including the high/low precision baselines.
-func (r *Runner) budgetTable(id string, tasks []string, worstCase bool) *Table {
+func (r *Runner) budgetTable(ctx context.Context, id string, tasks []string, worstCase bool) (*Table, error) {
 	title := "Avg |DI - oracle| under fixed memory budgets (abs %)"
 	if worstCase {
 		title = "Worst-case |DI - oracle| under fixed memory budgets (abs %)"
@@ -162,7 +169,7 @@ func (r *Runner) budgetTable(id string, tasks []string, worstCase bool) *Table {
 		name string
 		sel  selection.Selector
 	}{}
-	for _, m := range MeasureNames() {
+	for _, m := range core.MeasureNames() {
 		selectors = append(selectors, struct {
 			name string
 			sel  selection.Selector
@@ -181,7 +188,10 @@ func (r *Runner) budgetTable(id string, tasks []string, worstCase bool) *Table {
 
 	for _, s := range selectors {
 		for _, task := range tasks {
-			cells := r.gridFor(task)
+			cells, err := r.gridFor(ctx, task)
+			if err != nil {
+				return nil, err
+			}
 			for _, algo := range r.Cfg.Algorithms {
 				var sum float64
 				n := 0
@@ -204,45 +214,65 @@ func (r *Runner) budgetTable(id string, tasks []string, worstCase bool) *Table {
 			}
 		}
 	}
-	return t
+	return t, nil
 }
 
 // Table3 reproduces Table 3 (distance to oracle under memory budgets).
-func Table3(r *Runner) []*Table {
-	return []*Table{r.budgetTable("table3", r.table1Tasks(), false)}
+func Table3(ctx context.Context, r *Runner) ([]*Table, error) {
+	return oneTable(r.budgetTable(ctx, "table3", r.table1Tasks(), false))
 }
 
 // Table9 reproduces Appendix Table 9: Tables 1-3 on MR and MPQA.
-func Table9(r *Runner) []*Table {
+func Table9(ctx context.Context, r *Runner) ([]*Table, error) {
 	tasks := r.table9Tasks()
 	if len(tasks) == 0 {
 		t := &Table{ID: "table9", Title: "MR/MPQA not in configured task set", Columns: []string{"note"}}
 		t.AddRow("enable mr/mpqa in Config.SentimentTasks to reproduce Table 9")
-		return []*Table{t}
+		return []*Table{t}, nil
 	}
-	a := r.spearmanTable("table9", tasks)
-	b := r.selectionErrorTable("table9", tasks, false)
-	c := r.budgetTable("table9", tasks, false)
-	return []*Table{a, b, c}
+	a, err := r.spearmanTable(ctx, "table9", tasks)
+	if err != nil {
+		return nil, err
+	}
+	b, err := r.selectionErrorTable(ctx, "table9", tasks, false)
+	if err != nil {
+		return nil, err
+	}
+	c, err := r.budgetTable(ctx, "table9", tasks, false)
+	if err != nil {
+		return nil, err
+	}
+	return []*Table{a, b, c}, nil
 }
 
 // Table10 reproduces Appendix Table 10 (worst-case pairwise regret).
-func Table10(r *Runner) []*Table {
-	return []*Table{r.selectionErrorTable("table10", r.table1Tasks(), true)}
+func Table10(ctx context.Context, r *Runner) ([]*Table, error) {
+	return oneTable(r.selectionErrorTable(ctx, "table10", r.table1Tasks(), true))
 }
 
 // Table11 reproduces Appendix Table 11 (worst-case budget distance).
-func Table11(r *Runner) []*Table {
-	return []*Table{r.budgetTable("table11", r.table1Tasks(), true)}
+func Table11(ctx context.Context, r *Runner) ([]*Table, error) {
+	return oneTable(r.budgetTable(ctx, "table11", r.table1Tasks(), true))
+}
+
+// oneTable wraps a single-table artifact's result.
+func oneTable(t *Table, err error) ([]*Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []*Table{t}, nil
 }
 
 // Table8 reproduces Appendix Table 8: hyperparameter selection for the
 // EIS alpha and the k-NN k by average Spearman correlation over tasks.
-func Table8(r *Runner) []*Table {
-	cells := r.SentimentGrid()
+func Table8(ctx context.Context, r *Runner) ([]*Table, error) {
+	cells, err := r.SentimentGrid(ctx)
+	if err != nil {
+		return nil, err
+	}
 	ids := r.TopWordIDs()
 
-	avgCorr := func(measure core.Measure) float64 {
+	avgCorr := func(measure core.Measure) (float64, error) {
 		var sum float64
 		n := 0
 		for _, algo := range r.Cfg.Algorithms {
@@ -257,7 +287,10 @@ func Table8(r *Runner) []*Table {
 						if !ok {
 							continue
 						}
-						q17, q18 := r.QuantizedPair(c.Algo, c.Dim, c.Prec, c.Seed)
+						q17, q18, err := r.QuantizedPair(ctx, c.Algo, c.Dim, c.Prec, c.Seed)
+						if err != nil {
+							return 0, err
+						}
 						mv = append(mv, measure.Distance(q17.SubRows(ids), q18.SubRows(ids)))
 						di = append(di, v)
 					}
@@ -269,9 +302,9 @@ func Table8(r *Runner) []*Table {
 			}
 		}
 		if n == 0 {
-			return 0
+			return 0, nil
 		}
-		return sum / float64(n)
+		return sum / float64(n), nil
 	}
 
 	alphaT := &Table{
@@ -282,7 +315,10 @@ func Table8(r *Runner) []*Table {
 		var total, n float64
 		for _, algo := range r.Cfg.Algorithms {
 			for _, seed := range r.Cfg.Seeds {
-				e, et := r.Anchors(algo, seed)
+				e, et, err := r.Anchors(ctx, algo, seed)
+				if err != nil {
+					return nil, err
+				}
 				m := &core.EigenspaceInstability{E: e, ETilde: et, Alpha: alpha, Workers: r.Cfg.Workers}
 				// Correlate within this algo/seed only.
 				for _, task := range r.Cfg.SentimentTasks {
@@ -295,7 +331,10 @@ func Table8(r *Runner) []*Table {
 						if !ok {
 							continue
 						}
-						q17, q18 := r.QuantizedPair(c.Algo, c.Dim, c.Prec, c.Seed)
+						q17, q18, err := r.QuantizedPair(ctx, c.Algo, c.Dim, c.Prec, c.Seed)
+						if err != nil {
+							return nil, err
+						}
 						mv = append(mv, m.Distance(q17.SubRows(ids), q18.SubRows(ids)))
 						di = append(di, v)
 					}
@@ -317,18 +356,25 @@ func Table8(r *Runner) []*Table {
 	}
 	for _, k := range []int{1, 2, 5, 10, 50} {
 		m := &core.KNN{K: k, Queries: r.Cfg.KNNQueries, Seed: 7, Workers: r.Cfg.Workers}
-		kT.AddRow(fmt.Sprintf("%d", k), avgCorr(m))
+		corr, err := avgCorr(m)
+		if err != nil {
+			return nil, err
+		}
+		kT.AddRow(fmt.Sprintf("%d", k), corr)
 	}
-	return []*Table{alphaT, kT}
+	return []*Table{alphaT, kT}, nil
 }
 
 // Fig9 reproduces Appendix Figure 9: per-measure series of (measure value,
 // NER instability) pairs with the Spearman correlation, the scatter-plot
 // data.
-func Fig9(r *Runner) []*Table {
-	cells := r.NERGrid()
+func Fig9(ctx context.Context, r *Runner) ([]*Table, error) {
+	cells, err := r.NERGrid(ctx)
+	if err != nil {
+		return nil, err
+	}
 	var out []*Table
-	for _, m := range MeasureNames() {
+	for _, m := range core.MeasureNames() {
 		t := &Table{
 			ID: "fig9", Title: "NER instability vs " + m,
 			Columns: []string{"algo", "dim", "prec", "measure value", "%disagreement"},
@@ -353,5 +399,5 @@ func Fig9(r *Runner) []*Table {
 		}
 		out = append(out, t)
 	}
-	return out
+	return out, nil
 }

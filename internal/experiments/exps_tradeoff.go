@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -10,9 +11,16 @@ import (
 // Fig1 reproduces Figure 1: downstream instability of sentiment (SST-2)
 // and NER (CoNLL-2003) as a function of dimension (at full precision) and
 // of precision (at the mid dimension), per embedding algorithm.
-func Fig1(r *Runner) []*Table {
-	sent := AverageOverSeeds(r.SentimentGrid())
-	nerCells := AverageOverSeeds(r.NERGrid())
+func Fig1(ctx context.Context, r *Runner) ([]*Table, error) {
+	sentGrid, err := r.SentimentGrid(ctx)
+	if err != nil {
+		return nil, err
+	}
+	nerGrid, err := r.NERGrid(ctx)
+	if err != nil {
+		return nil, err
+	}
+	sent, nerCells := AverageOverSeeds(sentGrid), AverageOverSeeds(nerGrid)
 
 	dimT := &Table{
 		ID: "fig1", Title: "Instability vs dimension (32-bit precision), % disagreement",
@@ -45,7 +53,7 @@ func Fig1(r *Runner) []*Table {
 			precT.AddRow("conll2003", c.Algo, c.Prec, c.MemoryBits(), di)
 		}
 	}
-	return []*Table{dimT, precT}
+	return []*Table{dimT, precT}, nil
 }
 
 func nerMidDim(r *Runner) int {
@@ -54,8 +62,12 @@ func nerMidDim(r *Runner) int {
 
 // Fig2 reproduces Figure 2: NER instability for every dimension-precision
 // combination against memory, with the fitted linear-log trend.
-func Fig2(r *Runner) []*Table {
-	cells := AverageOverSeeds(r.NERGrid())
+func Fig2(ctx context.Context, r *Runner) ([]*Table, error) {
+	grid, err := r.NERGrid(ctx)
+	if err != nil {
+		return nil, err
+	}
+	cells := AverageOverSeeds(grid)
 	t := &Table{
 		ID: "fig2", Title: "NER (CoNLL-2003) instability vs memory, all dim x prec",
 		Columns: []string{"algo", "dim", "prec", "memory(bits/word)", "%disagreement"},
@@ -77,7 +89,7 @@ func Fig2(r *Runner) []*Table {
 		fit := stats.FitLinearLog(pts)
 		fitT.AddRow("conll2003 (all algos)", fit.Slope)
 	}
-	return []*Table{t, fitT}
+	return []*Table{t, fitT}, nil
 }
 
 // RuleOfThumb reproduces the Section 3.3 analysis: a joint linear-log fit
@@ -85,9 +97,15 @@ func Fig2(r *Runner) []*Table {
 // paper reports a ~1.3% absolute drop per memory doubling), plus the
 // independent dimension-only and precision-only fits (paper: 1.2% and
 // 1.4%), restricted to the low-memory regime where the trend is linear.
-func RuleOfThumb(r *Runner) []*Table {
-	sent := r.SentimentGrid()
-	nerCells := r.NERGrid()
+func RuleOfThumb(ctx context.Context, r *Runner) ([]*Table, error) {
+	sent, err := r.SentimentGrid(ctx)
+	if err != nil {
+		return nil, err
+	}
+	nerCells, err := r.NERGrid(ctx)
+	if err != nil {
+		return nil, err
+	}
 	memCut := float64(r.Cfg.maxDim() * 32 / 8) // below this memory the trend is linear
 
 	var memPts, dimPts, precPts []stats.LinearLogPoint
@@ -122,13 +140,17 @@ func RuleOfThumb(r *Runner) []*Table {
 	t.AddRow("memory (bits/word)", stats.FitLinearLog(memPts).Slope)
 	t.AddRow("dimension", stats.FitLinearLog(dimPts).Slope)
 	t.AddRow("precision", stats.FitLinearLog(precPts).Slope)
-	return []*Table{t}
+	return []*Table{t}, nil
 }
 
 // Fig4 reproduces Appendix Figure 4: the dimension effect on the extra
 // sentiment tasks at full and 1-bit precision.
-func Fig4(r *Runner) []*Table {
-	cells := AverageOverSeeds(r.SentimentGrid())
+func Fig4(ctx context.Context, r *Runner) ([]*Table, error) {
+	grid, err := r.SentimentGrid(ctx)
+	if err != nil {
+		return nil, err
+	}
+	cells := AverageOverSeeds(grid)
 	t := &Table{
 		ID: "fig4", Title: "Sentiment instability vs dimension at 32-bit and 1-bit",
 		Columns: []string{"task", "algo", "precision", "dim", "%disagreement"},
@@ -143,14 +165,18 @@ func Fig4(r *Runner) []*Table {
 			}
 		}
 	}
-	return []*Table{t}
+	return []*Table{t}, nil
 }
 
 // Fig5 reproduces Appendix Figure 5: the precision effect on the
 // sentiment tasks at the mid dimension.
-func Fig5(r *Runner) []*Table {
+func Fig5(ctx context.Context, r *Runner) ([]*Table, error) {
+	grid, err := r.SentimentGrid(ctx)
+	if err != nil {
+		return nil, err
+	}
 	mid := r.Cfg.midDim()
-	cells := AverageOverSeeds(r.SentimentGrid())
+	cells := AverageOverSeeds(grid)
 	t := &Table{
 		ID: "fig5", Title: fmt.Sprintf("Sentiment instability vs precision (dim %d)", mid),
 		Columns: []string{"task", "algo", "precision", "%disagreement"},
@@ -162,13 +188,17 @@ func Fig5(r *Runner) []*Table {
 			}
 		}
 	}
-	return []*Table{t}
+	return []*Table{t}, nil
 }
 
 // Fig6 reproduces Appendix Figure 6: instability vs memory for all four
 // sentiment tasks and every dimension-precision combination.
-func Fig6(r *Runner) []*Table {
-	cells := AverageOverSeeds(r.SentimentGrid())
+func Fig6(ctx context.Context, r *Runner) ([]*Table, error) {
+	grid, err := r.SentimentGrid(ctx)
+	if err != nil {
+		return nil, err
+	}
+	cells := AverageOverSeeds(grid)
 	t := &Table{
 		ID: "fig6", Title: "Sentiment instability vs memory, all dim x prec",
 		Columns: []string{"task", "algo", "dim", "prec", "memory(bits/word)", "%disagreement"},
@@ -180,13 +210,17 @@ func Fig6(r *Runner) []*Table {
 			}
 		}
 	}
-	return []*Table{t}
+	return []*Table{t}, nil
 }
 
 // Fig7 reproduces Appendix Figure 7: quality-memory and quality-stability
 // tradeoffs for the sentiment tasks.
-func Fig7(r *Runner) []*Table {
-	cells := AverageOverSeeds(r.SentimentGrid())
+func Fig7(ctx context.Context, r *Runner) ([]*Table, error) {
+	grid, err := r.SentimentGrid(ctx)
+	if err != nil {
+		return nil, err
+	}
+	cells := AverageOverSeeds(grid)
 	t := &Table{
 		ID: "fig7", Title: "Sentiment quality vs memory and vs instability",
 		Columns: []string{"task", "algo", "dim", "prec", "memory(bits/word)", "test accuracy", "%disagreement"},
@@ -198,12 +232,16 @@ func Fig7(r *Runner) []*Table {
 			}
 		}
 	}
-	return []*Table{t}
+	return []*Table{t}, nil
 }
 
 // Fig8 reproduces Appendix Figure 8: NER quality tradeoffs.
-func Fig8(r *Runner) []*Table {
-	cells := AverageOverSeeds(r.NERGrid())
+func Fig8(ctx context.Context, r *Runner) ([]*Table, error) {
+	grid, err := r.NERGrid(ctx)
+	if err != nil {
+		return nil, err
+	}
+	cells := AverageOverSeeds(grid)
 	t := &Table{
 		ID: "fig8", Title: "NER quality (entity token F1) vs memory and vs instability",
 		Columns: []string{"algo", "dim", "prec", "memory(bits/word)", "F1", "%disagreement"},
@@ -213,14 +251,18 @@ func Fig8(r *Runner) []*Table {
 			t.AddRow(c.Algo, c.Dim, c.Prec, c.MemoryBits(), c.Acc["conll2003"], di)
 		}
 	}
-	return []*Table{t}
+	return []*Table{t}, nil
 }
 
 // MonotonicityReport summarizes, for every (task, algo), the Spearman
 // correlation between memory and instability — the quantitative check that
 // "more memory, more stable" holds (used by tests and EXPERIMENTS.md).
-func MonotonicityReport(r *Runner) []*Table {
-	cells := AverageOverSeeds(r.SentimentGrid())
+func MonotonicityReport(ctx context.Context, r *Runner) ([]*Table, error) {
+	grid, err := r.SentimentGrid(ctx)
+	if err != nil {
+		return nil, err
+	}
+	cells := AverageOverSeeds(grid)
 	t := &Table{
 		ID: "monotone", Title: "Spearman(memory, instability) per task/algo (want strongly negative)",
 		Columns: []string{"task", "algo", "spearman"},
@@ -242,5 +284,5 @@ func MonotonicityReport(r *Runner) []*Table {
 			}
 		}
 	}
-	return []*Table{t}
+	return []*Table{t}, nil
 }

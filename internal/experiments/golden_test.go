@@ -10,8 +10,8 @@ import (
 )
 
 // trainingGolden pins SHA-256 digests (embeddingDigest) of the four
-// trainers at d8, seed 1, SmallConfig: the unaligned snapshots TrainCtx
-// serves and the aligned Wiki'18 half of PairCtx's pair. Trained bits are
+// trainers at d8, seed 1, SmallConfig: the unaligned snapshots Train
+// serves and the aligned Wiki'18 half of Pair's pair. Trained bits are
 // a pure function of (corpus, algorithm, dim, seed) for every worker
 // count and schedule, so a change to any of these values changes what the
 // paper's measures are computed on and must update its digest here.
@@ -46,14 +46,14 @@ func TestTrainingGoldenDigests(t *testing.T) {
 		}
 	}
 	for _, algo := range []string{"mc", "glove", "cbow", "fasttext"} {
-		e17, e18a, err := r.PairCtx(ctx, algo, 8, 1)
+		e17, e18a, err := r.Pair(ctx, algo, 8, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		check(algo+"/wiki17", e17)
 		check(algo+"/wiki18a", e18a)
 		for i, tag := range []string{"wiki17", "wiki18"} {
-			e, err := r.TrainCtx(ctx, algo, 2017+i, 8, 1)
+			e, err := r.Train(ctx, algo, 2017+i, 8, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"anchor/internal/parallel"
@@ -31,19 +33,19 @@ func (c Cell) MemoryBits() int { return c.Dim * c.Prec }
 // SentimentGrid evaluates the full dimension x precision x seed grid for
 // every algorithm: the shared substrate of Figures 1, 2, 4-7 and Tables
 // 1-3 and 9-11. Results are cached per configuration.
-func (r *Runner) SentimentGrid() []Cell {
-	return r.grid("sentiment", r.Cfg.Dims, r.Cfg.Precisions, r.Cfg.Seeds, r.Cfg.SentimentTasks, false)
+func (r *Runner) SentimentGrid(ctx context.Context) ([]Cell, error) {
+	return r.grid(ctx, "sentiment", r.Cfg.Dims, r.Cfg.Precisions, r.Cfg.Seeds, r.Cfg.SentimentTasks, false)
 }
 
 // NERGrid evaluates the (possibly reduced) grid with the BiLSTM NER task.
-func (r *Runner) NERGrid() []Cell {
+func (r *Runner) NERGrid(ctx context.Context) ([]Cell, error) {
 	if !r.Cfg.NEREnabled {
-		return nil
+		return nil, nil
 	}
-	return r.grid("ner", r.Cfg.NERDims, r.Cfg.NERPrecisions, r.Cfg.NERSeeds, nil, true)
+	return r.grid(ctx, "ner", r.Cfg.NERDims, r.Cfg.NERPrecisions, r.Cfg.NERSeeds, nil, true)
 }
 
-func (r *Runner) grid(kind string, dims, precs []int, seeds []int64, sentTasks []string, withNER bool) []Cell {
+func (r *Runner) grid(ctx context.Context, kind string, dims, precs []int, seeds []int64, sentTasks []string, withNER bool) ([]Cell, error) {
 	// The key must cover every input that shapes the cells — including the
 	// task set and the NER flag, or two grids over the same ladder but
 	// different tasks would collide in the cache.
@@ -51,7 +53,7 @@ func (r *Runner) grid(kind string, dims, precs []int, seeds []int64, sentTasks [
 	r.mu.Lock()
 	if g, ok := r.gridCache[key]; ok {
 		r.mu.Unlock()
-		return g
+		return g, nil
 	}
 	r.mu.Unlock()
 
@@ -76,42 +78,61 @@ func (r *Runner) grid(kind string, dims, precs []int, seeds []int64, sentTasks [
 	for _, algo := range r.Cfg.Algorithms {
 		for _, dim := range dims {
 			for _, seed := range seeds {
-				r.Pair(algo, dim, seed)
+				if _, _, err := r.Pair(ctx, algo, dim, seed); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
 	// Warm anchors and datasets.
 	for _, algo := range r.Cfg.Algorithms {
 		for _, seed := range seeds {
-			r.Anchors(algo, seed)
+			if _, _, err := r.Anchors(ctx, algo, seed); err != nil {
+				return nil, err
+			}
 		}
 	}
-	for _, t := range sentTasks {
-		r.SentimentData(t)
-	}
-	if withNER {
-		r.NERData()
+	for _, t := range cellTasks(sentTasks, withNER) {
+		if _, err := r.TaskEvaluator(t); err != nil {
+			return nil, err
+		}
 	}
 
 	cells := make([]Cell, len(jobs))
-	parallelFor(r.Cfg.Workers, len(jobs), func(i int) {
+	errs := make([]error, len(jobs))
+	parallel.Run(r.Cfg.Workers, len(jobs), func(i int) {
 		j := jobs[i]
-		cells[i] = r.evalCell(j.algo, j.dim, j.prec, j.seed, sentTasks, withNER)
-	})
+		cells[i], errs[i] = r.EvalCell(ctx, j.algo, j.dim, j.prec, j.seed, sentTasks, withNER)
+	}, nil)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 
 	r.mu.Lock()
 	r.gridCache[key] = cells
 	r.mu.Unlock()
-	return cells
+	return cells, nil
 }
 
-// evalCell quantizes the pair, computes all measures on the top words,
-// and trains/evaluates the enabled downstream tasks. The Wiki'17 and
-// Wiki'18 downstream models of each task are independent, so they train
+// EvalCell evaluates one grid cell without touching the grid cache: it
+// quantizes the pair, computes all measures on the top words, and
+// trains/evaluates the enabled downstream tasks. The Wiki'17 and Wiki'18
+// downstream models of each task are independent, so they train
 // concurrently when the worker budget allows; results are identical
-// either way.
-func (r *Runner) evalCell(algo string, dim, prec int, seed int64, sentTasks []string, withNER bool) Cell {
-	q17, q18 := r.QuantizedPair(algo, dim, prec, seed)
+// either way. It is also the unit of work the benchmarks time. A canceled
+// ctx stops it before the cell (QuantizedPair checks it first) and
+// before each task.
+func (r *Runner) EvalCell(ctx context.Context, algo string, dim, prec int, seed int64, sentTasks []string, withNER bool) (Cell, error) {
+	q17, q18, err := r.QuantizedPair(ctx, algo, dim, prec, seed)
+	if err != nil {
+		return Cell{}, err
+	}
+	ms, err := r.Measures(ctx, algo, seed)
+	if err != nil {
+		return Cell{}, err
+	}
 	ids := r.TopWordIDs()
 	s17, s18 := q17.SubRows(ids), q18.SubRows(ids)
 
@@ -121,30 +142,31 @@ func (r *Runner) evalCell(algo string, dim, prec int, seed int64, sentTasks []st
 		DI:       map[string]float64{},
 		Acc:      map[string]float64{},
 	}
-	for _, m := range r.Measures(algo, seed) {
+	for _, m := range ms {
 		cell.Measures[m.Name()] = m.Distance(s17, s18)
 	}
 
-	taskNames := sentTasks
-	if withNER {
-		taskNames = append(append([]string(nil), sentTasks...), "conll2003")
-	}
-	for _, task := range taskNames {
+	for _, task := range cellTasks(sentTasks, withNER) {
+		if err := ctx.Err(); err != nil {
+			return Cell{}, err
+		}
 		ev, err := r.TaskEvaluator(task)
 		if err != nil {
-			panic("experiments: " + err.Error())
+			return Cell{}, err
 		}
 		res := ev.Eval(q17, q18, seed, r.trainPair)
 		cell.DI[task] = res.Disagreement
 		cell.Acc[task] = res.Accuracy
 	}
-	return cell
+	return cell, nil
 }
 
-// EvalCell evaluates one grid cell without touching the grid cache —
-// the unit of work the benchmarks time.
-func (r *Runner) EvalCell(algo string, dim, prec int, seed int64, sentTasks []string, withNER bool) Cell {
-	return r.evalCell(algo, dim, prec, seed, sentTasks, withNER)
+// cellTasks lists the downstream tasks a grid cell evaluates.
+func cellTasks(sentTasks []string, withNER bool) []string {
+	if !withNER {
+		return sentTasks
+	}
+	return append(slices.Clone(sentTasks), "conll2003")
 }
 
 // trainPair runs the two model trainings of a cell, concurrently when the

@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"anchor/internal/core"
 	"anchor/internal/corpus"
+	"anchor/internal/embedding"
+	"anchor/internal/tasks"
 	"anchor/internal/tasks/sentiment"
 )
 
@@ -33,8 +38,14 @@ func TestSentimentGridGoldenAcrossWorkers(t *testing.T) {
 	r4 := NewRunner(cfg4)
 	r1.Cfg.Workers = 1
 
-	g1 := r1.SentimentGrid()
-	g4 := r4.SentimentGrid()
+	g1, err := r1.SentimentGrid(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g4, err := r4.SentimentGrid(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(g1) != len(g4) {
 		t.Fatalf("grid sizes differ: %d vs %d", len(g1), len(g4))
 	}
@@ -71,11 +82,22 @@ func TestSentimentGridGoldenAcrossWorkers(t *testing.T) {
 func TestGridCellMatchesReferenceTrainer(t *testing.T) {
 	r := NewRunner(tinyGridConfig())
 	r.Cfg.Workers = 1
-	cells := r.SentimentGrid()
+	ctx := context.Background()
+	cells, err := r.SentimentGrid(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cell := cells[0]
 
-	q17, q18 := r.QuantizedPair(cell.Algo, cell.Dim, cell.Prec, cell.Seed)
-	ds := r.SentimentData("sst2")
+	q17, q18, err := r.QuantizedPair(ctx, cell.Algo, cell.Dim, cell.Prec, cell.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := taskEval[*tasks.Sentiment](r, "sst2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := st.Data
 	cfg := sentiment.DefaultLinearBOWConfig(cell.Seed)
 	m17 := sentiment.TrainLinearBOW(q17, ds, cfg)
 	m18 := sentiment.TrainLinearBOW(q18, ds, cfg)
@@ -96,7 +118,10 @@ func TestGridCellMatchesReferenceTrainer(t *testing.T) {
 func TestGridCacheKeyIncludesTaskSet(t *testing.T) {
 	r := NewRunner(tinyGridConfig())
 	r.Cfg.Workers = 1
-	g1 := r.SentimentGrid()
+	g1, err := r.SentimentGrid(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := g1[0].DI["sst2"]; !ok {
 		t.Fatal("first grid missing sst2")
 	}
@@ -104,11 +129,58 @@ func TestGridCacheKeyIncludesTaskSet(t *testing.T) {
 		t.Fatal("first grid unexpectedly has subj")
 	}
 	r.Cfg.SentimentTasks = []string{"subj"}
-	g2 := r.SentimentGrid()
+	g2, err := r.SentimentGrid(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := g2[0].DI["subj"]; !ok {
 		t.Fatal("cache returned the sst2 grid for the subj task set: key ignores tasks")
 	}
 	if _, ok := g2[0].DI["sst2"]; ok {
 		t.Fatal("subj grid unexpectedly has sst2")
+	}
+}
+
+// cancelSweep, when set, is called by the first Eval of the
+// "sst2-canceling" task: it cancels a grid sweep from inside its first
+// cell.
+var cancelSweep atomic.Pointer[context.CancelFunc]
+
+type cancelingEval struct{ tasks.Evaluator }
+
+func (e cancelingEval) Eval(e17, e18 *embedding.Embedding, seed int64, train func(f17, f18 func())) tasks.Result {
+	if cancel := cancelSweep.Swap(nil); cancel != nil {
+		(*cancel)()
+	}
+	return e.Evaluator.Eval(e17, e18, seed, train)
+}
+
+func init() {
+	tasks.Register("sst2-canceling", func(c17 *corpus.Corpus, ccfg corpus.Config) (tasks.Evaluator, error) {
+		ev, err := tasks.New("sst2", c17, ccfg)
+		return cancelingEval{ev}, err
+	})
+}
+
+// A sweep canceled inside its first cell returns context.Canceled and
+// caches nothing: the next call evaluates every cell in full.
+func TestGridCanceledMidSweepCachesNothing(t *testing.T) {
+	cfg := tinyGridConfig()
+	cfg.SentimentTasks = []string{"sst2-canceling", "sst2"}
+	r := NewRunner(cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelSweep.Store(&cancel)
+	if cells, err := r.SentimentGrid(ctx); !errors.Is(err, context.Canceled) || cells != nil {
+		t.Fatalf("canceled sweep: %d cells, err %v; want none and context.Canceled", len(cells), err)
+	}
+	cells, err := r.SentimentGrid(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		if len(c.DI) != 2 || len(c.Measures) == 0 {
+			t.Fatalf("cell %d after a canceled sweep: DI %v, %d measures", i, c.DI, len(c.Measures))
+		}
 	}
 }

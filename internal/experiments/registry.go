@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 )
@@ -9,7 +10,7 @@ import (
 type Experiment struct {
 	ID          string
 	Description string
-	Run         func(*Runner) []*Table
+	Run         func(context.Context, *Runner) ([]*Table, error)
 }
 
 // Registry lists every reproducible table and figure, keyed by the
@@ -55,11 +56,12 @@ func IDs() []string {
 	return ids
 }
 
-// Run executes the experiment with the given id.
-func Run(r *Runner, id string) ([]*Table, error) {
+// Run executes the experiment with the given id; a canceled ctx stops it
+// before its next training, grid cell, or task.
+func Run(ctx context.Context, r *Runner, id string) ([]*Table, error) {
 	exp, ok := Registry()[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, IDs())
 	}
-	return exp.Run(r), nil
+	return exp.Run(ctx, r)
 }

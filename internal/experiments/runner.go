@@ -14,8 +14,6 @@ import (
 	"anchor/internal/parallel"
 	"anchor/internal/store"
 	"anchor/internal/tasks"
-	"anchor/internal/tasks/ner"
-	"anchor/internal/tasks/sentiment"
 )
 
 // Runner executes experiments against a Config. Expensive shared
@@ -28,9 +26,10 @@ import (
 //
 // Trainers, measures, and downstream tasks are resolved through their
 // registries (embtrain.Register, core.RegisterMeasure, tasks.Register),
-// so new backends plug in by name. The context-aware methods (PairCtx,
-// MeasuresCtx, ...) return errors; the legacy name-panicking variants are
-// retained as thin wrappers for existing callers and tests.
+// so new backends plug in by name. Every method that trains or measures
+// takes the caller's context and returns an error (unknown names
+// included); cancellation stops the work before its next training, grid
+// cell, or task.
 type Runner struct {
 	Cfg Config
 
@@ -104,14 +103,14 @@ func (r *Runner) embKey(algo, corpusTag string, dim int, seed int64, bits int) s
 	}
 }
 
-// TrainCtx returns the single unaligned embedding for (algo, year, dim,
+// Train returns the single unaligned embedding for (algo, year, dim,
 // seed) from the artifact store, training it on a miss. year selects the
 // snapshot (2017 or 2018).
-func (r *Runner) TrainCtx(ctx context.Context, algo string, year, dim int, seed int64) (*embedding.Embedding, error) {
+func (r *Runner) Train(ctx context.Context, algo string, year, dim int, seed int64) (*embedding.Embedding, error) {
 	return r.train(ctx, algo, year, dim, seed, r.Cfg.Workers)
 }
 
-// train is TrainCtx with the training's goroutine budget given
+// train is Train with the training's goroutine budget given
 // explicitly; the trained bits never depend on it.
 func (r *Runner) train(ctx context.Context, algo string, year, dim int, seed int64, workers int) (*embedding.Embedding, error) {
 	if err := ctx.Err(); err != nil {
@@ -143,7 +142,7 @@ func (r *Runner) train(ctx context.Context, algo string, year, dim int, seed int
 	})
 }
 
-// PairCtx returns the full-precision embedding pair for (algo, dim,
+// Pair returns the full-precision embedding pair for (algo, dim,
 // seed): the Wiki'17 embedding and the Wiki'18 embedding already aligned
 // to it with orthogonal Procrustes (Section 3's protocol). Both come from
 // the artifact store, so a warm store serves the pair without retraining.
@@ -152,7 +151,7 @@ func (r *Runner) train(ctx context.Context, algo string, year, dim int, seed int
 // already produced), trained concurrently when the worker budget allows,
 // each on its share of it; the aligned Wiki'18 embedding is a rotated copy
 // of the shared unaligned one.
-func (r *Runner) PairCtx(ctx context.Context, algo string, dim int, seed int64) (*embedding.Embedding, *embedding.Embedding, error) {
+func (r *Runner) Pair(ctx context.Context, algo string, dim int, seed int64) (*embedding.Embedding, *embedding.Embedding, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -179,25 +178,13 @@ func (r *Runner) PairCtx(ctx context.Context, algo string, dim int, seed int64) 
 	})
 }
 
-// Pair is PairCtx without cancellation.
-//
-// Deprecated: it panics on unknown algorithm names; new callers should
-// use PairCtx.
-func (r *Runner) Pair(algo string, dim int, seed int64) (*embedding.Embedding, *embedding.Embedding) {
-	e17, e18, err := r.PairCtx(context.Background(), algo, dim, seed)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return e17, e18
-}
-
-// QuantizedPairCtx returns the (aligned) pair compressed to the given
+// QuantizedPair returns the (aligned) pair compressed to the given
 // precision with a shared clip. Quantized variants are store artifacts
 // too, keyed by their precision, so repeated queries at the same cell
 // skip even the quantization pass.
-func (r *Runner) QuantizedPairCtx(ctx context.Context, algo string, dim, prec int, seed int64) (*embedding.Embedding, *embedding.Embedding, error) {
+func (r *Runner) QuantizedPair(ctx context.Context, algo string, dim, prec int, seed int64) (*embedding.Embedding, *embedding.Embedding, error) {
 	if prec == 32 {
-		return r.PairCtx(ctx, algo, dim, seed)
+		return r.Pair(ctx, algo, dim, seed)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -205,7 +192,7 @@ func (r *Runner) QuantizedPairCtx(ctx context.Context, algo string, dim, prec in
 	k17 := r.embKey(algo, "wiki17", dim, seed, prec)
 	k18 := r.embKey(algo, "wiki18a", dim, seed, prec)
 	return r.store.GetPair(k17, k18, true, func() (*embedding.Embedding, *embedding.Embedding, error) {
-		e17, e18, err := r.PairCtx(ctx, algo, dim, seed)
+		e17, e18, err := r.Pair(ctx, algo, dim, seed)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -214,16 +201,16 @@ func (r *Runner) QuantizedPairCtx(ctx context.Context, algo string, dim, prec in
 	})
 }
 
-// QuantizedSnapshotCtx returns the single unaligned embedding for (algo,
+// QuantizedSnapshot returns the single unaligned embedding for (algo,
 // year, dim, seed) compressed to the given precision, for the serving
 // read path. The clip is always learned on the Wiki'17 snapshot, matching
-// QuantizedPairCtx's shared-clip convention, so the 2017 and 2018
+// QuantizedPair's shared-clip convention, so the 2017 and 2018
 // snapshots of one cell stay directly comparable. bits >= 32 is the
-// full-precision TrainCtx artifact; quantized variants are store
+// full-precision Train artifact; quantized variants are store
 // artifacts keyed by their precision.
-func (r *Runner) QuantizedSnapshotCtx(ctx context.Context, algo string, year, dim, bits int, seed int64) (*embedding.Embedding, error) {
+func (r *Runner) QuantizedSnapshot(ctx context.Context, algo string, year, dim, bits int, seed int64) (*embedding.Embedding, error) {
 	if bits >= compress.FullPrecision {
-		return r.TrainCtx(ctx, algo, year, dim, seed)
+		return r.Train(ctx, algo, year, dim, seed)
 	}
 	if bits < 1 {
 		return nil, fmt.Errorf("experiments: precision must be in 1..32, got %d", bits)
@@ -238,14 +225,14 @@ func (r *Runner) QuantizedSnapshotCtx(ctx context.Context, algo string, year, di
 		return nil, fmt.Errorf("experiments: year must be 2017 or 2018, got %d", year)
 	}
 	return r.store.Get(r.embKey(algo, tag, dim, seed, bits), true, func() (*embedding.Embedding, error) {
-		e17, err := r.TrainCtx(ctx, algo, 2017, dim, seed)
+		e17, err := r.Train(ctx, algo, 2017, dim, seed)
 		if err != nil {
 			return nil, err
 		}
 		clip := compress.OptimalClipWorkers(e17.Vectors.Data, bits, r.Cfg.Workers)
 		e := e17
 		if year == 2018 {
-			if e, err = r.TrainCtx(ctx, algo, 2018, dim, seed); err != nil {
+			if e, err = r.Train(ctx, algo, 2018, dim, seed); err != nil {
 				return nil, err
 			}
 		}
@@ -253,47 +240,23 @@ func (r *Runner) QuantizedSnapshotCtx(ctx context.Context, algo string, year, di
 	})
 }
 
-// QuantizedPair is QuantizedPairCtx without cancellation.
-//
-// Deprecated: it panics on unknown algorithm names; new callers should
-// use QuantizedPairCtx.
-func (r *Runner) QuantizedPair(algo string, dim, prec int, seed int64) (*embedding.Embedding, *embedding.Embedding) {
-	q17, q18, err := r.QuantizedPairCtx(context.Background(), algo, dim, prec, seed)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return q17, q18
-}
-
-// AnchorsCtx returns the EIS anchor embeddings for an algorithm and seed:
+// Anchors returns the EIS anchor embeddings for an algorithm and seed:
 // the highest-dimensional full-precision pair of the configured ladder,
 // sliced to the top words.
-func (r *Runner) AnchorsCtx(ctx context.Context, algo string, seed int64) (*embedding.Embedding, *embedding.Embedding, error) {
-	return r.AnchorsAtCtx(ctx, algo, r.Cfg.maxDim(), seed)
+func (r *Runner) Anchors(ctx context.Context, algo string, seed int64) (*embedding.Embedding, *embedding.Embedding, error) {
+	return r.AnchorsAt(ctx, algo, r.Cfg.maxDim(), seed)
 }
 
-// AnchorsAtCtx is AnchorsCtx with an explicit anchor dimension, for
+// AnchorsAt is Anchors with an explicit anchor dimension, for
 // sweeps whose ladder differs from the configured one (the paper anchors
 // EIS at the highest-memory pair of the sweep being ranked).
-func (r *Runner) AnchorsAtCtx(ctx context.Context, algo string, dim int, seed int64) (*embedding.Embedding, *embedding.Embedding, error) {
-	e17, e18, err := r.PairCtx(ctx, algo, dim, seed)
+func (r *Runner) AnchorsAt(ctx context.Context, algo string, dim int, seed int64) (*embedding.Embedding, *embedding.Embedding, error) {
+	e17, e18, err := r.Pair(ctx, algo, dim, seed)
 	if err != nil {
 		return nil, nil, err
 	}
 	ids := r.TopWordIDs()
 	return e17.SubRows(ids), e18.SubRows(ids), nil
-}
-
-// Anchors is AnchorsCtx without cancellation.
-//
-// Deprecated: it panics on unknown algorithm names; new callers should
-// use AnchorsCtx.
-func (r *Runner) Anchors(algo string, seed int64) (*embedding.Embedding, *embedding.Embedding) {
-	e, et, err := r.AnchorsCtx(context.Background(), algo, seed)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return e, et
 }
 
 // TaskEvaluator returns the named downstream task bound to this runner's
@@ -314,44 +277,33 @@ func (r *Runner) TaskEvaluator(name string) (tasks.Evaluator, error) {
 	return ev, nil
 }
 
-// SentimentData returns the named sentiment dataset (generated once from
-// the Wiki'17 snapshot, shared by every model).
-//
-// Deprecated: it panics on unknown task names; new callers should use
-// TaskEvaluator.
-func (r *Runner) SentimentData(name string) *sentiment.Dataset {
+// taskEval returns the named task's evaluator as the concrete type E an
+// artifact needs (*tasks.Sentiment or *tasks.NER), for its dataset.
+func taskEval[E tasks.Evaluator](r *Runner, name string) (E, error) {
+	var zero E
 	ev, err := r.TaskEvaluator(name)
 	if err != nil {
-		panic("experiments: " + err.Error())
+		return zero, err
 	}
-	st, ok := ev.(*tasks.Sentiment)
+	e, ok := ev.(E)
 	if !ok {
-		panic(fmt.Sprintf("experiments: task %q is not a sentiment task", name))
+		return zero, fmt.Errorf("experiments: task %q is a %T, want %T", name, ev, zero)
 	}
-	return st.Data
+	return e, nil
 }
 
-// NERData returns the CoNLL-analogue dataset.
-func (r *Runner) NERData() *ner.Dataset {
-	ev, err := r.TaskEvaluator("conll2003")
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return ev.(*tasks.NER).Data
-}
-
-// StabilityCtx evaluates one downstream task on one grid cell: it fetches
+// Stability evaluates one downstream task on one grid cell: it fetches
 // the quantized aligned pair from the store, trains the task's
 // Wiki'17/Wiki'18 model pair (concurrently under the worker budget), and
 // returns the prediction disagreement and the Wiki'17 model's quality.
 // This is the serving-path unit: bitwise identical to the grid sweep's
 // per-cell evaluation.
-func (r *Runner) StabilityCtx(ctx context.Context, algo, task string, dim, prec int, seed int64) (tasks.Result, error) {
+func (r *Runner) Stability(ctx context.Context, algo, task string, dim, prec int, seed int64) (tasks.Result, error) {
 	ev, err := r.TaskEvaluator(task)
 	if err != nil {
 		return tasks.Result{}, err
 	}
-	q17, q18, err := r.QuantizedPairCtx(ctx, algo, dim, prec, seed)
+	q17, q18, err := r.QuantizedPair(ctx, algo, dim, prec, seed)
 	if err != nil {
 		return tasks.Result{}, err
 	}
@@ -361,11 +313,11 @@ func (r *Runner) StabilityCtx(ctx context.Context, algo, task string, dim, prec 
 	return ev.Eval(q17, q18, seed, r.trainPair), nil
 }
 
-// MeasuresCtx returns the configured measure set for (algo, seed) from
+// Measures returns the configured measure set for (algo, seed) from
 // the measure registry, with the eigenspace instability anchors resolved
 // and the config's worker budget threaded into every measure.
-func (r *Runner) MeasuresCtx(ctx context.Context, algo string, seed int64) ([]core.Measure, error) {
-	e, et, err := r.AnchorsCtx(ctx, algo, seed)
+func (r *Runner) Measures(ctx context.Context, algo string, seed int64) ([]core.Measure, error) {
+	e, et, err := r.Anchors(ctx, algo, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -374,27 +326,4 @@ func (r *Runner) MeasuresCtx(ctx context.Context, algo string, seed int64) ([]co
 		Alpha: r.Cfg.Alpha, K: r.Cfg.K, Queries: r.Cfg.KNNQueries,
 		Workers: r.Cfg.Workers,
 	}), nil
-}
-
-// Measures is MeasuresCtx without cancellation.
-//
-// Deprecated: it panics on unknown algorithm names; new callers should
-// use MeasuresCtx.
-func (r *Runner) Measures(algo string, seed int64) []core.Measure {
-	ms, err := r.MeasuresCtx(context.Background(), algo, seed)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return ms
-}
-
-// MeasureNames lists the measure names in reporting order (Table 1's
-// rows), straight from the measure registry.
-func MeasureNames() []string { return core.MeasureNames() }
-
-// parallelFor runs fn(i) for i in [0, n) on up to workers goroutines
-// (workers <= 0 selects all CPUs). fn must synchronize its own writes to
-// shared state.
-func parallelFor(workers, n int, fn func(i int)) {
-	parallel.Run(workers, n, fn, nil)
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,8 @@ import (
 	"anchor/internal/embedding"
 	"anchor/internal/embtrain"
 	"anchor/internal/parallel"
+	"anchor/internal/registry"
+	"anchor/internal/tasks"
 )
 
 // countedAlgo is MC registered under its own name with every Train call
@@ -57,8 +60,15 @@ func sameEmbedding(a, b *embedding.Embedding) bool {
 }
 
 func TestPairCachedAndAligned(t *testing.T) {
-	a17, a18 := sharedRunner.Pair("mc", 8, 1)
-	b17, b18 := sharedRunner.Pair("mc", 8, 1)
+	ctx := context.Background()
+	a17, a18, err := sharedRunner.Pair(ctx, "mc", 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b17, b18, err := sharedRunner.Pair(ctx, "mc", 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a17 != b17 || a18 != b18 {
 		t.Fatal("Pair not cached")
 	}
@@ -71,20 +81,30 @@ func TestPairCachedAndAligned(t *testing.T) {
 }
 
 func TestQuantizedPairPrecisionRecorded(t *testing.T) {
-	q17, q18 := sharedRunner.QuantizedPair("mc", 8, 4, 1)
+	ctx := context.Background()
+	q17, q18, err := sharedRunner.QuantizedPair(ctx, "mc", 8, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if q17.Meta.Precision != 4 || q18.Meta.Precision != 4 {
 		t.Fatalf("precisions %d/%d", q17.Meta.Precision, q18.Meta.Precision)
 	}
 	// Quantization returns copies; the cached full-precision pair must be
 	// untouched.
-	e17, _ := sharedRunner.Pair("mc", 8, 1)
+	e17, _, err := sharedRunner.Pair(ctx, "mc", 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if e17.Meta.Precision != 32 {
 		t.Fatal("cached pair mutated by quantization")
 	}
 }
 
 func TestAnchorsShape(t *testing.T) {
-	e, et := sharedRunner.Anchors("mc", 1)
+	e, et, err := sharedRunner.Anchors(context.Background(), "mc", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if e.Rows() != sharedRunner.Cfg.TopWords || et.Rows() != sharedRunner.Cfg.TopWords {
 		t.Fatalf("anchor rows %d/%d, want %d", e.Rows(), et.Rows(), sharedRunner.Cfg.TopWords)
 	}
@@ -93,46 +113,36 @@ func TestAnchorsShape(t *testing.T) {
 	}
 }
 
-func TestSentimentDataCachedAndPanicsOnUnknown(t *testing.T) {
-	a := sharedRunner.SentimentData("sst2")
-	b := sharedRunner.SentimentData("sst2")
-	if a != b {
+func TestTaskEvaluatorCachedAndErrorsOnUnknown(t *testing.T) {
+	a, err := taskEval[*tasks.Sentiment](sharedRunner, "sst2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := taskEval[*tasks.Sentiment](sharedRunner, "sst2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Data != b.Data {
 		t.Fatal("dataset not cached")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unknown task")
-		}
-	}()
-	sharedRunner.SentimentData("imdb")
-}
-
-func TestPairUnknownAlgorithmPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	sharedRunner.Pair("elmo", 8, 1)
-}
-
-func TestParallelForCoversAllIndices(t *testing.T) {
-	const n = 137
-	for _, workers := range []int{0, 1, 3} {
-		var hits [n]int32
-		parallelFor(workers, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d executed %d times", workers, i, h)
-			}
-		}
+	var unknown *registry.UnknownError
+	if _, err := sharedRunner.TaskEvaluator("imdb"); !errors.As(err, &unknown) {
+		t.Fatalf("unknown task: err = %v, want *registry.UnknownError", err)
 	}
-	// Degenerate sizes.
-	parallelFor(0, 0, func(int) { t.Fatal("must not run") })
-	ran := false
-	parallelFor(0, 1, func(int) { ran = true })
-	if !ran {
-		t.Fatal("n=1 did not run")
+	if _, err := taskEval[*tasks.NER](sharedRunner, "sst2"); err == nil {
+		t.Fatal("sst2 resolved as an NER task")
+	}
+}
+
+func TestPairUnknownAlgorithmErrors(t *testing.T) {
+	var unknown *registry.UnknownError
+	if _, _, err := sharedRunner.Pair(context.Background(), "elmo", 8, 1); !errors.As(err, &unknown) {
+		t.Fatalf("err = %v, want *registry.UnknownError", err)
+	}
+	cfg := tinyGridConfig()
+	cfg.Algorithms = []string{"elmo"}
+	if _, err := Run(context.Background(), NewRunner(cfg), "table1"); !errors.As(err, &unknown) {
+		t.Fatalf("table1 over an unknown algorithm: err = %v, want *registry.UnknownError", err)
 	}
 }
 
@@ -157,12 +167,12 @@ func TestNERGridDisabled(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.NEREnabled = false
 	r := NewRunner(cfg)
-	if got := r.NERGrid(); got != nil {
-		t.Fatalf("disabled NER grid should be nil, got %d cells", len(got))
+	if got, err := r.NERGrid(context.Background()); got != nil || err != nil {
+		t.Fatalf("disabled NER grid should be nil, got %d cells, err %v", len(got), err)
 	}
 }
 
-// PairCtx trains a cold pair's two years concurrently when the worker
+// Pair trains a cold pair's two years concurrently when the worker
 // budget allows; the pair must be bitwise the one a sequential
 // (Workers=1) runner trains.
 func TestPairBitwiseAcrossWorkerBudgets(t *testing.T) {
@@ -171,11 +181,11 @@ func TestPairBitwiseAcrossWorkerBudgets(t *testing.T) {
 	seq.Workers = 1
 	r1, r0 := NewRunner(seq), NewRunner(SmallConfig())
 	for _, algo := range []string{"mc", "glove"} {
-		a17, a18, err := r1.PairCtx(ctx, algo, 8, 1)
+		a17, a18, err := r1.Pair(ctx, algo, 8, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b17, b18, err := r0.PairCtx(ctx, algo, 8, 1)
+		b17, b18, err := r0.Pair(ctx, algo, 8, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +203,7 @@ func TestSelectAfterTrainingBothYearsTrainsNothing(t *testing.T) {
 	r := NewRunner(SmallConfig())
 	var trained [2]*embedding.Embedding
 	for i, year := range []int{2017, 2018} {
-		e, err := r.TrainCtx(ctx, countedAlgo, year, 8, 1)
+		e, err := r.Train(ctx, countedAlgo, year, 8, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,18 +212,18 @@ func TestSelectAfterTrainingBothYearsTrainsNothing(t *testing.T) {
 	before := trainCalls.Load()
 	// Service.Select's reads: the anchors at the grid's largest dimension,
 	// then every (dim, bits) cell's quantized pair.
-	if _, _, err := r.AnchorsAtCtx(ctx, countedAlgo, 8, 1); err != nil {
+	if _, _, err := r.AnchorsAt(ctx, countedAlgo, 8, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, bits := range []int{1, 4, 32} {
-		if _, _, err := r.QuantizedPairCtx(ctx, countedAlgo, 8, bits, 1); err != nil {
+		if _, _, err := r.QuantizedPair(ctx, countedAlgo, 8, bits, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := trainCalls.Load() - before; n != 0 {
 		t.Fatalf("select trained %d embeddings after both years were trained", n)
 	}
-	e17, e18a, err := r.PairCtx(ctx, countedAlgo, 8, 1)
+	e17, e18a, err := r.Pair(ctx, countedAlgo, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +253,7 @@ func TestTrainingsShareCorpusCounts(t *testing.T) {
 		got := make([]*embedding.Embedding, len(algos))
 		errs := make([]error, len(algos))
 		parallel.Run(len(algos), len(algos), func(i int) {
-			got[i], errs[i] = r.TrainCtx(ctx, algos[i], 2017, 8, seed)
+			got[i], errs[i] = r.Train(ctx, algos[i], 2017, 8, seed)
 		}, nil)
 		for i, algo := range algos {
 			if errs[i] != nil {
@@ -257,5 +267,32 @@ func TestTrainingsShareCorpusCounts(t *testing.T) {
 				t.Errorf("%s seed %d: differs from a training on a fresh corpus", algo, seed)
 			}
 		}
+	}
+}
+
+// A context canceled before Run starts trains nothing, for every
+// artifact: each returns context.Canceled before its first training
+// (table9, whose tasks SmallConfig leaves out, has nothing to compute).
+func TestRunCanceledBeforeStartTrainsNothing(t *testing.T) {
+	cfg := SmallConfig()
+	cfg.Algorithms = []string{countedAlgo}
+	r := NewRunner(cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := trainCalls.Load()
+	for _, id := range IDs() {
+		tables, err := Run(ctx, r, id)
+		if id == "table9" && err == nil {
+			continue
+		}
+		if !errors.Is(err, context.Canceled) || tables != nil {
+			t.Errorf("%s: err = %v, %d tables; want context.Canceled and none", id, err, len(tables))
+		}
+	}
+	if n := trainCalls.Load() - before; n != 0 {
+		t.Fatalf("canceled runs trained %d embeddings", n)
+	}
+	if n := r.Store().Stats().Computes; n != 0 {
+		t.Fatalf("canceled runs computed %d store artifacts", n)
 	}
 }

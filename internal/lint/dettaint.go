@@ -57,16 +57,11 @@ var DetTaint = &Analyzer{
 
 // taintFact is the per-function interprocedural summary: whether the
 // function's results may carry nondeterminism, and the ultimate source
-// when they do. Facts are cached per package keyed by export-data
-// identity.
+// when they do.
 type taintFact struct {
-	Tainted bool   `json:"tainted"`
-	Via     string `json:"via,omitempty"`
+	Tainted bool
+	Via     string
 }
-
-// detTaintFactKind versions the cached fact format; bump when the
-// summary computation changes.
-const detTaintFactKind = "dettaint1"
 
 func runDetTaint(mp *ModulePass) error {
 	sums := taintSummaries(mp)
@@ -101,28 +96,13 @@ func declFullName(pkg *Package, fd *ast.FuncDecl) (string, bool) {
 }
 
 // taintSummaries computes the module-wide fixed point of per-function
-// taint facts. Packages with a valid fact-cache entry contribute their
-// summaries as constants; only uncached packages iterate, and their
-// results are saved for the next run. Taint is monotone (a fact never
+// taint facts, recomputed on every run. Taint is monotone (a fact never
 // turns back off), so the iteration terminates.
 func taintSummaries(mp *ModulePass) map[string]taintFact {
 	sums := make(map[string]taintFact)
-	cached := make(map[*Package]bool)
-	for _, pkg := range mp.Pkgs {
-		var m map[string]taintFact
-		if mp.Facts.Load(detTaintFactKind, PackageFactKey(pkg), &m) {
-			for k, v := range m {
-				sums[k] = v
-			}
-			cached[pkg] = true
-		}
-	}
 	for changed := true; changed; {
 		changed = false
 		for _, pkg := range mp.Pkgs {
-			if cached[pkg] {
-				continue
-			}
 			for _, fd := range funcDecls(pkg) {
 				name, ok := declFullName(pkg, fd)
 				if !ok || TaintLaunder[name] {
@@ -135,22 +115,6 @@ func taintSummaries(mp *ModulePass) map[string]taintFact {
 				}
 			}
 		}
-	}
-	for _, pkg := range mp.Pkgs {
-		if cached[pkg] {
-			continue
-		}
-		key := PackageFactKey(pkg)
-		if key == "" {
-			continue
-		}
-		m := make(map[string]taintFact)
-		for _, fd := range funcDecls(pkg) {
-			if name, ok := declFullName(pkg, fd); ok {
-				m[name] = sums[name]
-			}
-		}
-		mp.Facts.Save(detTaintFactKind, key, m)
 	}
 	return sums
 }

@@ -120,9 +120,6 @@ type ModulePass struct {
 	Pkgs []*Package
 	// Graph is the static call graph over Pkgs (see BuildCallGraph).
 	Graph *CallGraph
-	// Facts caches per-package analyzer facts across runs, keyed by
-	// export-data identity (see FactStore).
-	Facts *FactStore
 
 	diags *[]Diagnostic
 }
@@ -255,7 +252,6 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 	var all []Diagnostic
 	// Module-level analyzers first: they share one call graph, built once.
 	var graph *CallGraph
-	facts := OpenFactStore(CacheDir)
 	for _, a := range analyzers {
 		if a.RunModule == nil {
 			continue
@@ -263,7 +259,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 		if graph == nil {
 			graph = BuildCallGraph(pkgs)
 		}
-		mp := &ModulePass{Analyzer: a, Pkgs: pkgs, Graph: graph, Facts: facts, diags: &all}
+		mp := &ModulePass{Analyzer: a, Pkgs: pkgs, Graph: graph, diags: &all}
 		if err := a.RunModule(mp); err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}

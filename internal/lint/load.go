@@ -13,6 +13,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
+	"sync"
 )
 
 // A Package is one loaded, parsed, and type-checked package ready for
@@ -32,11 +34,6 @@ type Package struct {
 	Types *types.Package
 	// TypesInfo records type and object resolution for Files.
 	TypesInfo *types.Info
-	// ExportPath is the compiler export-data file `go list -export`
-	// produced for the package. The path embeds the build-cache action
-	// ID — a hash over the package's transitive sources — so it doubles
-	// as a content-addressed identity for fact caching.
-	ExportPath string
 }
 
 // listPackage is the subset of `go list -json` output the loader uses.
@@ -78,6 +75,36 @@ func goList(dir string, patterns []string) ([]*listPackage, error) {
 		}
 		pkgs = append(pkgs, &p)
 	}
+	return pkgs, nil
+}
+
+// goListMemo de-duplicates `go list -export` invocations within one
+// process: every analyzer run and every linttest fixture that lists the
+// same (dir, patterns) pair reuses the first result.
+var goListMemo struct {
+	sync.Mutex
+	m map[string][]*listPackage
+}
+
+// goListCached is goList through goListMemo.
+func goListCached(dir string, patterns []string) ([]*listPackage, error) {
+	key := dir + "\x00" + strings.Join(patterns, "\x00")
+	goListMemo.Lock()
+	pkgs, ok := goListMemo.m[key]
+	goListMemo.Unlock()
+	if ok {
+		return pkgs, nil
+	}
+	pkgs, err := goList(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	goListMemo.Lock()
+	if goListMemo.m == nil {
+		goListMemo.m = make(map[string][]*listPackage)
+	}
+	goListMemo.m[key] = pkgs
+	goListMemo.Unlock()
 	return pkgs, nil
 }
 
@@ -127,13 +154,12 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, err
 		}
 		out = append(out, &Package{
-			PkgPath:    p.ImportPath,
-			Fset:       fset,
-			Files:      files,
-			TestFiles:  testFiles,
-			Types:      pkg,
-			TypesInfo:  info,
-			ExportPath: p.Export,
+			PkgPath:   p.ImportPath,
+			Fset:      fset,
+			Files:     files,
+			TestFiles: testFiles,
+			Types:     pkg,
+			TypesInfo: info,
 		})
 	}
 	return out, nil

@@ -103,6 +103,26 @@ func TestRunReducesInOrderAfterAllWork(t *testing.T) {
 	}
 }
 
+func TestRunCoversAllIndices(t *testing.T) {
+	const n = 137
+	for _, workers := range []int{0, 1, 3} {
+		var hits [n]int32
+		Run(workers, n, func(i int) { atomic.AddInt32(&hits[i], 1) }, nil)
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("workers=%d: index %d executed %d times", workers, i, h)
+			}
+		}
+	}
+	// Degenerate sizes.
+	Run(0, 0, func(int) { t.Fatal("must not run") }, nil)
+	ran := false
+	Run(0, 1, func(int) { ran = true }, nil)
+	if !ran {
+		t.Fatal("n=1 did not run")
+	}
+}
+
 // TestRunWorkerInvariant is the engine's core property on a miniature
 // trainer: shard-local accumulation with an ordered merge must be bitwise
 // identical across worker counts, including the sequential path.

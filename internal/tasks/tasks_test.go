@@ -56,7 +56,10 @@ func TestSentimentEvaluatorMatchesInline(t *testing.T) {
 	ccfg := corpus.TestConfig()
 	c17 := corpus.Generate(ccfg, corpus.Wiki17)
 	c18 := corpus.Generate(ccfg, corpus.Wiki18)
-	tr, _ := embtrain.ByName("mc")
+	tr, err := embtrain.Lookup("mc", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e17 := tr.Train(c17, 8, 1)
 	e18 := tr.Train(c18, 8, 1)
 	e18.AlignTo(e17)

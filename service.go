@@ -201,7 +201,7 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 			if bits == 0 {
 				bits = 32
 			}
-			return runner.QuantizedSnapshotCtx(ctx, ref.Algo, ref.Year, ref.Dim, bits, ref.Seed)
+			return runner.QuantizedSnapshot(ctx, ref.Algo, ref.Year, ref.Dim, bits, ref.Seed)
 		},
 		query.WithBudget(settings.queryBudget),
 		query.WithWorkers(settings.cfg.Workers),
@@ -325,7 +325,7 @@ func (s *Service) Train(ctx context.Context, algo string, year, dim int, seed in
 	}
 	seed = s.seed(seed)
 	s.note("train %s wiki%d d=%d seed=%d", algo, year%100, dim, seed)
-	return s.runner.TrainCtx(ctx, algo, year, dim, seed)
+	return s.runner.Train(ctx, algo, year, dim, seed)
 }
 
 // Pair returns the aligned full-precision pair for (algo, dim, seed): the
@@ -338,7 +338,7 @@ func (s *Service) Pair(ctx context.Context, algo string, dim int, seed int64) (*
 	}
 	seed = s.seed(seed)
 	s.note("pair %s d=%d seed=%d", algo, dim, seed)
-	return s.runner.PairCtx(ctx, algo, dim, seed)
+	return s.runner.Pair(ctx, algo, dim, seed)
 }
 
 // MeasureReport is one embedding-distance evaluation of a grid cell.
@@ -369,11 +369,11 @@ func (s *Service) MeasureCell(ctx context.Context, algo string, dim, bits int, s
 		return MeasureReport{}, err
 	}
 	s.note("measures %s d=%d b=%d seed=%d", algo, dim, bits, seed)
-	q17, q18, err := s.runner.QuantizedPairCtx(ctx, algo, dim, bits, seed)
+	q17, q18, err := s.runner.QuantizedPair(ctx, algo, dim, bits, seed)
 	if err != nil {
 		return MeasureReport{}, err
 	}
-	ms, err := s.runner.MeasuresCtx(ctx, algo, seed)
+	ms, err := s.runner.Measures(ctx, algo, seed)
 	if err != nil {
 		return MeasureReport{}, err
 	}
@@ -425,7 +425,7 @@ func (s *Service) Stability(ctx context.Context, algo, task string, dim, bits in
 		return StabilityReport{}, err
 	}
 	s.note("stability %s/%s d=%d b=%d seed=%d", algo, task, dim, bits, seed)
-	res, err := s.runner.StabilityCtx(ctx, algo, task, dim, bits, seed)
+	res, err := s.runner.Stability(ctx, algo, task, dim, bits, seed)
 	if err != nil {
 		return StabilityReport{}, err
 	}
@@ -514,7 +514,7 @@ func (s *Service) Select(ctx context.Context, req SelectRequest) (SelectReport, 
 			anchorDim = d
 		}
 	}
-	e, et, err := s.runner.AnchorsAtCtx(ctx, req.Algo, anchorDim, seed)
+	e, et, err := s.runner.AnchorsAt(ctx, req.Algo, anchorDim, seed)
 	if err != nil {
 		return SelectReport{}, err
 	}
@@ -535,7 +535,7 @@ func (s *Service) Select(ctx context.Context, req SelectRequest) (SelectReport, 
 			if err := ctx.Err(); err != nil {
 				return SelectReport{}, err
 			}
-			q17, q18, err := s.runner.QuantizedPairCtx(ctx, req.Algo, dim, bits, seed)
+			q17, q18, err := s.runner.QuantizedPair(ctx, req.Algo, dim, bits, seed)
 			if err != nil {
 				return SelectReport{}, err
 			}
@@ -566,13 +566,21 @@ func (s *Service) Select(ctx context.Context, req SelectRequest) (SelectReport, 
 
 // Experiment reproduces a registered paper artifact by id against the
 // service's shared runner (so embeddings are reused across experiments)
-// and renders its tables to w.
+// and renders its tables to w. A canceled ctx stops the run before its
+// next training, grid cell, or task, and nothing is rendered.
 func (s *Service) Experiment(ctx context.Context, id string, w io.Writer) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	s.note("experiment %s", id)
-	return renderExperiment(s.runner, id, w)
+	tables, err := experiments.Run(ctx, s.runner, id)
+	if err != nil {
+		return err
+	}
+	for _, t := range tables {
+		t.Render(w)
+	}
+	return nil
 }
 
 // Experiments reproduces the given artifact ids (all registered ones when

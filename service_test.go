@@ -1,6 +1,7 @@
 package anchor_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -37,19 +38,7 @@ func newTinyService(t *testing.T, opts ...anchor.ServiceOption) *anchor.Service 
 // TestAlignQuantizeMatchesInlinedSequence pins the AlignQuantize helper
 // bitwise to the align -> meta-tag -> quantize ritual it replaces.
 func TestAlignQuantizeMatchesInlinedSequence(t *testing.T) {
-	cfg := anchor.DefaultCorpusConfig()
-	cfg.VocabSize = 300
-	cfg.NumDocs = 120
-	c17 := anchor.GenerateCorpus(cfg, anchor.Wiki17)
-	c18 := anchor.GenerateCorpus(cfg, anchor.Wiki18)
-	e17, err := anchor.TrainEmbedding("mc", c17, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e18, err := anchor.TrainEmbedding("mc", c18, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e17, e18 := trainPair(t)
 
 	// Inlined legacy sequence on clones.
 	a, b := e17.Clone(), e18.Clone()
@@ -196,6 +185,25 @@ func TestServiceUnknownNames(t *testing.T) {
 	}
 	if unk.Kind != "measure" {
 		t.Fatalf("kind = %q", unk.Kind)
+	}
+}
+
+// An experiment over a config naming an unregistered algorithm returns
+// the registry's error instead of panicking inside the grid.
+func TestServiceExperimentUnknownAlgorithm(t *testing.T) {
+	cfg := tinyServiceConfig()
+	cfg.Algorithms = []string{"elmo"}
+	svc, err := anchor.NewService(anchor.WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	var unk *anchor.UnknownNameError
+	if err := svc.Experiment(context.Background(), "table1", &buf); !errors.As(err, &unk) {
+		t.Fatalf("want UnknownNameError, got %v", err)
+	}
+	if unk.Kind != "algorithm" || buf.Len() != 0 {
+		t.Fatalf("kind = %q, rendered %q", unk.Kind, buf.String())
 	}
 }
 
