@@ -169,9 +169,6 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkTrain(MC|GloVe|CBOW|FastText)$$' -benchtime 3x -count 5 . | tee BENCH_train.txt
 	$(GO) run ./cmd/benchjson -o BENCH_train.json < BENCH_train.txt
 	@rm -f BENCH_train.txt
-	$(GO) run ./cmd/anchorlint -bench ./... | tee BENCH_lint.txt
-	$(GO) run ./cmd/benchjson -o BENCH_lint.json < BENCH_lint.txt
-	@rm -f BENCH_lint.txt
 
 # Full paper-artifact regeneration benchmarks (slow; trains the grid).
 bench-artifacts:

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"anchor/internal/lint"
 )
@@ -39,7 +38,6 @@ func main() {
 	baselinePath := flag.String("baseline", "", "JSON baseline of accepted findings; entries that no longer match any finding fail the run (default: lint-baseline.json when present)")
 	writeBaseline := flag.String("write-baseline", "", "write the current unsuppressed findings to this baseline file and exit")
 	severityFlag := flag.String("severity", "", "per-rule severity overrides, e.g. ctxflow=warning,syncguard=error (levels: error, warning, note); only error-severity findings fail the run")
-	bench := flag.Bool("bench", false, "print the load+analysis wall time in go-benchmark format (for cmd/benchjson) instead of findings, and exit 0")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: anchorlint [flags] [packages]\n")
 		flag.PrintDefaults()
@@ -70,7 +68,6 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	start := time.Now()
 	pkgs, err := lint.Load("", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "anchorlint:", err)
@@ -80,14 +77,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "anchorlint:", err)
 		os.Exit(2)
-	}
-	elapsed := time.Since(start)
-
-	if *bench {
-		// One line in `go test -bench` format so cmd/benchjson can turn
-		// it into BENCH_lint.json from make bench.
-		fmt.Printf("BenchmarkAnchorlint 1 %d ns/op\n", elapsed.Nanoseconds())
-		return
 	}
 	if *writeBaseline != "" {
 		if err := lint.WriteBaseline(*writeBaseline, diags); err != nil {

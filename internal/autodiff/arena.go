@@ -13,11 +13,17 @@ import "anchor/internal/matrix"
 // buffer stays valid exactly until the next reset. That matches the tape
 // lifecycle — forward values and gradients are only read between the ops
 // that record them and the optimizer step that consumes them.
+//
+// Float slabs are sized by demand: the first holds firstFloatSlabLen
+// floats, and each later one doubles the one before, up to floatSlabLen,
+// so a one-shot tape that records little takes little. A reset tape
+// replays the same slab sequence, so its steady state allocates none.
 const (
-	nodeChunkLen  = 256
-	denseChunkLen = 256
-	floatSlabLen  = 1 << 16 // 64k float64s = 512 KiB per slab
-	intSlabLen    = 1 << 12
+	nodeChunkLen      = 256
+	denseChunkLen     = 256
+	firstFloatSlabLen = 1 << 10 // 1k float64s = 8 KiB
+	floatSlabLen      = 1 << 16 // 64k float64s = 512 KiB
+	intSlabLen        = 1 << 12
 )
 
 type arena struct {
@@ -82,11 +88,11 @@ func (a *arena) floats(n int) []float64 {
 			a.off = 0
 			continue
 		}
-		size := floatSlabLen
-		if n > size {
-			size = n
+		size := firstFloatSlabLen
+		if k := len(a.slabs); k > 0 {
+			size = min(2*len(a.slabs[k-1]), floatSlabLen)
 		}
-		a.slabs = append(a.slabs, make([]float64, size))
+		a.slabs = append(a.slabs, make([]float64, max(size, n)))
 		a.slab = len(a.slabs) - 1
 		a.off = 0
 	}

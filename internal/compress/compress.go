@@ -223,3 +223,24 @@ func Levels(clip float64, bits int) []float64 {
 	}
 	return out
 }
+
+// Grid returns the decode levels of a b<=8-bit quantized artifact with
+// metadata m, Levels(m.Clip, m.Precision), or nil when m describes no
+// such quantization: a precision outside 1..8, a clip that is not finite
+// and positive, or a clip so small that rounding to float32 merges
+// levels. It is the one test of whether an artifact can be held as
+// packed codes, shared by the storage layer's writer and reader and the
+// query engine's snapshot load; an artifact is packed only when every
+// value also lies on the returned grid.
+func Grid(m embedding.Meta) []float64 {
+	if m.Precision < 1 || m.Precision > 8 || !(m.Clip > 0) || math.IsInf(m.Clip, 0) {
+		return nil
+	}
+	levels := Levels(m.Clip, m.Precision)
+	for i := 1; i < len(levels); i++ {
+		if !(levels[i] > levels[i-1]) {
+			return nil
+		}
+	}
+	return levels
+}

@@ -189,12 +189,9 @@ func TestAllMeasuresWorkerInvariance(t *testing.T) {
 }
 
 func TestSVDCacheLRUEviction(t *testing.T) {
-	ResetSVDCache()
-	defer func() {
-		SetSVDCacheCapacity(0)
-		ResetSVDCache()
-	}()
-	SetSVDCacheCapacity(2)
+	shared := sharedSVDs
+	sharedSVDs = newSVDCache(2)
+	defer func() { sharedSVDs = shared }()
 	mk := func(seed int64) *embedding.Embedding {
 		e := randEmb(20, 4, seed)
 		e.Meta = embedding.Meta{Algorithm: "mc", Corpus: "wiki17", Dim: 4, Seed: seed, Precision: 32}
@@ -217,17 +214,6 @@ func TestSVDCacheLRUEviction(t *testing.T) {
 	}
 	if got := thinSVD(a); &got.U.Data[0] == &sa.U.Data[0] {
 		t.Fatal("a should have been evicted and recomputed")
-	}
-}
-
-func TestSVDCacheCapacityClamp(t *testing.T) {
-	ResetSVDCache()
-	SetSVDCacheCapacity(-5)
-	sharedSVDs.mu.Lock()
-	got := sharedSVDs.cap
-	sharedSVDs.mu.Unlock()
-	if got != DefaultSVDCacheCap {
-		t.Fatalf("cap = %d, want default %d", got, DefaultSVDCacheCap)
 	}
 }
 

@@ -30,10 +30,10 @@ type Measure interface {
 	Distance(x, xt *embedding.Embedding) float64
 }
 
-// DefaultSVDCacheCap bounds the shared SVD cache. Each entry holds an
-// n-by-r factor, so an unbounded cache grows without limit in long-running
+// svdCacheCap bounds the shared SVD cache. Each entry holds an n-by-r
+// factor, so an unbounded cache grows without limit in long-running
 // processes that sweep many embedding configurations.
-const DefaultSVDCacheCap = 64
+const svdCacheCap = 64
 
 // svdCache memoizes thin SVDs keyed by embedding identity with LRU
 // eviction at a fixed capacity. The selection experiments evaluate several
@@ -75,12 +75,6 @@ func (c *svdCache) put(key string, s matrix.SVD) {
 		return
 	}
 	c.m[key] = c.lru.PushFront(&svdEntry{key: key, svd: s})
-	c.evictOverCapLocked()
-}
-
-// evictOverCapLocked drops least-recently-used entries until the cache is
-// within capacity. The caller must hold c.mu.
-func (c *svdCache) evictOverCapLocked() {
 	for c.lru.Len() > c.cap {
 		back := c.lru.Back()
 		c.lru.Remove(back)
@@ -88,20 +82,7 @@ func (c *svdCache) evictOverCapLocked() {
 	}
 }
 
-var sharedSVDs = newSVDCache(DefaultSVDCacheCap)
-
-// SetSVDCacheCapacity resizes the shared SVD cache, evicting
-// least-recently-used entries if it shrinks. capacity <= 0 restores
-// DefaultSVDCacheCap.
-func SetSVDCacheCapacity(capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultSVDCacheCap
-	}
-	sharedSVDs.mu.Lock()
-	defer sharedSVDs.mu.Unlock()
-	sharedSVDs.cap = capacity
-	sharedSVDs.evictOverCapLocked()
-}
+var sharedSVDs = newSVDCache(svdCacheCap)
 
 // cacheKey returns a unique identity for the embedding, or "" if the
 // embedding carries no provenance (ad-hoc matrices are never cached).

@@ -2,14 +2,14 @@
 // behind the serving tier's chaos tests. Production code registers named
 // injection sites at its failure points — disk reads in internal/store,
 // snapshot loads in internal/query, request handling in internal/serve —
-// and calls the site helpers (Error, Corrupt, Sleep, Crash, Pressure) at
-// those points. With no plan active the helpers are inert: one atomic nil
+// and calls the site helpers (Error, Corrupt, Sleep, Crash) at those
+// points. With no plan active the helpers are inert: one atomic nil
 // check and out, so the sites cost nothing in production.
 //
 // Tests activate a Plan: a seeded schedule of Rules, each binding a fault
-// kind (I/O error, corrupt bytes, latency, allocation pressure, panic) to
-// one site with a probability, a visit period, and an injection cap. All
-// randomness flows from per-site RNGs derived from the plan seed, so a
+// kind (I/O error, corrupt bytes, latency, panic) to one site with a
+// probability, a visit period, and an injection cap. All randomness
+// flows from per-site RNGs derived from the plan seed, so a
 // site's injection decisions depend only on the plan seed and that site's
 // visit count — the same discipline (seeded, order-fixed) the rest of the
 // module's determinism contract demands, which is why this package sits
@@ -49,9 +49,6 @@ const (
 	// KindPanic makes the site's Crash helper panic — the injected fault
 	// for panic-recovery middleware.
 	KindPanic
-	// KindPressure makes the site's Pressure helper allocate and touch the
-	// rule's Bytes of memory, simulating allocation pressure.
-	KindPressure
 )
 
 // String names the kind for events and errors.
@@ -65,8 +62,6 @@ func (k Kind) String() string {
 		return "latency"
 	case KindPanic:
 		return "panic"
-	case KindPressure:
-		return "pressure"
 	}
 	return fmt.Sprintf("kind%d", int(k))
 }
@@ -104,8 +99,6 @@ type Rule struct {
 	Count int
 	// Latency is the sleep duration for KindLatency rules.
 	Latency time.Duration
-	// Bytes is the allocation size for KindPressure rules (default 1 MiB).
-	Bytes int
 }
 
 // Event records one injection for test assertions.
@@ -374,29 +367,3 @@ func Crash(site string) {
 		panic(fmt.Sprintf("faults: injected panic at %s (visit %d)", site, r.fired))
 	}
 }
-
-// Pressure allocates and touches the armed KindPressure rule's Bytes
-// (default 1 MiB), simulating allocation pressure at the site. The buffer
-// is garbage immediately; the point is the allocator traffic.
-func Pressure(site string) {
-	p := active.Load()
-	if p == nil {
-		return
-	}
-	r := p.arm(site, KindPressure)
-	if r == nil {
-		return
-	}
-	n := r.Bytes
-	if n <= 0 {
-		n = 1 << 20
-	}
-	buf := make([]byte, n)
-	for i := 0; i < len(buf); i += 4096 {
-		buf[i] = 1
-	}
-	sinkByte = buf[0]
-}
-
-// sinkByte keeps Pressure's buffer touch from being optimized away.
-var sinkByte byte

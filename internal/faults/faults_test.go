@@ -28,7 +28,6 @@ func TestInertWithoutPlan(t *testing.T) {
 	}
 	Sleep(context.Background(), testSiteA)
 	Crash(testSiteA) // must not panic
-	Pressure(testSiteA)
 }
 
 func TestUnregisteredSiteRejected(t *testing.T) {
@@ -181,15 +180,6 @@ func TestCrashPanics(t *testing.T) {
 		}
 	}()
 	Crash(testSiteA)
-}
-
-func TestPressureAllocates(t *testing.T) {
-	plan := MustPlan(1, Rule{Site: testSiteA, Kind: KindPressure, Bytes: 1 << 12})
-	defer Activate(plan)()
-	Pressure(testSiteA) // must not panic; the allocation is the effect
-	if plan.Fired(testSiteA, KindPressure) != 1 {
-		t.Fatal("pressure did not fire")
-	}
 }
 
 // TestEventsRecordFirings: the event log names site, kind, and visit.

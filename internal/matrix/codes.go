@@ -145,9 +145,6 @@ func (c *Codes) Dense() *Dense {
 	return out
 }
 
-// SizeBytes returns the packed payload size.
-func (c *Codes) SizeBytes() int { return len(c.Data) }
-
 // lutPool holds reusable per-band lookup tables: a table is d·2^b
 // float64s, 64 KiB for a 32-dim 8-bit snapshot.
 var lutPool = sync.Pool{New: func() any { return new([]float64) }}

@@ -4,10 +4,11 @@ package matrix
 // matrix for artifacts whose values are exactly float32-representable
 // (quantized levels are rounded to float32 by construction), halving the
 // memory traffic of the bandwidth-bound read path. Arithmetic stays in
-// float64: every product widens both operands first and every output
-// element keeps one float64 accumulator in ascending k, so MulABTInto32
-// is bitwise identical to MulABTInto on widened copies of its inputs —
-// the storage narrows, the answers do not.
+// float64: query rows are float64, every product widens its float32
+// operand first, and every output element keeps one float64 accumulator
+// in ascending k, so MulABTInto32 is bitwise identical to MulABTInto on a
+// widened copy of the float32 rows — the storage narrows, the answers do
+// not.
 
 import (
 	"fmt"
@@ -62,33 +63,16 @@ func (m *Dense32) WidenRow(i int, dst []float64) {
 	}
 }
 
-// Widen returns a float64 copy of the matrix.
-func (m *Dense32) Widen() *Dense {
-	out := NewDense(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = float64(v)
-	}
-	return out
-}
-
-// MulABT32Workers returns a*bᵀ for float32 operands, computed on up to
-// workers goroutines (workers <= 0 selects all CPUs). The result is a
-// float64 matrix bitwise identical to MulABTWorkers on widened copies of
-// a and b, for every worker count.
-func MulABT32Workers(a, b *Dense32, workers int) *Dense {
-	return MulABTInto32(NewDense(a.Rows, b.Rows), a, b, workers)
-}
-
-// MulABTInto32 computes a*bᵀ into dst and returns dst, overwriting its
-// previous contents. dst must be a.Rows-by-b.Rows and float64; a and b
-// are float32. It mirrors MulABTInto's cache-blocked, 4x2-interleaved
-// micro-kernel exactly — same b-row tiling, same accumulator chains, one
-// float64 accumulator per output element in ascending k — with each
-// product widening its float32 operands to float64 first. Loading half
-// the bytes per row is the entire difference, so outputs are bitwise
-// identical to the float64 kernel on widened inputs for every worker
-// count and batch shape.
-func MulABTInto32(dst *Dense, a, b *Dense32, workers int) *Dense {
+// MulABTInto32 computes a*bᵀ into dst for float64 query rows a against
+// float32 candidate rows b, and returns dst, overwriting its previous
+// contents. dst must be a.Rows-by-b.Rows and must not alias a. It mirrors
+// MulABTInto's cache-blocked, 4x2-interleaved micro-kernel exactly — same
+// b-row tiling, same accumulator chains, one float64 accumulator per
+// output element in ascending k — with each product widening its float32
+// operand to float64 first. Loading half the bytes per candidate row is
+// the entire difference, so outputs are bitwise identical to
+// MulABTInto(dst, a, b widened) for every worker count and batch shape.
+func MulABTInto32(dst, a *Dense, b *Dense32, workers int) *Dense {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("matrix: MulABT32 col mismatch %d vs %d", a.Cols, b.Cols))
 	}
@@ -111,7 +95,7 @@ func MulABTInto32(dst *Dense, a, b *Dense32, workers int) *Dense {
 					var s00, s01, s10, s11, s20, s21, s30, s31 float64
 					for k, bv := range b0 {
 						bv0, bv1 := float64(bv), float64(b1[k])
-						v0, v1, v2, v3 := float64(x0[k]), float64(x1[k]), float64(x2[k]), float64(x3[k])
+						v0, v1, v2, v3 := x0[k], x1[k], x2[k], x3[k]
 						s00 += v0 * bv0
 						s01 += v0 * bv1
 						s10 += v1 * bv0
@@ -131,10 +115,10 @@ func MulABTInto32(dst *Dense, a, b *Dense32, workers int) *Dense {
 					var s0, s1, s2, s3 float64
 					for k, bv := range brow {
 						bv0 := float64(bv)
-						s0 += float64(a0[k]) * bv0
-						s1 += float64(a1[k]) * bv0
-						s2 += float64(a2[k]) * bv0
-						s3 += float64(a3[k]) * bv0
+						s0 += a0[k] * bv0
+						s1 += a1[k] * bv0
+						s2 += a2[k] * bv0
+						s3 += a3[k] * bv0
 					}
 					o0[j], o1[j], o2[j], o3[j] = s0, s1, s2, s3
 				}
@@ -147,11 +131,10 @@ func MulABTInto32(dst *Dense, a, b *Dense32, workers int) *Dense {
 					b0, b1, b2, b3 := b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3)
 					var s0, s1, s2, s3 float64
 					for k, av := range arow {
-						av0 := float64(av)
-						s0 += av0 * float64(b0[k])
-						s1 += av0 * float64(b1[k])
-						s2 += av0 * float64(b2[k])
-						s3 += av0 * float64(b3[k])
+						s0 += av * float64(b0[k])
+						s1 += av * float64(b1[k])
+						s2 += av * float64(b2[k])
+						s3 += av * float64(b3[k])
 					}
 					orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 				}
@@ -159,7 +142,7 @@ func MulABTInto32(dst *Dense, a, b *Dense32, workers int) *Dense {
 					brow := b.Row(j)
 					var s float64
 					for k, bv := range brow {
-						s += float64(arow[k]) * float64(bv)
+						s += arow[k] * float64(bv)
 					}
 					orow[j] = s
 				}

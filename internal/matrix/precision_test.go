@@ -63,11 +63,11 @@ func TestMulABTInto32GoldenBitEquality(t *testing.T) {
 		{1, 1, 1}, {3, 5, 7}, {4, 2, 8}, {5, 67, 16}, {9, 130, 33}, {70, 70, 24},
 	}
 	for _, sh := range shapes {
-		aWide, a32 := randDense32Exact(sh.m, sh.d, int64(sh.m*1000+sh.n))
+		aWide, _ := randDense32Exact(sh.m, sh.d, int64(sh.m*1000+sh.n))
 		bWide, b32 := randDense32Exact(sh.n, sh.d, int64(sh.n*1000+sh.d))
 		want := MulABTWorkers(aWide, bWide, 1)
 		for _, workers := range []int{1, 2, 3, 8} {
-			got := MulABTInto32(NewDense(sh.m, sh.n), a32, b32, workers)
+			got := MulABTInto32(NewDense(sh.m, sh.n), aWide, b32, workers)
 			sameBits(t, got, want, "MulABTInto32")
 		}
 	}

@@ -12,17 +12,21 @@
 //   - Each snapshot (one Ref: algorithm, corpus year, dimension, seed,
 //     precision) is resolved through a Source — in production the artifact
 //     store, so a warm store serves queries without retraining — and held
-//     query-ready in a byte-budgeted LRU. Full-precision snapshots keep
-//     rows L2-normalized once (cosine becomes a dot product) plus a
-//     word → row index. Quantized snapshots stay compact: b<=8-bit
-//     artifacts keep their packed codes resident (8-16x more snapshots
-//     per byte of budget) and score through the decode-free LUT kernel;
-//     float32-exact artifacts keep float32 rows and score through the
-//     widening float32 kernel. Compact modes score raw-row dot products
-//     and scale by precomputed inverse norms afterwards, an order fixed so
-//     answers are bitwise identical to dequantizing the artifact and
-//     executing the same query in float64 — for every worker count and
-//     batch shape (see the golden tests in precision_test.go).
+//     query-ready in a byte-budgeted LRU, plus a word → row index. The
+//     snapshot load picks the resident representation once, from the
+//     artifact's precision, and hands the engine three functions over it:
+//     the raw row, the query row a block gathers, and a scorer of gathered
+//     query blocks. Full-precision snapshots keep rows L2-normalized once
+//     (cosine becomes a dot product) and score them with the float64
+//     kernel. Quantized snapshots stay compact: b<=8-bit artifacts keep
+//     their packed codes resident (8-16x more snapshots per byte of
+//     budget) and score through the decode-free LUT kernel; float32-exact
+//     artifacts keep float32 rows and score through the widening float32
+//     kernel. Compact scorers take raw-row dot products and scale them by
+//     precomputed inverse norms, an order fixed so answers are bitwise
+//     identical to dequantizing the artifact and executing the same query
+//     in float64 — for every worker count and batch shape (see the golden
+//     tests in precision_test.go).
 //   - Nearest-neighbor queries run through the blocked MulABT kernel and
 //     the bounded-heap top-k selector from internal/core. Each request is
 //     scored as one query block the moment it arrives (a multi-word
@@ -128,7 +132,7 @@ type Stats struct {
 	// Batches is the mean block size.
 	BatchedQueries int64
 	// Retries counts snapshot-load attempts beyond each load's first try
-	// (see WithRetry). A nonzero value means the source failed
+	// (see loadSource). A nonzero value means the source failed
 	// transiently and the engine recovered without surfacing an error.
 	Retries int64
 }
@@ -136,11 +140,9 @@ type Stats struct {
 // Engine serves vector, neighbor, and neighbor-delta queries over
 // embedding snapshots. It is safe for concurrent use; construct with New.
 type Engine struct {
-	src      Source
-	budget   int64
-	workers  int
-	attempts int
-	backoff  time.Duration
+	src     Source
+	budget  int64
+	workers int
 
 	mu     sync.Mutex
 	items  map[Ref]*list.Element
@@ -170,28 +172,14 @@ func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }
 
-// WithRetry bounds the retry loop around source loads: up to attempts
-// total tries per load, separated by exponentially growing waits
-// (backoff, 2·backoff, 4·backoff, ...). Context cancellation and
-// deadline expiry are never retried — the caller's deadline is the outer
-// bound. attempts <= 1 disables retrying. The default is 3 attempts with
-// a 2ms initial backoff. Retried loads resolve to the same content-keyed
-// artifact, so a load that succeeds on retry is bitwise identical to one
-// that succeeded first try.
-func WithRetry(attempts int, backoff time.Duration) Option {
-	return func(e *Engine) { e.attempts, e.backoff = attempts, backoff }
-}
-
 // New returns an Engine drawing snapshots from src.
 func New(src Source, opts ...Option) *Engine {
 	e := &Engine{
-		src:      src,
-		budget:   256 << 20,
-		attempts: 3,
-		backoff:  2 * time.Millisecond,
-		items:    map[Ref]*list.Element{},
-		lru:      list.New(),
-		flight:   map[Ref]*snapFlight{},
+		src:    src,
+		budget: 256 << 20,
+		items:  map[Ref]*list.Element{},
+		lru:    list.New(),
+		flight: map[Ref]*snapFlight{},
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -244,7 +232,7 @@ func (e *Engine) Resident() []SnapshotInfo {
 		}
 		out = append(out, SnapshotInfo{
 			Ref:   s.ref.String(),
-			Mode:  s.mode.String(),
+			Mode:  s.mode,
 			Bits:  bits,
 			Rows:  s.rows,
 			Dim:   s.dim,
@@ -254,54 +242,22 @@ func (e *Engine) Resident() []SnapshotInfo {
 	return out
 }
 
-// precMode is a snapshot's resident representation.
-type precMode int
-
-const (
-	// precFloat64 is the full-precision path: the raw embedding pinned
-	// for vector lookups plus an L2-normalized float64 copy scored with
-	// the float64 kernel.
-	precFloat64 precMode = iota
-	// precFloat32 keeps raw rows as float32 (lossless for float32-exact
-	// artifacts) plus per-row inverse norms; scoring widens on the fly.
-	precFloat32
-	// precCodes keeps raw rows as packed b-bit codes plus per-row inverse
-	// norms; scoring is the decode-free LUT kernel.
-	precCodes
-)
-
-// String names the mode for health reports.
-func (m precMode) String() string {
-	switch m {
-	case precFloat32:
-		return "float32"
-	case precCodes:
-		return "codes"
-	}
-	return "float64"
-}
-
 // snapshot is one query-ready resident embedding plus its vocabulary
-// index. The resident representation depends on the artifact's precision
-// (see precMode): full-precision snapshots pin the store-shared raw
-// embedding (read-only by contract) and a normalized matrix; compact
-// snapshots pin only the narrow rows and per-row inverse norms, and
-// scale cosine scores after the raw dot product in a fixed order.
+// index. load picks the resident representation (named by mode) and sets
+// the three functions the rest of the engine reads it through, so
+// nothing else asks which representation a snapshot holds.
 type snapshot struct {
 	ref  Ref
-	mode precMode
+	mode string
 
-	// precFloat64 representation.
-	raw  *embedding.Embedding
-	norm *matrix.Dense
-
-	// Compact representations (one of these, plus inv).
-	raw32 *matrix.Dense32
-	codes *matrix.Codes
-	// inv[i] is 1/||row i|| (0 for a zero row), precomputed so compact
-	// modes can turn raw dot products into cosines: sim = (dot·invQ)·invJ,
-	// in exactly that order.
-	inv []float64
+	// row writes raw (unnormalized) row i into dst: the vector Vector
+	// returns.
+	row func(i int, dst []float64)
+	// query writes the row a query block gathers for query word i.
+	query func(i int, dst []float64)
+	// score fills sims with the cosine similarities of the gathered
+	// query block qb, whose row r is query word ids[r], against every row.
+	score func(sims, qb *matrix.Dense, ids []int)
 
 	rows, dim int
 	words     []string
@@ -361,6 +317,7 @@ func (e *Engine) snapshot(ctx context.Context, ref Ref) (*snapshot, error) {
 // quantized artifacts (values on their (Clip, Precision) level grid)
 // become packed codes, other float32-exact reduced-precision artifacts
 // become float32 rows, everything else stays on the full float64 path.
+// It is the only code that reads the artifact's precision.
 func (e *Engine) load(ctx context.Context, ref Ref) (*snapshot, error) {
 	emb, err := e.loadSource(ctx, ref)
 	if err != nil {
@@ -376,34 +333,38 @@ func (e *Engine) load(ctx context.Context, ref Ref) (*snapshot, error) {
 		dim:   emb.Dim(),
 		words: emb.Words,
 	}
-	b := emb.Meta.Precision
-	if b >= 1 && b <= 8 && emb.Meta.Clip > 0 {
-		if codes, err := matrix.NewCodesFromDense(emb.Vectors, compress.Levels(emb.Meta.Clip, b), b); err == nil {
-			s.mode = precCodes
-			s.codes = codes
-			s.inv = invNorms(s.rows, s.dim, e.workers, codes.DequantizeRow)
-		}
+	workers, b := e.workers, emb.Meta.Precision
+	var codes *matrix.Codes
+	if lv := compress.Grid(emb.Meta); lv != nil {
+		// An artifact with a value off its grid has no code form (nil).
+		codes, _ = matrix.NewCodesFromDense(emb.Vectors, lv, b)
 	}
-	if s.mode == precFloat64 && b >= 1 && b < 32 && matrix.Float32Exact(emb.Vectors.Data) {
-		s.mode = precFloat32
-		s.raw32 = matrix.NewDense32From(emb.Vectors)
-		s.inv = invNorms(s.rows, s.dim, e.workers, s.raw32.WidenRow)
-	}
-	// Budget accounting covers everything the snapshot pins. Full
-	// precision: the normalized matrix plus the raw embedding (held for
-	// vector lookups even after the artifact store evicts it). Compact
+	// Budget accounting covers everything the snapshot pins. Compact
 	// modes: the narrow rows, the inverse norms, and (for codes) the
-	// decode table. Either way, the word index adds ~one map entry plus
-	// string header per word.
-	switch s.mode {
-	case precCodes:
-		s.bytes = int64(len(s.codes.Data)) + int64(s.rows)*8 + int64(len(s.codes.Levels))*8
-	case precFloat32:
+	// decode table. Full precision: the normalized matrix plus the raw
+	// embedding (held for vector lookups even after the artifact store
+	// evicts it). Every mode adds the word index below.
+	switch {
+	case codes != nil:
+		s.mode = "codes"
+		s.bytes = int64(len(codes.Data)) + int64(s.rows)*8 + int64(len(codes.Levels))*8
+		s.compact(codes.DequantizeRow, workers, func(sims, qb *matrix.Dense) {
+			matrix.MulABTIntoLUT(sims, qb, codes, workers)
+		})
+	case b >= 1 && b < 32 && matrix.Float32Exact(emb.Vectors.Data):
+		raw32 := matrix.NewDense32From(emb.Vectors)
+		s.mode = "float32"
 		s.bytes = int64(s.rows)*int64(s.dim)*4 + int64(s.rows)*8
+		s.compact(raw32.WidenRow, workers, func(sims, qb *matrix.Dense) {
+			matrix.MulABTInto32(sims, qb, raw32, workers)
+		})
 	default:
-		s.raw = emb
-		s.norm = core.NormalizedRows(emb, e.workers)
+		norm := core.NormalizedRows(emb, workers)
+		s.mode = "float64"
 		s.bytes = 2 * int64(s.rows) * int64(s.dim) * 8
+		s.row = func(i int, dst []float64) { copy(dst, emb.Vector(i)) }
+		s.query = func(i int, dst []float64) { copy(dst, norm.Row(i)) }
+		s.score = func(sims, qb *matrix.Dense, _ []int) { matrix.MulABTInto(sims, qb, norm, workers) }
 	}
 	if emb.Words != nil {
 		s.index = make(map[string]int, len(emb.Words))
@@ -415,20 +376,47 @@ func (e *Engine) load(ctx context.Context, ref Ref) (*snapshot, error) {
 	return s, nil
 }
 
-// loadSource pulls ref through the source under the bounded-backoff
-// retry policy (WithRetry). Cancellation and deadline errors abort
-// immediately — they belong to the caller, not the source — and the wait
-// between tries is cut short when the context expires.
-func (e *Engine) loadSource(ctx context.Context, ref Ref) (*embedding.Embedding, error) {
-	attempts := e.attempts
-	if attempts < 1 {
-		attempts = 1
+// compact sets the functions of a compact mode, which pins only raw rows
+// (presented through row) and their inverse norms: a query gathers its
+// raw row, and the scorer turns the kernel's raw dot products into
+// cosines, sim = (dot·invQ)·invJ, in exactly that order for every element
+// — the same two multiplications, in the same order, the dequantized
+// float64 reference performs.
+func (s *snapshot) compact(row func(i int, dst []float64), workers int, dots func(sims, qb *matrix.Dense)) {
+	inv := invNorms(s.rows, s.dim, workers, row)
+	s.row, s.query = row, row
+	s.score = func(sims, qb *matrix.Dense, ids []int) {
+		dots(sims, qb)
+		for r, id := range ids {
+			out := sims.Row(r)
+			qinv := inv[id]
+			for j := range out {
+				out[j] = (out[j] * qinv) * inv[j]
+			}
+		}
 	}
+}
+
+// Source loads are retried: up to loadAttempts tries per load, separated
+// by exponentially growing waits (loadBackoff, then twice that). Retried
+// loads resolve to the same content-keyed artifact, so a load that
+// succeeds on retry is bitwise identical to one that succeeded first try.
+const (
+	loadAttempts = 3
+	loadBackoff  = 2 * time.Millisecond
+)
+
+// loadSource pulls ref through the source under the bounded-backoff
+// retry policy. Cancellation and deadline errors abort immediately — they
+// belong to the caller, whose deadline is the outer bound, not to the
+// source — and the wait between tries is cut short when the context
+// expires.
+func (e *Engine) loadSource(ctx context.Context, ref Ref) (*embedding.Embedding, error) {
 	var err error
-	for try := 0; try < attempts; try++ {
+	for try := 0; try < loadAttempts; try++ {
 		if try > 0 {
 			e.retries.Add(1)
-			if !sleepCtx(ctx, e.backoff<<(try-1)) {
+			if !sleepCtx(ctx, loadBackoff<<(try-1)) {
 				return nil, ctx.Err()
 			}
 		}
@@ -445,10 +433,7 @@ func (e *Engine) loadSource(ctx context.Context, ref Ref) (*embedding.Embedding,
 			return nil, err
 		}
 	}
-	if attempts > 1 {
-		return nil, fmt.Errorf("query: load %s failed after %d attempts: %w", ref, attempts, err)
-	}
-	return nil, err
+	return nil, fmt.Errorf("query: load %s failed after %d attempts: %w", ref, loadAttempts, err)
 }
 
 // sleepCtx waits for d or until ctx is done, reporting whether the full
@@ -531,8 +516,9 @@ func (e *Engine) Words(ctx context.Context, ref Ref) (int, error) {
 }
 
 // Vector returns the word's row id and a copy of its (unnormalized)
-// embedding vector in the snapshot under ref. Compact modes reconstruct
-// the row exactly: both are lossless representations of the artifact.
+// embedding vector in the snapshot under ref. Compact snapshots
+// reconstruct the row exactly: both are lossless representations of the
+// artifact.
 func (e *Engine) Vector(ctx context.Context, ref Ref, word string) (int, []float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, err
@@ -546,20 +532,8 @@ func (e *Engine) Vector(ctx context.Context, ref Ref, word string) (int, []float
 		return 0, nil, err
 	}
 	vec := make([]float64, s.dim)
-	s.fillRaw(id, vec)
+	s.row(id, vec)
 	return id, vec, nil
-}
-
-// fillRaw writes the snapshot's raw (unnormalized) row i into dst.
-func (s *snapshot) fillRaw(i int, dst []float64) {
-	switch s.mode {
-	case precCodes:
-		s.codes.DequantizeRow(i, dst)
-	case precFloat32:
-		s.raw32.WidenRow(i, dst)
-	default:
-		copy(dst, s.raw.Vector(i))
-	}
 }
 
 // blockSize is the most words one query block scores: a multi-word
@@ -617,7 +591,6 @@ var computeScratch = sync.Pool{New: func() any { return &batchScratch{} }}
 
 type batchScratch struct {
 	qb, sb []float64
-	qb32   []float32
 	sel    core.TopKSelector
 }
 
@@ -631,63 +604,26 @@ func (sc *batchScratch) blocks(q, d, n int) (qb, sb *matrix.Dense) {
 	return matrix.NewDenseData(q, d, sc.qb[:q*d]), matrix.NewDenseData(q, n, sc.sb[:q*n])
 }
 
-func (sc *batchScratch) block32(q, d int) *matrix.Dense32 {
-	if cap(sc.qb32) < q*d {
-		sc.qb32 = make([]float32, q*d)
-	}
-	return &matrix.Dense32{Rows: q, Cols: d, Data: sc.qb32[:q*d]}
-}
-
-func (sc *batchScratch) simBlock(q, n int) *matrix.Dense {
-	if cap(sc.sb) < q*n {
-		sc.sb = make([]float64, q*n)
-	}
-	return matrix.NewDenseData(q, n, sc.sb[:q*n])
-}
-
 // compute scores one block of neighbor queries (row ids) as a single
 // query-block product against the snapshot's resident rows and writes
-// each query's top-k into out. Every similarity is an independent
-// single-accumulator dot product (plus, in compact modes, a fixed-order
-// scale by the two inverse norms), so each answer is bitwise independent
-// of the block composition and the worker count — and, in compact modes,
-// bitwise identical to dequantizing the artifact and executing the same
-// query in float64.
+// each query's top-k into out: gather the query rows, score them, select
+// the top k. Every similarity is an independent single-accumulator dot
+// product (plus, in compact modes, a fixed-order scale by the two
+// inverse norms), so each answer is bitwise independent of the block
+// composition and the worker count — and, in compact modes, bitwise
+// identical to dequantizing the artifact and executing the same query in
+// float64.
 func (e *Engine) compute(s *snapshot, ids []int, k int, out [][]Neighbor) {
 	e.batches.Add(1)
 	e.batchedQueries.Add(int64(len(ids)))
-	n, d := s.rows, s.dim
 	sc := computeScratch.Get().(*batchScratch)
 	defer computeScratch.Put(sc)
-	var sb *matrix.Dense
-	switch s.mode {
-	case precCodes:
-		// Query rows dequantize to their exact raw float64 values; the LUT
-		// kernel then scores them against the packed rows decode-free.
-		var qb *matrix.Dense
-		qb, sb = sc.blocks(len(ids), d, n)
-		for i, id := range ids {
-			s.codes.DequantizeRow(id, qb.Row(i))
-		}
-		matrix.MulABTIntoLUT(sb, qb, s.codes, e.workers)
-		s.scaleSims(sb, ids)
-	case precFloat32:
-		qb32 := sc.block32(len(ids), d)
-		sb = sc.simBlock(len(ids), n)
-		for i, id := range ids {
-			copy(qb32.Row(i), s.raw32.Row(id))
-		}
-		matrix.MulABTInto32(sb, qb32, s.raw32, e.workers)
-		s.scaleSims(sb, ids)
-	default:
-		var qb *matrix.Dense
-		qb, sb = sc.blocks(len(ids), d, n)
-		for i, id := range ids {
-			copy(qb.Row(i), s.norm.Row(id))
-		}
-		matrix.MulABTInto(sb, qb, s.norm, e.workers)
+	qb, sb := sc.blocks(len(ids), s.dim, s.rows)
+	for i, id := range ids {
+		s.query(id, qb.Row(i))
 	}
-	top := make([]int32, min(k, n))
+	s.score(sb, qb, ids)
+	top := make([]int32, min(k, s.rows))
 	for i, id := range ids {
 		sims := sb.Row(i)
 		idxs := sc.sel.Select(sims, id, k, top)
@@ -699,20 +635,6 @@ func (e *Engine) compute(s *snapshot, ids []int, k int, out [][]Neighbor) {
 			}
 		}
 		out[i] = ns
-	}
-}
-
-// scaleSims turns raw-row dot products into cosine similarities using the
-// precomputed inverse norms: sim = (dot·invQ)·invJ, in exactly that
-// order for every element — the same two multiplications, in the same
-// order, the dequantized float64 reference performs.
-func (s *snapshot) scaleSims(sb *matrix.Dense, ids []int) {
-	for i, id := range ids {
-		sims := sb.Row(i)
-		qinv := s.inv[id]
-		for j := range sims {
-			sims[j] = (sims[j] * qinv) * s.inv[j]
-		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"anchor/internal/embedding"
 	"anchor/internal/faults"
@@ -42,7 +41,7 @@ func TestLoadRetriesTransientFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := New(flakySource(40, 2, nil), WithRetry(3, time.Microsecond))
+	e := New(flakySource(40, 2, nil))
 	got, err := e.Neighbors(context.Background(), ref, "w001", 5)
 	if err != nil {
 		t.Fatalf("load did not recover: %v", err)
@@ -61,7 +60,7 @@ func TestLoadRetriesTransientFailures(t *testing.T) {
 // error (wrapped with the attempt count) after exactly attempts tries.
 func TestLoadRetryExhaustion(t *testing.T) {
 	var calls int32
-	e := New(flakySource(40, 1<<30, &calls), WithRetry(3, time.Microsecond))
+	e := New(flakySource(40, 1<<30, &calls))
 	_, err := e.Neighbors(context.Background(), Ref{Algo: "mc", Year: 2017, Dim: 8, Seed: 1}, "w001", 5)
 	if !errors.Is(err, errFlaky) {
 		t.Fatalf("err = %v, want wrapped errFlaky", err)
@@ -82,7 +81,7 @@ func TestLoadNoRetryOnCancellation(t *testing.T) {
 		atomic.AddInt32(&calls, 1)
 		return nil, context.Canceled
 	}
-	e := New(src, WithRetry(3, time.Microsecond))
+	e := New(src)
 	_, err := e.Neighbors(context.Background(), Ref{Algo: "mc", Year: 2017, Dim: 8, Seed: 1}, "w001", 5)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -121,7 +120,7 @@ func TestDeadlinePropagation(t *testing.T) {
 // fault-injection site instead of a bespoke flaky source: one injected
 // I/O error, one retry, answers served.
 func TestInjectedLoadErrorRecovered(t *testing.T) {
-	e := New(fixtureSource(40, nil), WithRetry(3, time.Microsecond))
+	e := New(fixtureSource(40, nil))
 	defer faults.Activate(faults.MustPlan(1,
 		faults.Rule{Site: "query/load", Kind: faults.KindError, Count: 1}))()
 	if _, err := e.Neighbors(context.Background(), Ref{Algo: "mc", Year: 2017, Dim: 8, Seed: 1}, "w001", 5); err != nil {

@@ -24,7 +24,7 @@ func TestQuantizedNeighborsEndpointBitwiseEqualsLibrary(t *testing.T) {
 	words := queryWords(t, refSvc, 8)
 	ctx := t.Context()
 
-	for _, bits := range []int{1, 8} {
+	for _, bits := range []int{1, 8, 16} {
 		want, err := refSvc.Neighbors(ctx, "mc", 8, words,
 			anchor.QueryK(5), anchor.QueryPrecision(bits))
 		if err != nil {
@@ -81,7 +81,7 @@ func TestHealthzReportsResidentSnapshots(t *testing.T) {
 	h := srv.Handler()
 	words := queryWords(t, svc, 2)
 
-	for _, bits := range []int{0, 8} {
+	for _, bits := range []int{0, 8, 16} {
 		body := fmt.Sprintf(`{"algo":"mc","words":["%s"],"dim":8,"k":3,"bits":%d}`, words[0], bits)
 		if rr := do(t, h, http.MethodPost, "/v1/neighbors", body, nil); rr.Code != http.StatusOK {
 			t.Fatalf("bits=%d: %d %s", bits, rr.Code, rr.Body.String())
@@ -105,6 +105,9 @@ func TestHealthzReportsResidentSnapshots(t *testing.T) {
 	}
 	if in, ok := modes["codes"]; !ok || in.Bits != 8 {
 		t.Fatalf("no 8-bit codes snapshot in healthz: %+v", resp.Query.Snapshots)
+	}
+	if in, ok := modes["float32"]; !ok || in.Bits != 16 {
+		t.Fatalf("no 16-bit float32 snapshot in healthz: %+v", resp.Query.Snapshots)
 	}
 	if in, ok := modes["float64"]; !ok || in.Bits != 32 {
 		t.Fatalf("no full-precision snapshot in healthz: %+v", resp.Query.Snapshots)

@@ -164,16 +164,6 @@ func splitWordsBlob(blob []byte) []string {
 	return strings.Split(string(blob), "\n")
 }
 
-// quantGrid returns the level grid a quantized payload of e decodes
-// through, or nil when e's Meta does not describe a b<=8 quantization.
-func quantGrid(e *embedding.Embedding) []float64 {
-	b := e.Meta.Precision
-	if b < 1 || b > 8 || !(e.Meta.Clip > 0) || math.IsInf(e.Meta.Clip, 0) {
-		return nil
-	}
-	return compress.Levels(e.Meta.Clip, b)
-}
-
 // onGrid reports whether every value of data is exactly one of the
 // ascending levels.
 func onGrid(data []float64, levels []float64) bool {
@@ -192,7 +182,7 @@ func onGrid(data []float64, levels []float64) bool {
 // value is float32-representable, float64 otherwise. Artifacts written
 // with the picked kind decode to bitwise identical embeddings.
 func PickKind(e *embedding.Embedding) ElemKind {
-	if lv := quantGrid(e); lv != nil && onGrid(e.Vectors.Data, lv) {
+	if lv := compress.Grid(e.Meta); lv != nil && onGrid(e.Vectors.Data, lv) {
 		return Quantized
 	}
 	if matrix.Float32Exact(e.Vectors.Data) {
@@ -210,7 +200,7 @@ func WriteBinary(w io.Writer, e *embedding.Embedding, kind ElemKind) error {
 	var codes *matrix.Codes
 	codeBits := 0
 	if kind == Quantized {
-		lv := quantGrid(e)
+		lv := compress.Grid(e.Meta)
 		if lv == nil {
 			return fmt.Errorf("store: quantized kind needs 1..8-bit precision and a positive clip, have b=%d clip=%v",
 				e.Meta.Precision, e.Meta.Clip)
@@ -352,12 +342,11 @@ func DecodeBinary(data []byte) (*embedding.Embedding, error) {
 	payloadOff := int(binary.LittleEndian.Uint64(data[56:64]))
 	clip := math.Float64frombits(binary.LittleEndian.Uint64(data[64:72]))
 	codeBits := int(int32(binary.LittleEndian.Uint32(data[72:76])))
+	var levels []float64
 	if kind == Quantized {
-		if codeBits < 1 || codeBits > 8 || codeBits != prec {
-			return nil, corruptf("quantized code bits %d (precision %d)", codeBits, prec)
-		}
-		if !(clip > 0) || math.IsInf(clip, 0) || math.IsNaN(clip) {
-			return nil, corruptf("quantized clip %v", clip)
+		levels = compress.Grid(embedding.Meta{Precision: prec, Clip: clip})
+		if levels == nil || codeBits != prec {
+			return nil, corruptf("quantized code bits %d (precision %d, clip %v)", codeBits, prec, clip)
 		}
 	}
 
@@ -396,7 +385,7 @@ func DecodeBinary(data []byte) (*embedding.Embedding, error) {
 	if kind == Quantized {
 		codes := &matrix.Codes{
 			Rows: rows, Cols: cols, Bits: codeBits,
-			Levels:   compress.Levels(clip, codeBits),
+			Levels:   levels,
 			RowBytes: codeRowBytes(cols, codeBits),
 			Data:     data[payloadOff:],
 		}

@@ -75,8 +75,15 @@ func TestPickKindLosslessCascade(t *testing.T) {
 	if k := PickKind(wide); k != Float64 {
 		t.Fatalf("full-precision artifact picked kind %d, want Float64", k)
 	}
+	// A clip so small that float32 rounding merges the levels leaves no
+	// code grid either.
+	tiny := embedding.New(9, 7)
+	tiny.Meta.Precision, tiny.Meta.Clip = 4, 1e-300
+	if k := PickKind(tiny); k != Float32 {
+		t.Fatalf("artifact with merged 4-bit levels picked kind %d, want Float32", k)
+	}
 	// Whatever PickKind chooses must round-trip bitwise.
-	for _, e := range []*embedding.Embedding{q, f32, q16, wide} {
+	for _, e := range []*embedding.Embedding{q, f32, q16, wide, tiny} {
 		var buf bytes.Buffer
 		if err := WriteBinary(&buf, e, PickKind(e)); err != nil {
 			t.Fatal(err)
