@@ -25,15 +25,14 @@ fmt:
 # zero unsuppressed findings is a merge requirement.
 lint: vet anchorlint staticcheck govulncheck
 
-# The baseline carries grandfathered findings (keyed rule+file+message,
-# no line numbers); entries whose finding is fixed turn stale and fail
-# the run, so the debt can only shrink.
+# Every unsuppressed finding fails the run; the only exceptions are
+# //anchorlint:ignore directives with a reason, in the source.
 anchorlint:
-	$(GO) run ./cmd/anchorlint -baseline lint-baseline.json ./...
+	$(GO) run ./cmd/anchorlint ./...
 
 # Machine-readable lint output for code-scanning upload.
 anchorlint-sarif:
-	$(GO) run ./cmd/anchorlint -baseline lint-baseline.json -format sarif ./... > anchorlint.sarif || true
+	$(GO) run ./cmd/anchorlint -format sarif ./... > anchorlint.sarif || true
 	@test -s anchorlint.sarif
 
 # staticcheck and govulncheck are external binaries; run them when
@@ -144,8 +143,8 @@ servebench-smoke:
 # TestPaperArtifactDigests hashes at the default worker count.
 paper-workers:
 	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/experiments -all -config small -workers 1 > $$dir/w1.txt && \
-	$(GO) run ./cmd/experiments -all -config small -workers 4 > $$dir/w4.txt && \
+	$(GO) run ./cmd/anchor experiment -all -config small -workers 1 > $$dir/w1.txt && \
+	$(GO) run ./cmd/anchor experiment -all -config small -workers 4 > $$dir/w4.txt && \
 	cmp $$dir/w1.txt $$dir/w4.txt; status=$$?; rm -rf $$dir; \
 	[ $$status -eq 0 ] && echo "paper output identical at -workers 1 and 4"; exit $$status
 

@@ -15,11 +15,14 @@
 //	anchor select    -algo mc -dims 8,16,32 -bits 1,4,32 -budget 128
 //	anchor query     -algo mc -dim 32 -bits 8 -words fezadis,dovoles -k 5 -delta
 //	anchor experiment -id fig1 -config small
+//	anchor experiment -all -config bench -workers 4
+//	anchor experiment -id fig1 -config bench -cpuprofile cpu.out -memprofile mem.out
 //	anchor serve     -addr :8080 -config bench -cache-dir .anchor-cache -serving-budget 256
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -27,6 +30,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strconv"
 	"strings"
@@ -83,7 +88,7 @@ commands:
   stability   end-to-end downstream instability for one configuration
   select      rank a dim x precision grid by a measure under a memory budget
   query       query a trained snapshot: vectors, nearest neighbors, neighbor delta
-  experiment  reproduce a paper table/figure by id (see cmd/experiments for the full runner)
+  experiment  reproduce paper tables/figures: one by -id, or -all (-list prints the ids)
   serve       serve the API over HTTP (see docs/HTTP_API.md for the /v1 endpoints)`)
 }
 
@@ -304,7 +309,7 @@ func cmdQuery(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	algo := fs.String("algo", "mc", "embedding algorithm")
 	dim := fs.Int("dim", 32, "embedding dimension")
-	bits := fs.Int("bits", 0, "served precision in bits (1..32; 0 = service default, full precision)")
+	bits := fs.Int("bits", 0, "served precision in bits (1..32; 0 = full precision)")
 	seed := fs.Int64("seed", 1, "training seed")
 	year := fs.Int("year", 2017, "corpus snapshot year (2017 or 2018; ignored by -delta)")
 	wordsFlag := fs.String("words", "", "comma-separated query words (required)")
@@ -327,13 +332,10 @@ func cmdQuery(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := []anchor.QueryOption{anchor.QueryYear(*year), anchor.QueryK(*k), anchor.QuerySeed(*seed)}
-	if *bits != 0 {
-		opts = append(opts, anchor.QueryPrecision(*bits))
-	}
+	req := anchor.QueryRequest{Algo: *algo, Words: words, Dim: *dim, K: *k, Year: *year, Bits: *bits, Seed: *seed}
 	switch {
 	case *vectors:
-		rep, err := svc.Query(ctx, *algo, *dim, words, opts...)
+		rep, err := svc.Query(ctx, req)
 		if err != nil {
 			return err
 		}
@@ -341,7 +343,8 @@ func cmdQuery(ctx context.Context, args []string) error {
 			fmt.Printf("%-16s id=%-6d %v\n", v.Word, v.ID, v.Vector)
 		}
 	case *delta:
-		rep, err := svc.NeighborDelta(ctx, *algo, *dim, words, opts...)
+		rep, err := svc.NeighborDelta(ctx, anchor.DeltaRequest{Algo: *algo, Words: words, Dim: *dim, K: *k,
+			Bits: *bits, Seed: *seed})
 		if err != nil {
 			return err
 		}
@@ -352,7 +355,7 @@ func cmdQuery(ctx context.Context, args []string) error {
 		}
 		fmt.Printf("mean overlap: %.3f (1 = stable neighborhoods, 0 = fully replaced)\n", rep.MeanOverlap)
 	default:
-		rep, err := svc.Neighbors(ctx, *algo, *dim, words, opts...)
+		rep, err := svc.Neighbors(ctx, req)
 		if err != nil {
 			return err
 		}
@@ -379,17 +382,58 @@ func neighborWords(ns []anchor.Neighbor) string {
 	return strings.Join(parts, " ")
 }
 
-func cmdExperiment(ctx context.Context, args []string) error {
+// cmdExperiment reproduces paper artifacts on one Service, so every
+// artifact of the invocation shares one runner and one artifact store:
+// the embedding grid is trained once (and, with -cache-dir, at most once
+// across invocations).
+func cmdExperiment(ctx context.Context, args []string) (err error) {
 	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
-	id := fs.String("id", "fig1", "artifact id: "+strings.Join(anchor.ExperimentIDs(), ", "))
+	id := fs.String("id", "fig1", "artifact id to run (see -list)")
+	all := fs.Bool("all", false, "run every registered artifact")
+	list := fs.Bool("list", false, "list artifact ids")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile (taken after the run) to this file")
 	sf := addServiceFlags(fs, "small")
 	fs.Parse(args)
 
+	if *list {
+		fmt.Println(strings.Join(anchor.ExperimentIDs(), "\n"))
+		return nil
+	}
 	svc, err := sf.newService()
 	if err != nil {
 		return err
 	}
-	return svc.Experiment(ctx, *id, os.Stdout)
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			err = errors.Join(err, f.Close())
+		}()
+	}
+	ids := []string{*id}
+	if *all {
+		ids = nil // every registered artifact
+	}
+	if err := svc.Experiments(ctx, ids, os.Stdout); err != nil {
+		return err
+	}
+	if *memprofile == "" {
+		return nil
+	}
+	f, err := os.Create(*memprofile)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // materialize up-to-date heap statistics
+	return errors.Join(pprof.WriteHeapProfile(f), f.Close())
 }
 
 func cmdServe(ctx context.Context, args []string) error {

@@ -55,7 +55,7 @@ func main() {
 	}
 
 	fmt.Printf("%s dim=%d: top-%d neighbors on Wiki'17 vs Wiki'18\n\n", algo, dim, k)
-	rep, err := svc.NeighborDelta(ctx, algo, dim, words, anchor.QueryK(k))
+	rep, err := svc.NeighborDelta(ctx, anchor.DeltaRequest{Algo: algo, Words: words, Dim: dim, K: k})
 	if err != nil {
 		log.Fatal(err)
 	}

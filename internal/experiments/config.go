@@ -123,7 +123,7 @@ func BenchConfig() Config {
 
 // ReproConfig is the full-scale configuration (all algorithms, the whole
 // 6x6 grid, 3 seeds), the closest analogue of the paper's sweep. Expect a
-// long run; use `go run ./cmd/experiments -config repro`.
+// long run; use `go run ./cmd/anchor experiment -all -config repro`.
 func ReproConfig() Config {
 	cfg := BenchConfig()
 	cfg.Corpus = corpus.DefaultConfig()

@@ -130,7 +130,7 @@ func (r *Runner) train(ctx context.Context, algo string, year, dim int, seed int
 	if year == 2018 {
 		c = c18
 	}
-	return r.store.Get(r.embKey(algo, tag, dim, seed, 32), true, func() (*embedding.Embedding, error) {
+	return r.store.Get(r.embKey(algo, tag, dim, seed, 32), func() (*embedding.Embedding, error) {
 		tr, err := embtrain.Lookup(algo, workers)
 		if err != nil {
 			return nil, err
@@ -157,7 +157,7 @@ func (r *Runner) Pair(ctx context.Context, algo string, dim int, seed int64) (*e
 	}
 	k17 := r.embKey(algo, "wiki17", dim, seed, 32)
 	k18 := r.embKey(algo, "wiki18a", dim, seed, 32)
-	return r.store.GetPair(k17, k18, true, func() (*embedding.Embedding, *embedding.Embedding, error) {
+	return r.store.GetPair(k17, k18, func() (*embedding.Embedding, *embedding.Embedding, error) {
 		workers := parallel.Workers(r.Cfg.Workers)
 		var (
 			years = [2]int{2017, 2018}
@@ -191,7 +191,7 @@ func (r *Runner) QuantizedPair(ctx context.Context, algo string, dim, prec int, 
 	}
 	k17 := r.embKey(algo, "wiki17", dim, seed, prec)
 	k18 := r.embKey(algo, "wiki18a", dim, seed, prec)
-	return r.store.GetPair(k17, k18, true, func() (*embedding.Embedding, *embedding.Embedding, error) {
+	return r.store.GetPair(k17, k18, func() (*embedding.Embedding, *embedding.Embedding, error) {
 		e17, e18, err := r.Pair(ctx, algo, dim, seed)
 		if err != nil {
 			return nil, nil, err
@@ -224,7 +224,7 @@ func (r *Runner) QuantizedSnapshot(ctx context.Context, algo string, year, dim, 
 	default:
 		return nil, fmt.Errorf("experiments: year must be 2017 or 2018, got %d", year)
 	}
-	return r.store.Get(r.embKey(algo, tag, dim, seed, bits), true, func() (*embedding.Embedding, error) {
+	return r.store.Get(r.embKey(algo, tag, dim, seed, bits), func() (*embedding.Embedding, error) {
 		e17, err := r.Train(ctx, algo, 2017, dim, seed)
 		if err != nil {
 			return nil, err

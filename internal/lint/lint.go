@@ -38,24 +38,11 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of the contract clause the
 	// rule enforces.
 	Doc string
-	// Severity classifies the rule's findings for drivers and SARIF
-	// output: "error" (the default when empty — unsuppressed findings
-	// fail the build), "warning", or "note".
-	Severity string
 	// Run executes the rule over one package. Nil for module-level rules.
 	Run func(*Pass) error
 	// RunModule executes the rule once over every loaded package, with
 	// the module call graph available. Nil for per-package rules.
 	RunModule func(*ModulePass) error
-}
-
-// EffectiveSeverity resolves the analyzer's severity, defaulting to
-// "error".
-func (a *Analyzer) EffectiveSeverity() string {
-	if a.Severity == "" {
-		return "error"
-	}
-	return a.Severity
 }
 
 // A Pass provides one analyzer run with a single type-checked package and
@@ -95,15 +82,11 @@ type Diagnostic struct {
 	Rule string
 	// Message describes the violation and the sanctioned alternative.
 	Message string
-	// Suppressed reports whether an //anchorlint:ignore directive (or a
-	// baseline entry) covers the finding; suppressed findings do not
-	// fail the build.
+	// Suppressed reports whether an //anchorlint:ignore directive covers
+	// the finding; suppressed findings do not fail the build.
 	Suppressed bool
 	// SuppressReason is the directive's documented justification.
 	SuppressReason string
-	// Baselined reports that the suppression came from a baseline file
-	// rather than an in-source directive.
-	Baselined bool
 }
 
 // String formats the diagnostic in the conventional file:line:col style.
@@ -150,15 +133,6 @@ func ByName(name string) *Analyzer {
 		}
 	}
 	return nil
-}
-
-// SeverityOf resolves a diagnostic rule name to its severity; the
-// pseudo-rule "anchorlint" (directive hygiene) is always an error.
-func SeverityOf(rule string) string {
-	if a := ByName(rule); a != nil {
-		return a.EffectiveSeverity()
-	}
-	return "error"
 }
 
 // ignoreDirective is one parsed //anchorlint:ignore comment.

@@ -9,7 +9,8 @@ import (
 
 // SARIF 2.1.0 document model — the subset anchorlint emits, shaped for
 // GitHub code scanning: one run, a populated rule catalogue, and one
-// result per diagnostic with in-source/external suppressions preserved.
+// result per diagnostic with its in-source suppression preserved. Every
+// rule is an error: any unsuppressed finding fails the build.
 type sarifLog struct {
 	Schema  string     `json:"$schema"`
 	Version string     `json:"version"`
@@ -77,41 +78,36 @@ type sarifSuppression struct {
 	Justification string `json:"justification,omitempty"`
 }
 
-// SARIF renders the diagnostics as a SARIF 2.1.0 log. severityOf
-// resolves each rule's effective severity (SeverityOf plus any driver
-// overrides); file URIs are emitted relative to the working directory so
-// code-scanning annotations land on repository paths.
-func SARIF(diags []Diagnostic, severityOf func(rule string) string) ([]byte, error) {
+// SARIF renders the diagnostics as a SARIF 2.1.0 log. File URIs are
+// emitted relative to the working directory so code-scanning annotations
+// land on repository paths.
+func SARIF(diags []Diagnostic) ([]byte, error) {
 	rules := make([]sarifRule, 0, len(All())+1)
 	for _, a := range All() {
 		rules = append(rules, sarifRule{
 			ID:                   a.Name,
 			ShortDescription:     sarifText{Text: a.Doc},
-			DefaultConfiguration: sarifConfig{Level: severityToLevel(severityOf(a.Name))},
+			DefaultConfiguration: sarifConfig{Level: "error"},
 		})
 	}
 	rules = append(rules, sarifRule{
 		ID:                   "anchorlint",
 		ShortDescription:     sarifText{Text: "directive hygiene: malformed, unknown-rule, or stale //anchorlint:ignore comments"},
-		DefaultConfiguration: sarifConfig{Level: severityToLevel(severityOf("anchorlint"))},
+		DefaultConfiguration: sarifConfig{Level: "error"},
 	})
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
 		r := sarifResult{
 			RuleID:  d.Rule,
-			Level:   severityToLevel(severityOf(d.Rule)),
+			Level:   "error",
 			Message: sarifText{Text: d.Message},
 			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: RelPath(d.Pos.Filename), URIBaseID: "%SRCROOT%"},
+				ArtifactLocation: sarifArtifact{URI: relPath(d.Pos.Filename), URIBaseID: "%SRCROOT%"},
 				Region:           sarifRegion{StartLine: d.Pos.Line, StartColumn: d.Pos.Column},
 			}}},
 		}
 		if d.Suppressed {
-			kind := "inSource"
-			if d.Baselined {
-				kind = "external"
-			}
-			r.Suppressions = []sarifSuppression{{Kind: kind, Justification: d.SuppressReason}}
+			r.Suppressions = []sarifSuppression{{Kind: "inSource", Justification: d.SuppressReason}}
 		}
 		results = append(results, r)
 	}
@@ -126,23 +122,10 @@ func SARIF(diags []Diagnostic, severityOf func(rule string) string) ([]byte, err
 	return json.MarshalIndent(&log, "", "  ")
 }
 
-// severityToLevel maps an analyzer severity to the SARIF result level.
-func severityToLevel(severity string) string {
-	switch severity {
-	case "warning":
-		return "warning"
-	case "note":
-		return "note"
-	default:
-		return "error"
-	}
-}
-
-// RelPath returns the path relative to the working directory in slash
-// form when it lies beneath it, else the path unchanged (slashed). Both
-// SARIF URIs and baseline entries use this normalization so they are
-// machine-independent.
-func RelPath(path string) string {
+// relPath returns the path relative to the working directory in slash
+// form when it lies beneath it, else the path unchanged (slashed), so
+// SARIF URIs are machine-independent.
+func relPath(path string) string {
 	wd, err := os.Getwd()
 	if err != nil {
 		return filepath.ToSlash(path)

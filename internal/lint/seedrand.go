@@ -7,8 +7,8 @@ import (
 
 // DeterministicPackages lists the import paths (a trailing /... matches a
 // subtree) whose results the determinism contract pins bitwise. The
-// seedrand rule applies only inside these packages; drivers and tests may
-// override the list.
+// seedrand rule applies only inside these packages; tests may extend the
+// list with their fixture packages.
 var DeterministicPackages = []string{
 	"anchor/internal/cooc",
 	"anchor/internal/embtrain",

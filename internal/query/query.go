@@ -115,26 +115,27 @@ type Neighbor struct {
 }
 
 // Stats counts engine traffic. Counters are cumulative and safe to read
-// concurrently.
+// concurrently. The JSON keys are the ones /v1/healthz reports under
+// "query".
 type Stats struct {
 	// SnapshotHits counts queries served from an already-resident
 	// query-ready snapshot.
-	SnapshotHits int64
+	SnapshotHits int64 `json:"snapshot_hits"`
 	// SnapshotLoads counts snapshots pulled through the Source and
 	// normalized.
-	SnapshotLoads int64
+	SnapshotLoads int64 `json:"snapshot_loads"`
 	// Evictions counts snapshots dropped by the byte budget.
-	Evictions int64
+	Evictions int64 `json:"evictions"`
 	// Batches counts query blocks scored: one per request, or one per
 	// blockSize words of a longer multi-word request.
-	Batches int64
+	Batches int64 `json:"batches"`
 	// BatchedQueries counts neighbor queries answered; BatchedQueries /
 	// Batches is the mean block size.
-	BatchedQueries int64
+	BatchedQueries int64 `json:"batched_queries"`
 	// Retries counts snapshot-load attempts beyond each load's first try
 	// (see loadSource). A nonzero value means the source failed
 	// transiently and the engine recovered without surfacing an error.
-	Retries int64
+	Retries int64 `json:"retries"`
 }
 
 // Engine serves vector, neighbor, and neighbor-delta queries over

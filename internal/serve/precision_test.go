@@ -25,8 +25,7 @@ func TestQuantizedNeighborsEndpointBitwiseEqualsLibrary(t *testing.T) {
 	ctx := t.Context()
 
 	for _, bits := range []int{1, 8, 16} {
-		want, err := refSvc.Neighbors(ctx, "mc", 8, words,
-			anchor.QueryK(5), anchor.QueryPrecision(bits))
+		want, err := refSvc.Neighbors(ctx, anchor.QueryRequest{Algo: "mc", Dim: 8, Words: words, K: 5, Bits: bits})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +51,7 @@ func TestQuantizedNeighborsEndpointBitwiseEqualsLibrary(t *testing.T) {
 
 	// The vectors GET surface takes bits too, and returns the quantized
 	// rows the library returns.
-	wantV, err := refSvc.Query(ctx, "mc", 8, words[:2], anchor.QueryPrecision(8))
+	wantV, err := refSvc.Query(ctx, anchor.QueryRequest{Algo: "mc", Dim: 8, Words: words[:2], Bits: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,6 +61,8 @@ import (
 
 	"anchor"
 	"anchor/internal/faults"
+	"anchor/internal/query"
+	"anchor/internal/store"
 )
 
 // Fault-injection sites on the request path (see internal/faults): inert
@@ -303,20 +305,27 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error) {
 	}
 }
 
-// decode parses a JSON body holding exactly one object into v, rejecting
-// unknown fields and anything but whitespace after the object, so typos
-// and concatenated payloads fail loudly instead of silently selecting
-// defaults.
-func decode(r *http.Request, v any) error {
+// decodePost admits only POST and parses a JSON body holding exactly one
+// object into v, rejecting unknown fields and anything but whitespace
+// after the object, so typos and concatenated payloads fail loudly
+// instead of silently selecting defaults. It writes the 405 or 400
+// itself and reports whether the handler should go on.
+func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
+	if !s.requireMethod(w, r, http.MethodPost) {
+		return false
+	}
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid JSON body: %w", err)
+		s.writeError(w, http.StatusBadRequest, "invalid_request", "invalid JSON body: "+err.Error())
+		return false
 	}
 	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return errors.New("invalid JSON body: trailing data after the request object")
+		s.writeError(w, http.StatusBadRequest, "invalid_request",
+			"invalid JSON body: trailing data after the request object")
+		return false
 	}
-	return nil
+	return true
 }
 
 func (s *Server) requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
@@ -330,7 +339,9 @@ func (s *Server) requireMethod(w http.ResponseWriter, r *http.Request, method st
 }
 
 // healthzResponse reports liveness plus what is plugged in and how the
-// artifact store is doing.
+// middleware, the artifact store and the query engine are doing. The
+// store and query counters are their packages' own Stats, whose JSON
+// tags are the healthz keys.
 type healthzResponse struct {
 	Status     string   `json:"status"`
 	Algorithms []string `json:"algorithms"`
@@ -347,26 +358,9 @@ type healthzResponse struct {
 		Panics      int64 `json:"panics"`
 		Draining    bool  `json:"draining"`
 	} `json:"serving"`
-	Store struct {
-		MemHits       int64 `json:"mem_hits"`
-		DiskHits      int64 `json:"disk_hits"`
-		Computes      int64 `json:"computes"`
-		Evictions     int64 `json:"evictions"`
-		PersistErrors int64 `json:"persist_errors"`
-		// Quarantines counts damaged disk artifacts moved aside and
-		// recomputed.
-		Quarantines int64 `json:"quarantines"`
-	} `json:"store"`
+	Store store.Stats `json:"store"`
 	Query struct {
-		SnapshotHits  int64 `json:"snapshot_hits"`
-		SnapshotLoads int64 `json:"snapshot_loads"`
-		Evictions     int64 `json:"evictions"`
-		// Batches counts exact query blocks scored; BatchedQueries counts
-		// the neighbor queries they answered.
-		Batches        int64 `json:"batches"`
-		BatchedQueries int64 `json:"batched_queries"`
-		// Retries counts snapshot-load attempts beyond the first.
-		Retries int64 `json:"retries"`
+		query.Stats
 		// ResidentBytes totals the bytes pinned by resident snapshots.
 		ResidentBytes int64 `json:"resident_bytes"`
 		// Snapshots lists the resident snapshots (most recently used
@@ -383,10 +377,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := healthzResponse{
-		Status:     "ok",
-		Algorithms: s.svc.Algorithms(),
-		Tasks:      s.svc.Tasks(),
-		Measures:   s.svc.Measures(),
+		Status:            "ok",
+		Algorithms:        s.svc.Algorithms(),
+		Tasks:             s.svc.Tasks(),
+		Measures:          s.svc.Measures(),
+		Store:             s.svc.StoreStats(),
+		ServingBudgetBits: s.svc.ServingBudget(),
 	}
 	resp.Serving.InFlight = s.inFlight.Load()
 	resp.Serving.MaxInFlight = s.maxInFlight
@@ -394,25 +390,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp.Serving.Timeouts = s.timeouts.Load()
 	resp.Serving.Panics = s.panics.Load()
 	resp.Serving.Draining = s.draining.Load()
-	st := s.svc.StoreStats()
-	resp.Store.MemHits = st.MemHits
-	resp.Store.DiskHits = st.DiskHits
-	resp.Store.Computes = st.Computes
-	resp.Store.Evictions = st.Evictions
-	resp.Store.PersistErrors = st.PersistErrors
-	resp.Store.Quarantines = st.Quarantines
-	qs := s.svc.QueryStats()
-	resp.Query.SnapshotHits = qs.SnapshotHits
-	resp.Query.SnapshotLoads = qs.SnapshotLoads
-	resp.Query.Evictions = qs.Evictions
-	resp.Query.Batches = qs.Batches
-	resp.Query.BatchedQueries = qs.BatchedQueries
-	resp.Query.Retries = qs.Retries
+	resp.Query.Stats = s.svc.QueryStats()
 	resp.Query.Snapshots = s.svc.ResidentSnapshots()
 	for _, in := range resp.Query.Snapshots {
 		resp.Query.ResidentBytes += in.Bytes
 	}
-	resp.ServingBudgetBits = s.svc.ServingBudget()
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -470,12 +452,8 @@ type trainResponse struct {
 }
 
 func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
-		return
-	}
 	var req trainRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
+	if !s.decodePost(w, r, &req) {
 		return
 	}
 	if req.Year == 0 {
@@ -506,12 +484,8 @@ type cellRequest struct {
 }
 
 func (s *Server) handleMeasures(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
-		return
-	}
 	var req cellRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
+	if !s.decodePost(w, r, &req) {
 		return
 	}
 	rep, err := s.svc.MeasureCell(r.Context(), req.Algo, req.Dim, req.Bits, req.Seed)
@@ -532,12 +506,8 @@ type stabilityRequest struct {
 }
 
 func (s *Server) handleStability(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
-		return
-	}
 	var req stabilityRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
+	if !s.decodePost(w, r, &req) {
 		return
 	}
 	rep, err := s.svc.Stability(r.Context(), req.Algo, req.Task, req.Dim, req.Bits, req.Seed)
@@ -548,25 +518,6 @@ func (s *Server) handleStability(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, rep)
 }
 
-// queryOptions assembles the Service query options shared by the read
-// path handlers. Zero values select the service defaults.
-func queryOptions(year, k, bits int, seed int64) []anchor.QueryOption {
-	var opts []anchor.QueryOption
-	if year != 0 {
-		opts = append(opts, anchor.QueryYear(year))
-	}
-	if k != 0 {
-		opts = append(opts, anchor.QueryK(k))
-	}
-	if bits != 0 {
-		opts = append(opts, anchor.QueryPrecision(bits))
-	}
-	if seed != 0 {
-		opts = append(opts, anchor.QuerySeed(seed))
-	}
-	return opts
-}
-
 // handleVectors is GET /v1/vectors: word vector lookup in one snapshot.
 // Parameters come from the query string (it is a read), words
 // comma-separated: /v1/vectors?algo=cbow&dim=64&words=king,queen.
@@ -575,69 +526,48 @@ func (s *Server) handleVectors(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	var year, dim, bits int
-	var seed int64
-	for _, p := range []struct {
-		name string
-		dst  *int
-	}{{"year", &year}, {"dim", &dim}, {"bits", &bits}} {
-		if v := q.Get(p.name); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				s.writeError(w, http.StatusBadRequest, "invalid_request",
-					fmt.Sprintf("bad %s %q", p.name, v))
-				return
-			}
-			*p.dst = n
+	var bad string
+	num := func(name string, bitSize int) int64 {
+		v := q.Get(name)
+		if v == "" {
+			return 0
 		}
-	}
-	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "invalid_request", fmt.Sprintf("bad seed %q", v))
-			return
+		n, err := strconv.ParseInt(v, 10, bitSize)
+		if err != nil && bad == "" {
+			bad = fmt.Sprintf("bad %s %q", name, v)
 		}
-		seed = n
+		return n
 	}
-	var words []string
+	req := anchor.QueryRequest{
+		Algo: q.Get("algo"),
+		Year: int(num("year", strconv.IntSize)),
+		Dim:  int(num("dim", strconv.IntSize)),
+		Bits: int(num("bits", strconv.IntSize)),
+		Seed: num("seed", 64),
+	}
+	if bad != "" {
+		s.writeError(w, http.StatusBadRequest, "invalid_request", bad)
+		return
+	}
 	for _, part := range strings.Split(q.Get("words"), ",") {
 		if part = strings.TrimSpace(part); part != "" {
-			words = append(words, part)
+			req.Words = append(req.Words, part)
 		}
 	}
-	rep, err := s.svc.Query(r.Context(), q.Get("algo"), dim, words, queryOptions(year, 0, bits, seed)...)
+	rep, err := s.svc.Query(r.Context(), req)
 	if err != nil {
 		s.fail(w, r, err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, rep)
-}
-
-// neighborsRequest asks for nearest neighbors in one snapshot.
-type neighborsRequest struct {
-	Algo  string   `json:"algo"`
-	Words []string `json:"words"`
-	Dim   int      `json:"dim"`
-	K     int      `json:"k"`
-	Year  int      `json:"year"`
-	// Bits selects the served precision (1..32; 0 = service default).
-	// Dim 0 with a serving budget configured has the (dim, bits) cell
-	// auto-selected.
-	Bits int   `json:"bits"`
-	Seed int64 `json:"seed"`
 }
 
 func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
+	var req anchor.QueryRequest
+	if !s.decodePost(w, r, &req) {
 		return
 	}
-	var req neighborsRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
-		return
-	}
-	rep, err := s.svc.Neighbors(r.Context(), req.Algo, req.Dim, req.Words,
-		queryOptions(req.Year, req.K, req.Bits, req.Seed)...)
+	rep, err := s.svc.Neighbors(r.Context(), req)
 	if err != nil {
 		s.fail(w, r, err)
 		return
@@ -645,28 +575,12 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, rep)
 }
 
-// neighborDeltaRequest asks for neighbor overlap between the snapshots.
-type neighborDeltaRequest struct {
-	Algo  string   `json:"algo"`
-	Words []string `json:"words"`
-	Dim   int      `json:"dim"`
-	K     int      `json:"k"`
-	// Bits selects the served precision (1..32; 0 = service default).
-	Bits int   `json:"bits"`
-	Seed int64 `json:"seed"`
-}
-
 func (s *Server) handleNeighborDelta(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
+	var req anchor.DeltaRequest
+	if !s.decodePost(w, r, &req) {
 		return
 	}
-	var req neighborDeltaRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
-		return
-	}
-	rep, err := s.svc.NeighborDelta(r.Context(), req.Algo, req.Dim, req.Words,
-		queryOptions(0, req.K, req.Bits, req.Seed)...)
+	rep, err := s.svc.NeighborDelta(r.Context(), req)
 	if err != nil {
 		s.fail(w, r, err)
 		return
@@ -675,12 +589,8 @@ func (s *Server) handleNeighborDelta(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
-		return
-	}
 	var req anchor.SelectRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
+	if !s.decodePost(w, r, &req) {
 		return
 	}
 	rep, err := s.svc.Select(r.Context(), req)

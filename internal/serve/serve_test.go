@@ -85,9 +85,46 @@ func TestHealthz(t *testing.T) {
 	if len(resp.Algorithms) == 0 || len(resp.Tasks) == 0 || len(resp.Measures) != 5 {
 		t.Fatalf("healthz registries: %+v", resp)
 	}
-	if rr := do(t, h, http.MethodPost, "/v1/healthz", "", nil); rr.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("POST healthz = %d, want 405", rr.Code)
+	// The counter keys, in order, are the documented healthz surface
+	// (docs/HTTP_API.md) that dashboards and servebench read.
+	want := map[string][]string{
+		"serving": {"in_flight", "max_in_flight", "shed", "timeouts", "panics", "draining"},
+		"store":   {"mem_hits", "disk_hits", "computes", "evictions", "persist_errors", "quarantines"},
+		"query": {"snapshot_hits", "snapshot_loads", "evictions", "batches", "batched_queries", "retries",
+			"resident_bytes", "snapshots"},
 	}
+	var objects map[string]json.RawMessage
+	if err := json.Unmarshal(rr.Body.Bytes(), &objects); err != nil {
+		t.Fatal(err)
+	}
+	for name, keys := range want {
+		if got := objectKeys(t, objects[name]); !reflect.DeepEqual(got, keys) {
+			t.Fatalf("healthz %s keys = %q, want %q", name, got, keys)
+		}
+	}
+}
+
+// objectKeys returns the keys of the JSON object in raw, in the order
+// they appear.
+func objectKeys(t *testing.T, raw json.RawMessage) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %s", raw)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var value json.RawMessage
+		if err := dec.Decode(&value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
 }
 
 func TestTrainEndpoint(t *testing.T) {
@@ -348,7 +385,7 @@ func TestConcurrentRequests(t *testing.T) {
 }
 
 func TestUnknownRouteAndMethod(t *testing.T) {
-	srv, _ := newTestServer(t)
+	srv, svc := newTestServer(t)
 	h := srv.Handler()
 	rr := do(t, h, http.MethodGet, "/v1/nope", "", nil)
 	if rr.Code != http.StatusNotFound {
@@ -358,8 +395,54 @@ func TestUnknownRouteAndMethod(t *testing.T) {
 	if errCode(t, rr) != "not_found" {
 		t.Fatalf("404 code = %q (body %s)", errCode(t, rr), rr.Body.String())
 	}
-	if rr := do(t, h, http.MethodGet, "/v1/measures", "", nil); rr.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET measures = %d, want 405", rr.Code)
+
+	// Every route answers a wrong method with a structured 405 whose
+	// Allow header names the right one, and every POST route rejects an
+	// unknown field (naming it) and trailing data with a 400.
+	for _, rt := range []struct{ path, method string }{
+		{"/v1/healthz", http.MethodGet},
+		{"/v1/livez", http.MethodGet},
+		{"/v1/readyz", http.MethodGet},
+		{"/v1/vectors", http.MethodGet},
+		{"/v1/neighbors", http.MethodPost},
+		{"/v1/neighbors/delta", http.MethodPost},
+		{"/v1/train", http.MethodPost},
+		{"/v1/measures", http.MethodPost},
+		{"/v1/stability", http.MethodPost},
+		{"/v1/select", http.MethodPost},
+	} {
+		wrong := http.MethodPost
+		if rt.method == http.MethodPost {
+			wrong = http.MethodGet
+		}
+		rr := do(t, h, wrong, rt.path, "", nil)
+		if rr.Code != http.StatusMethodNotAllowed || errCode(t, rr) != "method_not_allowed" ||
+			rr.Header().Get("Allow") != rt.method {
+			t.Fatalf("%s %s: %d Allow=%q %s", wrong, rt.path, rr.Code, rr.Header().Get("Allow"), rr.Body.String())
+		}
+		if rt.method != http.MethodPost {
+			continue
+		}
+		rr = do(t, h, http.MethodPost, rt.path, `{"bogus":1}`, nil)
+		if rr.Code != http.StatusBadRequest || errCode(t, rr) != "invalid_request" ||
+			!strings.Contains(rr.Body.String(), `unknown field \"bogus\"`) {
+			t.Fatalf("%s unknown field: %d %s", rt.path, rr.Code, rr.Body.String())
+		}
+		rr = do(t, h, http.MethodPost, rt.path, `{} {}`, nil)
+		if rr.Code != http.StatusBadRequest || errCode(t, rr) != "invalid_request" {
+			t.Fatalf("%s trailing data: %d %s", rt.path, rr.Code, rr.Body.String())
+		}
+	}
+
+	// A delta always compares 2017 with 2018, so it has no year field.
+	rr = do(t, h, http.MethodPost, "/v1/neighbors/delta",
+		`{"algo":"mc","words":["the"],"dim":8,"k":5,"year":2017,"seed":1}`, nil)
+	if rr.Code != http.StatusBadRequest || errCode(t, rr) != "invalid_request" ||
+		!strings.Contains(rr.Body.String(), `unknown field \"year\"`) {
+		t.Fatalf("delta with year: %d %s", rr.Code, rr.Body.String())
+	}
+	if st := svc.StoreStats(); st.Computes != 0 {
+		t.Fatalf("a rejected request trained: %+v", st)
 	}
 }
 

@@ -213,7 +213,7 @@ func TestStoreDiskTierPrefersBinary(t *testing.T) {
 	}
 	k := Key{Algo: "cbow", Corpus: "wiki17", Dim: 3, Seed: 1, Bits: 32, Scope: "x"}
 	e := binTestEmbedding(t, 8, 3, false)
-	got, err := st.Get(k, true, func() (*embedding.Embedding, error) { return e, nil })
+	got, err := st.Get(k, func() (*embedding.Embedding, error) { return e, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestStoreDiskTierPrefersBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := st2.Get(k, true, func() (*embedding.Embedding, error) {
+	got2, err := st2.Get(k, func() (*embedding.Embedding, error) {
 		t.Fatal("recomputed despite binary disk artifact")
 		return nil, nil
 	})

@@ -23,7 +23,7 @@ func warmDir(t *testing.T) (string, Key, *embedding.Embedding) {
 	}
 	k := key(4)
 	want := testEmbedding(4, 1.5)
-	if _, err := s.Get(k, true, func() (*embedding.Embedding, error) { return want, nil }); err != nil {
+	if _, err := s.Get(k, func() (*embedding.Embedding, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 	return dir, k, want
@@ -88,7 +88,7 @@ func recomputeOnce(t *testing.T, dir string, k Key, want *embedding.Embedding) S
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get(k, true, func() (*embedding.Embedding, error) { return want, nil })
+	got, err := s.Get(k, func() (*embedding.Embedding, error) { return want, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

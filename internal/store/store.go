@@ -97,26 +97,27 @@ func sanitize(s string) string {
 }
 
 // Stats counts store traffic. Counters are cumulative over the store's
-// lifetime and safe to read concurrently.
+// lifetime and safe to read concurrently. The JSON keys are the ones
+// /v1/healthz reports under "store".
 type Stats struct {
 	// MemHits counts artifacts served from the in-process LRU.
-	MemHits int64
+	MemHits int64 `json:"mem_hits"`
 	// DiskHits counts artifacts decoded from the disk tier.
-	DiskHits int64
+	DiskHits int64 `json:"disk_hits"`
 	// Computes counts invocations of a compute callback — i.e. actual
 	// (re)trainings. A warm store serves every request with Computes
 	// unchanged.
-	Computes int64
+	Computes int64 `json:"computes"`
 	// Evictions counts LRU evictions.
-	Evictions int64
+	Evictions int64 `json:"evictions"`
 	// PersistErrors counts failed best-effort disk writes (the artifact
 	// is still served from memory).
-	PersistErrors int64
+	PersistErrors int64 `json:"persist_errors"`
 	// Quarantines counts damaged disk artifacts moved aside (renamed to
 	// *.quarantined) after failing decode or checksum verification. Each
 	// quarantine is followed by a recompute, never by serving the damaged
 	// bytes.
-	Quarantines int64
+	Quarantines int64 `json:"quarantines"`
 }
 
 // Store is the two-tier artifact cache. The zero value is not usable;
@@ -219,11 +220,11 @@ func isStaleTemp(name string) bool {
 	return true
 }
 
-// Get returns the artifact under k, computing (and caching) it on a miss.
-// persist controls whether a computed artifact is also written to the
-// disk tier. Concurrent Gets of the same key share one compute.
-func (s *Store) Get(k Key, persist bool, compute func() (*embedding.Embedding, error)) (*embedding.Embedding, error) {
-	a, _, err := s.get(k, Key{}, false, persist, func() (*embedding.Embedding, *embedding.Embedding, error) {
+// Get returns the artifact under k, computing (and caching) it on a miss;
+// with a disk tier, a computed artifact is also written there. Concurrent
+// Gets of the same key share one compute.
+func (s *Store) Get(k Key, compute func() (*embedding.Embedding, error)) (*embedding.Embedding, error) {
+	a, _, err := s.get(k, Key{}, false, func() (*embedding.Embedding, *embedding.Embedding, error) {
 		e, err := compute()
 		return e, nil, err
 	})
@@ -233,12 +234,12 @@ func (s *Store) Get(k Key, persist bool, compute func() (*embedding.Embedding, e
 // GetPair returns the two artifacts under (ka, kb), computing both with
 // one callback when either is missing. This is the unit for aligned
 // embedding pairs, whose second element is only defined relative to the
-// first. persist controls disk-tier writes for computed artifacts.
-func (s *Store) GetPair(ka, kb Key, persist bool, compute func() (*embedding.Embedding, *embedding.Embedding, error)) (*embedding.Embedding, *embedding.Embedding, error) {
-	return s.get(ka, kb, true, persist, compute)
+// first.
+func (s *Store) GetPair(ka, kb Key, compute func() (*embedding.Embedding, *embedding.Embedding, error)) (*embedding.Embedding, *embedding.Embedding, error) {
+	return s.get(ka, kb, true, compute)
 }
 
-func (s *Store) get(ka, kb Key, pair, persist bool, compute func() (*embedding.Embedding, *embedding.Embedding, error)) (*embedding.Embedding, *embedding.Embedding, error) {
+func (s *Store) get(ka, kb Key, pair bool, compute func() (*embedding.Embedding, *embedding.Embedding, error)) (*embedding.Embedding, *embedding.Embedding, error) {
 	flightKey := ka.ID()
 	if pair {
 		flightKey += "|" + kb.ID()
@@ -272,7 +273,7 @@ func (s *Store) get(ka, kb Key, pair, persist bool, compute func() (*embedding.E
 		s.flight[flightKey] = call
 		s.mu.Unlock()
 
-		call.a, call.b, call.err = s.fill(ka, kb, pair, persist, a, b, compute)
+		call.a, call.b, call.err = s.fill(ka, kb, pair, a, b, compute)
 		s.mu.Lock()
 		delete(s.flight, flightKey)
 		s.mu.Unlock()
@@ -284,7 +285,7 @@ func (s *Store) get(ka, kb Key, pair, persist bool, compute func() (*embedding.E
 // fill resolves the missing elements of the slot from disk or compute and
 // publishes them to the memory tier. memA/memB are the elements already
 // found in memory (nil if missing).
-func (s *Store) fill(ka, kb Key, pair, persist bool, memA, memB *embedding.Embedding, compute func() (*embedding.Embedding, *embedding.Embedding, error)) (*embedding.Embedding, *embedding.Embedding, error) {
+func (s *Store) fill(ka, kb Key, pair bool, memA, memB *embedding.Embedding, compute func() (*embedding.Embedding, *embedding.Embedding, error)) (*embedding.Embedding, *embedding.Embedding, error) {
 	a := memA
 	b := memB
 	if a == nil {
@@ -306,7 +307,7 @@ func (s *Store) fill(ka, kb Key, pair, persist bool, memA, memB *embedding.Embed
 		}
 		computed = true
 	}
-	if computed && persist && s.dir != "" {
+	if computed && s.dir != "" {
 		// Persistence is best-effort: a full or read-only disk must not
 		// discard a successfully computed artifact (the memory tier still
 		// serves it); failures are only counted in Stats. An element the

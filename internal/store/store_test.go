@@ -45,11 +45,11 @@ func TestMemoryHitReturnsSamePointer(t *testing.T) {
 		computes++
 		return testEmbedding(4, 0), nil
 	}
-	a, err := s.Get(key(4), true, get)
+	a, err := s.Get(key(4), get)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Get(key(4), true, get)
+	b, err := s.Get(key(4), get)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestDiskPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, err := s1.Get(key(8), true, func() (*embedding.Embedding, error) {
+	orig, err := s1.Get(key(8), func() (*embedding.Embedding, error) {
 		return testEmbedding(8, 1.25), nil
 	})
 	if err != nil {
@@ -84,7 +84,7 @@ func TestDiskPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s2.Get(key(8), true, func() (*embedding.Embedding, error) {
+	got, err := s2.Get(key(8), func() (*embedding.Embedding, error) {
 		t.Fatal("restart hit recomputed")
 		return nil, nil
 	})
@@ -104,39 +104,18 @@ func TestDiskPersistenceAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestNoPersistStaysOffDisk(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir, 0)
-	if _, err := s.Get(key(2), false, func() (*embedding.Embedding, error) {
-		return testEmbedding(2, 0), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := Open(dir, 0)
-	recomputed := false
-	if _, err := s2.Get(key(2), false, func() (*embedding.Embedding, error) {
-		recomputed = true
-		return testEmbedding(2, 0), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !recomputed {
-		t.Fatal("persist=false artifact unexpectedly survived restart")
-	}
-}
-
 func TestGetPairComputesOnceAndCachesBoth(t *testing.T) {
 	s := Memory()
 	ka, kb := key(4), Key{Algo: "mc", Corpus: "wiki18a", Dim: 4, Seed: 1, Bits: 32, Scope: "t"}
 	var computes int
-	a1, b1, err := s.GetPair(ka, kb, true, func() (*embedding.Embedding, *embedding.Embedding, error) {
+	a1, b1, err := s.GetPair(ka, kb, func() (*embedding.Embedding, *embedding.Embedding, error) {
 		computes++
 		return testEmbedding(4, 0), testEmbedding(4, 9), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, b2, err := s.GetPair(ka, kb, true, func() (*embedding.Embedding, *embedding.Embedding, error) {
+	a2, b2, err := s.GetPair(ka, kb, func() (*embedding.Embedding, *embedding.Embedding, error) {
 		t.Fatal("second GetPair recomputed")
 		return nil, nil, nil
 	})
@@ -159,7 +138,7 @@ func TestSingleflightDedupesConcurrentGets(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, err := s.Get(key(4), false, func() (*embedding.Embedding, error) {
+			e, err := s.Get(key(4), func() (*embedding.Embedding, error) {
 				computes.Add(1)
 				<-release
 				return testEmbedding(4, 0), nil
@@ -190,7 +169,7 @@ func TestWaiterRetriesAfterOriginatorCancellation(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		_, err := s.Get(key(4), false, func() (*embedding.Embedding, error) {
+		_, err := s.Get(key(4), func() (*embedding.Embedding, error) {
 			close(entered)
 			<-release
 			return nil, context.Canceled // originator's client hung up
@@ -206,7 +185,7 @@ func TestWaiterRetriesAfterOriginatorCancellation(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		got, err = s.Get(key(4), false, func() (*embedding.Embedding, error) {
+		got, err = s.Get(key(4), func() (*embedding.Embedding, error) {
 			return testEmbedding(4, 0), nil
 		})
 	}()
@@ -231,8 +210,8 @@ func TestGetPairPersistsOnlyNewlyComputedElements(t *testing.T) {
 	}
 	ka, kb := key(4), Key{Algo: "mc", Corpus: "wiki18a", Dim: 4, Seed: 1, Bits: 32, Scope: "t"}
 	var nested os.FileInfo
-	if _, _, err := s.GetPair(ka, kb, true, func() (*embedding.Embedding, *embedding.Embedding, error) {
-		a, err := s.Get(ka, true, func() (*embedding.Embedding, error) {
+	if _, _, err := s.GetPair(ka, kb, func() (*embedding.Embedding, *embedding.Embedding, error) {
+		a, err := s.Get(ka, func() (*embedding.Embedding, error) {
 			return testEmbedding(4, 0), nil
 		})
 		if err != nil {
@@ -270,7 +249,7 @@ func TestPersistFailureStillServes(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	e, err := s.Get(key(4), true, func() (*embedding.Embedding, error) {
+	e, err := s.Get(key(4), func() (*embedding.Embedding, error) {
 		return testEmbedding(4, 0), nil
 	})
 	if err != nil || e == nil {
@@ -280,7 +259,7 @@ func TestPersistFailureStillServes(t *testing.T) {
 		t.Fatalf("persist errors = %d, want 1", st.PersistErrors)
 	}
 	// Memory tier still serves it without recompute.
-	if _, err := s.Get(key(4), true, func() (*embedding.Embedding, error) {
+	if _, err := s.Get(key(4), func() (*embedding.Embedding, error) {
 		t.Fatal("memory tier lost the artifact")
 		return nil, nil
 	}); err != nil {
@@ -291,13 +270,13 @@ func TestPersistFailureStillServes(t *testing.T) {
 func TestComputeErrorPropagatesAndIsNotCached(t *testing.T) {
 	s := Memory()
 	boom := fmt.Errorf("boom")
-	if _, err := s.Get(key(4), false, func() (*embedding.Embedding, error) {
+	if _, err := s.Get(key(4), func() (*embedding.Embedding, error) {
 		return nil, boom
 	}); err == nil {
 		t.Fatal("expected error")
 	}
 	// The failure must not poison the slot.
-	e, err := s.Get(key(4), false, func() (*embedding.Embedding, error) {
+	e, err := s.Get(key(4), func() (*embedding.Embedding, error) {
 		return testEmbedding(4, 0), nil
 	})
 	if err != nil || e == nil {
@@ -308,12 +287,12 @@ func TestComputeErrorPropagatesAndIsNotCached(t *testing.T) {
 func TestLRUEvictionRefillsFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir, 1) // room for a single entry
-	if _, err := s.Get(key(4), true, func() (*embedding.Embedding, error) {
+	if _, err := s.Get(key(4), func() (*embedding.Embedding, error) {
 		return testEmbedding(4, 0), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(key(8), true, func() (*embedding.Embedding, error) {
+	if _, err := s.Get(key(8), func() (*embedding.Embedding, error) {
 		return testEmbedding(8, 0), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -322,7 +301,7 @@ func TestLRUEvictionRefillsFromDisk(t *testing.T) {
 		t.Fatalf("evictions = %d, want 1", st.Evictions)
 	}
 	// The evicted artifact comes back from the disk tier, not a retrain.
-	if _, err := s.Get(key(4), true, func() (*embedding.Embedding, error) {
+	if _, err := s.Get(key(4), func() (*embedding.Embedding, error) {
 		t.Fatal("evicted artifact recomputed despite disk tier")
 		return nil, nil
 	}); err != nil {

@@ -33,8 +33,6 @@ type Service struct {
 	runner   *experiments.Runner
 	engine   *query.Engine
 	progress func(string)
-	defSeed  int64
-	defBits  int
 
 	// servingBudget, when positive, switches the read path into
 	// serving-memory-budget mode: queries that leave dim unset have
@@ -74,9 +72,6 @@ func invalidf(format string, args ...any) error {
 type serviceSettings struct {
 	cfg           ExperimentConfig
 	workers       *int
-	topWords      *int
-	seed          int64
-	bits          int
 	cacheDir      string
 	cacheCap      int
 	queryBudget   int64
@@ -99,24 +94,6 @@ func WithConfig(cfg ExperimentConfig) ServiceOption {
 // every value; it is a pure throughput knob.
 func WithWorkers(n int) ServiceOption {
 	return func(s *serviceSettings) { s.workers = &n }
-}
-
-// WithSeed sets the default training seed used when a request passes
-// seed 0. The initial default is 1.
-func WithSeed(seed int64) ServiceOption {
-	return func(s *serviceSettings) { s.seed = seed }
-}
-
-// WithPrecision sets the default precision (bits per entry) used when a
-// request passes bits 0. The initial default is 32 (full precision).
-func WithPrecision(bits int) ServiceOption {
-	return func(s *serviceSettings) { s.bits = bits }
-}
-
-// WithTopWords sets the number of most-frequent words over which distance
-// measures are computed (the paper uses the top 10k).
-func WithTopWords(n int) ServiceOption {
-	return func(s *serviceSettings) { s.topWords = &n }
 }
 
 // WithCacheDir persists the artifact store to dir: trained, aligned, and
@@ -166,8 +143,6 @@ func WithProgress(fn func(stage string)) ServiceOption {
 func NewService(opts ...ServiceOption) (*Service, error) {
 	settings := &serviceSettings{
 		cfg:         BenchExperimentConfig(),
-		seed:        1,
-		bits:        32,
 		queryBudget: 256 << 20,
 	}
 	for _, opt := range opts {
@@ -175,14 +150,6 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 	}
 	if settings.workers != nil {
 		settings.cfg.Workers = *settings.workers
-	}
-	if settings.topWords != nil {
-		settings.cfg.TopWords = *settings.topWords
-	}
-	if settings.bits != 32 && settings.bits != 0 {
-		if err := validBits(settings.bits); err != nil {
-			return nil, err
-		}
 	}
 	st, err := store.Open(settings.cacheDir, settings.cacheCap)
 	if err != nil {
@@ -210,8 +177,6 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 		runner:        runner,
 		engine:        engine,
 		progress:      settings.progress,
-		defSeed:       settings.seed,
-		defBits:       settings.bits,
 		servingBudget: settings.servingBudget,
 		selCache:      map[string]servingChoice{},
 	}, nil
@@ -274,19 +239,23 @@ func (s *Service) note(format string, args ...any) {
 	}
 }
 
-func (s *Service) seed(seed int64) int64 {
+// A request's zero seed selects training seed 1, and its zero bits full
+// precision.
+const (
+	defaultSeed = 1
+	defaultBits = 32
+)
+
+func seedOrDefault(seed int64) int64 {
 	if seed == 0 {
-		return s.defSeed
+		return defaultSeed
 	}
 	return seed
 }
 
-func (s *Service) bits(bits int) int {
+func bitsOrDefault(bits int) int {
 	if bits == 0 {
-		if s.defBits == 0 {
-			return 32
-		}
-		return s.defBits
+		return defaultBits
 	}
 	return bits
 }
@@ -314,8 +283,8 @@ func (s *Service) checkMeasure(measure string) error { return core.CheckMeasure(
 
 // Train returns the embedding for (algo, year, dim, seed), served from
 // the artifact store or trained on a miss. year selects the corpus
-// snapshot (2017 or 2018); seed 0 selects the service default. The result
-// must be treated as read-only: it is shared with the cache.
+// snapshot (2017 or 2018); seed 0 selects seed 1. The result must be
+// treated as read-only: it is shared with the cache.
 func (s *Service) Train(ctx context.Context, algo string, year, dim int, seed int64) (*Embedding, error) {
 	if err := errors.Join(ctx.Err(), s.checkAlgo(algo), validDim(dim)); err != nil {
 		return nil, err
@@ -323,7 +292,7 @@ func (s *Service) Train(ctx context.Context, algo string, year, dim int, seed in
 	if year != 2017 && year != 2018 {
 		return nil, invalidf("year must be 2017 or 2018, got %d", year)
 	}
-	seed = s.seed(seed)
+	seed = seedOrDefault(seed)
 	s.note("train %s wiki%d d=%d seed=%d", algo, year%100, dim, seed)
 	return s.runner.Train(ctx, algo, year, dim, seed)
 }
@@ -336,7 +305,7 @@ func (s *Service) Pair(ctx context.Context, algo string, dim int, seed int64) (*
 	if err := errors.Join(ctx.Err(), s.checkAlgo(algo), validDim(dim)); err != nil {
 		return nil, nil, err
 	}
-	seed = s.seed(seed)
+	seed = seedOrDefault(seed)
 	s.note("pair %s d=%d seed=%d", algo, dim, seed)
 	return s.runner.Pair(ctx, algo, dim, seed)
 }
@@ -359,12 +328,12 @@ type MeasureReport struct {
 // top words, with EIS anchored at the configuration's largest dimension —
 // exactly the grid sweep's per-cell measure evaluation, so values are
 // bitwise identical to the library/grid path for any worker count.
-// bits 0 and seed 0 select the service defaults.
+// bits 0 selects full precision and seed 0 seed 1.
 func (s *Service) MeasureCell(ctx context.Context, algo string, dim, bits int, seed int64) (MeasureReport, error) {
 	if err := errors.Join(ctx.Err(), s.checkAlgo(algo), validDim(dim)); err != nil {
 		return MeasureReport{}, err
 	}
-	bits, seed = s.bits(bits), s.seed(seed)
+	bits, seed = bitsOrDefault(bits), seedOrDefault(seed)
 	if err := validBits(bits); err != nil {
 		return MeasureReport{}, err
 	}
@@ -415,12 +384,12 @@ type StabilityReport struct {
 // Stability measures true downstream instability for one configuration:
 // it fetches the quantized aligned pair, trains the named task's model
 // pair, and reports prediction disagreement (Definition 1) and quality.
-// bits 0 and seed 0 select the service defaults.
+// bits 0 selects full precision and seed 0 seed 1.
 func (s *Service) Stability(ctx context.Context, algo, task string, dim, bits int, seed int64) (StabilityReport, error) {
 	if err := errors.Join(ctx.Err(), s.checkAlgo(algo), s.checkTask(task), validDim(dim)); err != nil {
 		return StabilityReport{}, err
 	}
-	bits, seed = s.bits(bits), s.seed(seed)
+	bits, seed = bitsOrDefault(bits), seedOrDefault(seed)
 	if err := validBits(bits); err != nil {
 		return StabilityReport{}, err
 	}
@@ -444,7 +413,7 @@ type SelectRequest struct {
 	// Dims and Precisions span the candidate grid.
 	Dims       []int `json:"dims"`
 	Precisions []int `json:"precisions"`
-	// Seed 0 selects the service default.
+	// Seed 0 selects seed 1.
 	Seed int64 `json:"seed"`
 	// Measure ranks candidates (default eigenspace-instability, the
 	// paper's proposed criterion).
@@ -502,7 +471,7 @@ func (s *Service) Select(ctx context.Context, req SelectRequest) (SelectReport, 
 			return SelectReport{}, err
 		}
 	}
-	seed := s.seed(req.Seed)
+	seed := seedOrDefault(req.Seed)
 	s.note("select %s by %s over %d cells", req.Algo, req.Measure, len(req.Dims)*len(req.Precisions))
 
 	// The paper anchors EIS at the highest-memory pair of the sweep

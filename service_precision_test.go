@@ -9,7 +9,7 @@ import (
 	"anchor"
 )
 
-// TestServiceQueryPrecisionReadPath: QueryPrecision routes the read path
+// TestServiceQueryPrecisionReadPath: a request's Bits routes the read path
 // through the quantized snapshot — reports carry the served bits, vector
 // lookups return the quantized rows bitwise, and the snapshot goes
 // resident as packed codes.
@@ -25,7 +25,7 @@ func TestServiceQueryPrecisionReadPath(t *testing.T) {
 	q, _ := anchor.QuantizePair(e, e, 8)
 	words := []string{e.Words[3], e.Words[77]}
 
-	vrep, err := svc.Query(ctx, "mc", 8, words, anchor.QueryPrecision(8))
+	vrep, err := svc.Query(ctx, anchor.QueryRequest{Algo: "mc", Dim: 8, Words: words, Bits: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestServiceQueryPrecisionReadPath(t *testing.T) {
 		}
 	}
 
-	nrep, err := svc.Neighbors(ctx, "mc", 8, words, anchor.QueryK(4), anchor.QueryPrecision(8))
+	nrep, err := svc.Neighbors(ctx, anchor.QueryRequest{Algo: "mc", Dim: 8, Words: words, K: 4, Bits: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestServiceQueryPrecisionReadPath(t *testing.T) {
 	}
 
 	// Full-precision default still reports 32 and serves the float64 rows.
-	full, err := svc.Query(ctx, "mc", 8, words)
+	full, err := svc.Query(ctx, anchor.QueryRequest{Algo: "mc", Dim: 8, Words: words})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +68,10 @@ func TestServiceQueryPrecisionReadPath(t *testing.T) {
 	}
 
 	var inv *anchor.InvalidRequestError
-	if _, err := svc.Neighbors(ctx, "mc", 8, words, anchor.QueryPrecision(33)); !errors.As(err, &inv) {
+	if _, err := svc.Neighbors(ctx, anchor.QueryRequest{Algo: "mc", Dim: 8, Words: words, Bits: 33}); !errors.As(err, &inv) {
 		t.Fatalf("precision 33 error = %v, want InvalidRequestError", err)
 	}
-	if _, err := svc.Neighbors(ctx, "mc", 0, words); !errors.As(err, &inv) {
+	if _, err := svc.Neighbors(ctx, anchor.QueryRequest{Algo: "mc", Words: words}); !errors.As(err, &inv) {
 		t.Fatalf("dim 0 without serving budget error = %v, want InvalidRequestError", err)
 	}
 }
@@ -93,7 +93,7 @@ func TestServiceServingBudget(t *testing.T) {
 	}
 	words := []string{e.Words[5]}
 
-	nrep, err := svc.Neighbors(ctx, "mc", 0, words, anchor.QueryK(3))
+	nrep, err := svc.Neighbors(ctx, anchor.QueryRequest{Algo: "mc", Words: words, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestServiceServingBudget(t *testing.T) {
 	}
 
 	// The cached choice serves later queries without re-selecting.
-	again, err := svc.Query(ctx, "mc", 0, words)
+	again, err := svc.Query(ctx, anchor.QueryRequest{Algo: "mc", Words: words})
 	if err != nil {
 		t.Fatal(err)
 	}

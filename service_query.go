@@ -28,102 +28,91 @@ type Neighbor = query.Neighbor
 // proxy.
 type WordDelta = query.Delta
 
-// queryParams accumulates per-query functional options. dim and bits
-// hold the resolved values (after defaults and, in serving-budget mode,
-// auto-selection); bits is the precision as reported (32 = full).
-type queryParams struct {
-	year int
-	k    int
-	seed int64
-	bits int
-	dim  int
+// QueryRequest is the input of Query (vector lookups) and Neighbors: one
+// snapshot and the words to look up in it. The CLI builds it and
+// POST /v1/neighbors decodes into it, so its JSON tags are the request
+// fields. Zero values select the defaults: year 2017, K from the service
+// configuration, 32 bits (full precision) and seed 1. Dim 0 asks the
+// serving budget to pick the (dim, bits) cell (see WithServingBudget);
+// without a budget it is an error.
+type QueryRequest struct {
+	Algo  string   `json:"algo"`
+	Words []string `json:"words"`
+	Dim   int      `json:"dim"`
+	// K is the neighborhood size; vector lookups ignore it.
+	K int `json:"k"`
+	// Year selects the corpus snapshot, 2017 or 2018.
+	Year int `json:"year"`
+	// Bits selects the served precision, 1..32. Snapshots at b <= 8
+	// bits stay resident as packed codes, 9..31 as float32 rows; both
+	// score bitwise identically to dequantizing in float64.
+	Bits int   `json:"bits"`
+	Seed int64 `json:"seed"`
 }
 
-// QueryOption configures one Service query (Query, Neighbors,
-// NeighborDelta).
-type QueryOption func(*queryParams)
-
-// QueryYear selects the corpus snapshot year, 2017 (default) or 2018.
-// NeighborDelta ignores it: a delta always compares 2017 against 2018.
-func QueryYear(year int) QueryOption {
-	return func(p *queryParams) { p.year = year }
+// DeltaRequest is the input of NeighborDelta: a QueryRequest without
+// Year, since a delta always compares the 2017 snapshot with the 2018
+// one. Zero values select the same defaults.
+type DeltaRequest struct {
+	Algo  string   `json:"algo"`
+	Words []string `json:"words"`
+	Dim   int      `json:"dim"`
+	K     int      `json:"k"`
+	Bits  int      `json:"bits"`
+	Seed  int64    `json:"seed"`
 }
 
-// QueryK sets the neighborhood size for Neighbors and NeighborDelta. The
-// default is the service configuration's K (the paper uses 5). Vector
-// queries ignore it.
-func QueryK(k int) QueryOption {
-	return func(p *queryParams) { p.k = k }
-}
-
-// QuerySeed selects the training seed of the queried snapshot (default:
-// the service's default seed).
-func QuerySeed(seed int64) QueryOption {
-	return func(p *queryParams) { p.seed = seed }
-}
-
-// QueryPrecision selects the precision (bits per entry, 1..32) of the
-// served snapshot. Snapshots at b <= 8 bits stay resident as packed
-// codes and are scored through the LUT kernel, 9..31 as float32 rows —
-// both bitwise identical to dequantizing and scoring in float64. The
-// default is the service's default precision (32, full, unless
-// WithPrecision says otherwise).
-func QueryPrecision(bits int) QueryOption {
-	return func(p *queryParams) { p.bits = bits }
-}
-
-// queryParams resolves options against the service defaults and validates
-// the shared request surface.
-func (s *Service) queryParams(ctx context.Context, algo string, dim int, words []string, opts []QueryOption) (queryParams, error) {
-	p := queryParams{year: 2017, k: s.runner.Cfg.K, seed: s.defSeed}
-	for _, opt := range opts {
-		opt(&p)
+// resolve fills in req's defaults and validates it: the one place a read
+// request's zero fields become values. In serving-budget mode a zero Dim
+// takes the selected cell, and a zero Bits that cell's precision.
+func (s *Service) resolve(ctx context.Context, req QueryRequest) (QueryRequest, error) {
+	if req.Year == 0 {
+		req.Year = 2017
 	}
-	if err := errors.Join(ctx.Err(), s.checkAlgo(algo)); err != nil {
-		return p, err
+	if req.K == 0 {
+		req.K = s.runner.Cfg.K
 	}
-	if p.year != 2017 && p.year != 2018 {
-		return p, invalidf("year must be 2017 or 2018, got %d", p.year)
+	req.Seed = seedOrDefault(req.Seed)
+	if err := errors.Join(ctx.Err(), s.checkAlgo(req.Algo)); err != nil {
+		return req, err
 	}
-	if p.k < 1 {
-		return p, invalidf("k must be positive, got %d", p.k)
+	if req.Year != 2017 && req.Year != 2018 {
+		return req, invalidf("year must be 2017 or 2018, got %d", req.Year)
 	}
-	if len(words) == 0 {
-		return p, invalidf("query needs at least one word")
+	if req.K < 1 {
+		return req, invalidf("k must be positive, got %d", req.K)
 	}
-	p.dim = dim
+	if len(req.Words) == 0 {
+		return req, invalidf("query needs at least one word")
+	}
 	switch {
-	case dim == 0 && s.servingBudget > 0:
-		// Serving-budget mode: the selection algorithm picks the cell.
-		// An explicit QueryPrecision still wins over the selected bits.
-		choice, err := s.selectServing(ctx, algo, p.seed)
+	case req.Dim == 0 && s.servingBudget > 0:
+		choice, err := s.selectServing(ctx, req.Algo, req.Seed)
 		if err != nil {
-			return p, err
+			return req, err
 		}
-		p.dim = choice.Dim
-		if p.bits == 0 {
-			p.bits = choice.Bits
+		req.Dim = choice.Dim
+		if req.Bits == 0 {
+			req.Bits = choice.Bits
 		}
-	case dim == 0:
-		return p, invalidf("dimension must be positive, got 0 (set a serving budget to have it auto-selected)")
+	case req.Dim == 0:
+		return req, invalidf("dimension must be positive, got 0 (set a serving budget to have it auto-selected)")
 	}
-	if err := validDim(p.dim); err != nil {
-		return p, err
+	if err := validDim(req.Dim); err != nil {
+		return req, err
 	}
-	p.bits = s.bits(p.bits)
-	if err := validBits(p.bits); err != nil {
-		return p, err
-	}
-	return p, nil
+	req.Bits = bitsOrDefault(req.Bits)
+	return req, validBits(req.Bits)
 }
 
-// refBits normalizes a reported precision to the query engine's Ref
-// convention, where 0 means full precision.
-func refBits(bits int) int {
-	if bits >= 32 {
-		return 0
+// ref names the snapshot a resolved request reads. The engine's Ref
+// spells full precision as Bits 0.
+func (req QueryRequest) ref() query.Ref {
+	ref := query.Ref{Algo: req.Algo, Year: req.Year, Dim: req.Dim, Seed: req.Seed, Bits: req.Bits}
+	if ref.Bits >= 32 {
+		ref.Bits = 0
 	}
-	return bits
+	return ref
 }
 
 // WordVector is one vector-lookup answer.
@@ -148,19 +137,18 @@ type VectorsReport struct {
 	Vectors []WordVector `json:"vectors"`
 }
 
-// Query looks up the embedding vectors of words in one trained snapshot —
-// the read path's GET: served from the query engine's resident snapshots,
-// the artifact store, or a train on a cold miss. Defaults: year 2017,
-// seed the service default.
-func (s *Service) Query(ctx context.Context, algo string, dim int, words []string, opts ...QueryOption) (VectorsReport, error) {
-	p, err := s.queryParams(ctx, algo, dim, words, opts)
+// Query looks up the embedding vectors of req.Words in one trained
+// snapshot — the read path's GET: served from the query engine's resident
+// snapshots, the artifact store, or a train on a cold miss.
+func (s *Service) Query(ctx context.Context, req QueryRequest) (VectorsReport, error) {
+	req, err := s.resolve(ctx, req)
 	if err != nil {
 		return VectorsReport{}, err
 	}
-	ref := query.Ref{Algo: algo, Year: p.year, Dim: p.dim, Seed: p.seed, Bits: refBits(p.bits)}
-	rep := VectorsReport{Algo: algo, Year: p.year, Dim: p.dim, Bits: p.bits, Seed: p.seed,
-		Vectors: make([]WordVector, len(words))}
-	for i, w := range words {
+	ref := req.ref()
+	rep := VectorsReport{Algo: req.Algo, Year: req.Year, Dim: req.Dim, Bits: req.Bits, Seed: req.Seed,
+		Vectors: make([]WordVector, len(req.Words))}
+	for i, w := range req.Words {
 		id, vec, err := s.engine.Vector(ctx, ref, w)
 		if err != nil {
 			return VectorsReport{}, err
@@ -194,21 +182,19 @@ type NeighborsReport struct {
 // Neighbors returns each word's k nearest neighbors by cosine similarity
 // in one trained snapshot. Each request is scored as one query block, one
 // blocked matrix product for all its words. Answers are bitwise identical
-// for any block shape and any worker count. Defaults: year 2017, k from
-// the service configuration, seed the service default.
-func (s *Service) Neighbors(ctx context.Context, algo string, dim int, words []string, opts ...QueryOption) (NeighborsReport, error) {
-	p, err := s.queryParams(ctx, algo, dim, words, opts)
+// for any block shape and any worker count.
+func (s *Service) Neighbors(ctx context.Context, req QueryRequest) (NeighborsReport, error) {
+	req, err := s.resolve(ctx, req)
 	if err != nil {
 		return NeighborsReport{}, err
 	}
-	ref := query.Ref{Algo: algo, Year: p.year, Dim: p.dim, Seed: p.seed, Bits: refBits(p.bits)}
-	rep := NeighborsReport{Algo: algo, Year: p.year, Dim: p.dim, Bits: p.bits, Seed: p.seed, K: p.k,
-		Results: make([]WordNeighbors, len(words))}
-	ns, err := s.engine.NeighborsBatch(ctx, ref, words, p.k)
+	rep := NeighborsReport{Algo: req.Algo, Year: req.Year, Dim: req.Dim, Bits: req.Bits, Seed: req.Seed, K: req.K,
+		Results: make([]WordNeighbors, len(req.Words))}
+	ns, err := s.engine.NeighborsBatch(ctx, req.ref(), req.Words, req.K)
 	if err != nil {
 		return NeighborsReport{}, err
 	}
-	for i, w := range words {
+	for i, w := range req.Words {
 		rep.Results[i] = WordNeighbors{Word: w, Neighbors: ns[i]}
 	}
 	return rep, nil
@@ -235,21 +221,22 @@ type NeighborDeltaReport struct {
 // downstream-instability story as a single query: embeddings retrain on a
 // slightly different corpus and the answers users observe (nearest
 // neighbors) drift. Cosine neighborhoods are rotation-invariant, so no
-// alignment pass is needed. Defaults: k from the service configuration,
-// seed the service default.
-func (s *Service) NeighborDelta(ctx context.Context, algo string, dim int, words []string, opts ...QueryOption) (NeighborDeltaReport, error) {
-	p, err := s.queryParams(ctx, algo, dim, words, opts)
+// alignment pass is needed.
+func (s *Service) NeighborDelta(ctx context.Context, req DeltaRequest) (NeighborDeltaReport, error) {
+	q, err := s.resolve(ctx, QueryRequest{Algo: req.Algo, Words: req.Words, Dim: req.Dim, K: req.K,
+		Bits: req.Bits, Seed: req.Seed})
 	if err != nil {
 		return NeighborDeltaReport{}, err
 	}
-	refA := query.Ref{Algo: algo, Year: 2017, Dim: p.dim, Seed: p.seed, Bits: refBits(p.bits)}
-	refB := query.Ref{Algo: algo, Year: 2018, Dim: p.dim, Seed: p.seed, Bits: refBits(p.bits)}
-	s.note("neighbor-delta %s d=%d b=%d k=%d seed=%d (%d words)", algo, p.dim, p.bits, p.k, p.seed, len(words))
-	ds, err := s.engine.NeighborDelta(ctx, refA, refB, words, p.k)
+	refA := q.ref()
+	refB := refA
+	refB.Year = 2018
+	s.note("neighbor-delta %s d=%d b=%d k=%d seed=%d (%d words)", q.Algo, q.Dim, q.Bits, q.K, q.Seed, len(q.Words))
+	ds, err := s.engine.NeighborDelta(ctx, refA, refB, q.Words, q.K)
 	if err != nil {
 		return NeighborDeltaReport{}, err
 	}
-	rep := NeighborDeltaReport{Algo: algo, Dim: p.dim, Bits: p.bits, Seed: p.seed, K: p.k, Results: ds}
+	rep := NeighborDeltaReport{Algo: q.Algo, Dim: q.Dim, Bits: q.Bits, Seed: q.Seed, K: q.K, Results: ds}
 	for _, d := range ds {
 		rep.MeanOverlap += d.Overlap
 	}

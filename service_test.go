@@ -219,19 +219,19 @@ func TestServiceCanceledContext(t *testing.T) {
 	}
 }
 
-// TestServiceDefaults checks WithSeed/WithPrecision backfill of zero
-// request values.
+// TestServiceDefaults checks that zero request values select seed 1 and
+// full precision.
 func TestServiceDefaults(t *testing.T) {
 	ctx := context.Background()
-	svc := newTinyService(t, anchor.WithSeed(1), anchor.WithPrecision(1))
+	svc := newTinyService(t)
 	rep, err := svc.MeasureCell(ctx, "mc", 8, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Precision != 1 || rep.Seed != 1 {
+	if rep.Precision != 32 || rep.Seed != 1 {
 		t.Fatalf("defaults not applied: %+v", rep)
 	}
-	if rep.MemoryBits != 8 {
+	if rep.MemoryBits != 256 {
 		t.Fatalf("memory bits = %d", rep.MemoryBits)
 	}
 }
@@ -292,7 +292,7 @@ func TestServiceQueryReadPath(t *testing.T) {
 	}
 	words := []string{e.Words[3], e.Words[77]}
 
-	vrep, err := svc.Query(ctx, "mc", 8, words)
+	vrep, err := svc.Query(ctx, anchor.QueryRequest{Algo: "mc", Dim: 8, Words: words})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestServiceQueryReadPath(t *testing.T) {
 		}
 	}
 
-	nrep, err := svc.Neighbors(ctx, "mc", 8, words, anchor.QueryK(4))
+	nrep, err := svc.Neighbors(ctx, anchor.QueryRequest{Algo: "mc", Dim: 8, Words: words, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestServiceQueryReadPath(t *testing.T) {
 		}
 	}
 
-	drep, err := svc.NeighborDelta(ctx, "mc", 8, words, anchor.QueryK(4))
+	drep, err := svc.NeighborDelta(ctx, anchor.DeltaRequest{Algo: "mc", Dim: 8, Words: words, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,21 +344,21 @@ func TestServiceQueryReadPath(t *testing.T) {
 
 	// Validation: unknown algorithm, bad year, bad k, no words, oov word.
 	var unk *anchor.UnknownNameError
-	if _, err := svc.Neighbors(ctx, "elmo", 8, words); !errors.As(err, &unk) {
+	if _, err := svc.Neighbors(ctx, anchor.QueryRequest{Algo: "elmo", Dim: 8, Words: words}); !errors.As(err, &unk) {
 		t.Fatalf("unknown algo err = %v", err)
 	}
 	var inv *anchor.InvalidRequestError
-	if _, err := svc.Neighbors(ctx, "mc", 8, words, anchor.QueryYear(1999)); !errors.As(err, &inv) {
+	if _, err := svc.Neighbors(ctx, anchor.QueryRequest{Algo: "mc", Dim: 8, Words: words, Year: 1999}); !errors.As(err, &inv) {
 		t.Fatalf("bad year err = %v", err)
 	}
-	if _, err := svc.Neighbors(ctx, "mc", 8, words, anchor.QueryK(-1)); !errors.As(err, &inv) {
+	if _, err := svc.Neighbors(ctx, anchor.QueryRequest{Algo: "mc", Dim: 8, Words: words, K: -1}); !errors.As(err, &inv) {
 		t.Fatalf("bad k err = %v", err)
 	}
-	if _, err := svc.Query(ctx, "mc", 8, nil); !errors.As(err, &inv) {
+	if _, err := svc.Query(ctx, anchor.QueryRequest{Algo: "mc", Dim: 8}); !errors.As(err, &inv) {
 		t.Fatalf("no words err = %v", err)
 	}
 	var uw *anchor.UnknownWordError
-	if _, err := svc.Query(ctx, "mc", 8, []string{"definitely-not-a-word"}); !errors.As(err, &uw) {
+	if _, err := svc.Query(ctx, anchor.QueryRequest{Algo: "mc", Dim: 8, Words: []string{"definitely-not-a-word"}}); !errors.As(err, &uw) {
 		t.Fatalf("oov err = %v", err)
 	}
 
@@ -384,13 +384,13 @@ func TestServiceANNSidecarRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	words := []string{e.Words[3], e.Words[77]}
-	rep1, err1 := s1.Neighbors(ctx, "mc", 8, words, anchor.QueryK(5))
+	rep1, err1 := s1.Neighbors(ctx, anchor.QueryRequest{Algo: "mc", Dim: 8, Words: words, K: 5})
 	bins, err2 := filepath.Glob(filepath.Join(dir, "*.bin"))
 	for _, b := range bins {
 		err2 = errors.Join(err2, os.WriteFile(strings.TrimSuffix(b, ".bin")+"-ivf8.ann", []byte("stale"), 0o644))
 	}
 	s2 := newTinyService(t, anchor.WithCacheDir(dir))
-	rep2, err3 := s2.Neighbors(ctx, "mc", 8, words, anchor.QueryK(5))
+	rep2, err3 := s2.Neighbors(ctx, anchor.QueryRequest{Algo: "mc", Dim: 8, Words: words, K: 5})
 	if err := errors.Join(err1, err2, err3); err != nil {
 		t.Fatal(err)
 	}
