@@ -165,7 +165,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkNeighborsServe|BenchmarkNeighborsPrecision' -benchtime 30x -count 5 ./internal/query | tee BENCH_query.txt
 	$(GO) run ./cmd/benchjson -o BENCH_query.json < BENCH_query.txt
 	@rm -f BENCH_query.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkTrain(MC|GloVe|CBOW|FastText)$$' -benchtime 3x -count 5 . | tee BENCH_train.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkTrain(MC|MCPair|GloVe|CBOW|FastText)$$' -benchtime 3x -count 5 . | tee BENCH_train.txt
 	$(GO) run ./cmd/benchjson -o BENCH_train.json < BENCH_train.txt
 	@rm -f BENCH_train.txt
 

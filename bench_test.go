@@ -357,6 +357,42 @@ func BenchmarkTrainMC(b *testing.B) {
 	})
 }
 
+// BenchmarkTrainMCPair times the trainings of a cold neighbor delta: the
+// MC embeddings of both corpus years on the bench-config corpora at d=32,
+// with their PPMI matrices already derived. back-to-back trains Wiki'17,
+// then Wiki'18, each on every CPU; side-by-side trains the two on two
+// goroutines at one worker each, as a cold delta does. The embeddings are
+// bitwise identical either way.
+func BenchmarkTrainMCPair(b *testing.B) {
+	c17, c18 := runner().Corpora()
+	corpora := []*corpus.Corpus{c17, c18}
+	all, one := embtrain.NewMC(), embtrain.NewMC()
+	one.Workers = 1
+	for _, c := range corpora {
+		cooc.SharedPPMI(c, all.Window, cooc.Uniform, 0)
+	}
+	b.Run("back-to-back", func(b *testing.B) {
+		for b.Loop() {
+			for _, c := range corpora {
+				all.Train(c, 32, 1)
+			}
+		}
+	})
+	b.Run("side-by-side", func(b *testing.B) {
+		for b.Loop() {
+			var wg sync.WaitGroup
+			for _, c := range corpora {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					one.Train(c, 32, 1)
+				}()
+			}
+			wg.Wait()
+		}
+	})
+}
+
 func BenchmarkTrainFastText(b *testing.B) {
 	benchTrainWorkers(b, func(w int) embtrain.Trainer {
 		tr := embtrain.NewFastText()

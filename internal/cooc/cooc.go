@@ -68,6 +68,19 @@ func Shared(c *corpus.Corpus, window int, w Weighting, workers int) *Matrix {
 	})
 }
 
+// ppmiKey identifies one PPMI transform of a counting for corpus.Derive.
+type ppmiKey countsKey
+
+// SharedPPMI returns PPMI(Shared(c, window, w, workers)), derived once per
+// (corpus, window, weighting) and shared like Shared's counts, so
+// trainings on one corpus never redo the transform. The matrix is
+// read-only.
+func SharedPPMI(c *corpus.Corpus, window int, w Weighting, workers int) *Matrix {
+	return corpus.Derive(c, ppmiKey{window, w}, func() *Matrix {
+		return PPMI(Shared(c, window, w, workers))
+	})
+}
+
 // CountWorkers is Count with an explicit goroutine budget (workers <= 0
 // selects all CPUs). Sentences are partitioned into a fixed number of
 // shards; each shard accumulates into its own map and the per-shard maps

@@ -372,3 +372,20 @@ func TestSharedCountsOncePerCorpusWindowWeighting(t *testing.T) {
 		}
 	}
 }
+
+// SharedPPMI transforms a corpus's shared counts once: every caller gets
+// one matrix, equal to PPMI of the counts, and another weighting gets its
+// own.
+func TestSharedPPMIOncePerCorpus(t *testing.T) {
+	c := corpus.Generate(corpus.TestConfig(), corpus.Wiki17)
+	m := SharedPPMI(c, 5, Uniform, 1)
+	if SharedPPMI(c, 5, Uniform, 4) != m {
+		t.Fatal("two calls got different matrices")
+	}
+	if !reflect.DeepEqual(m, PPMI(CountWorkers(c, 5, Uniform, 1))) {
+		t.Fatal("shared PPMI differs from PPMI of the counts")
+	}
+	if SharedPPMI(c, 5, InverseDistance, 1) == m || Shared(c, 5, Uniform, 1) == m {
+		t.Fatal("another weighting, or the counts, share the PPMI matrix")
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"anchor/internal/cooc"
 	"anchor/internal/corpus"
 	"anchor/internal/embedding"
 	"anchor/internal/floats"
@@ -114,6 +115,31 @@ func TestMCWorkerInvariant(t *testing.T) {
 
 func TestFastTextWorkerInvariant(t *testing.T) {
 	checkWorkerInvariance(t, func(w int) Trainer { tr := NewFastText(); tr.Workers = w; return tr })
+}
+
+// Two MC trainings on one corpus share one PPMI matrix: the first derives
+// it, and the second (another dim, seed and worker budget) reads it rather
+// than transforming the counts again. With the shared counts emptied
+// after the first training, the second still matches a training on a
+// fresh corpus.
+func TestMCTrainingsSharePPMI(t *testing.T) {
+	c, fresh := testCorpus(t, corpus.Wiki17), testCorpus(t, corpus.Wiki17)
+	first, second := NewMC(), NewMC()
+	first.Epochs, second.Epochs = 2, 2
+	first.Workers, second.Workers = 1, 4
+	first.Train(c, 8, 1)
+	m := cooc.SharedPPMI(c, first.Window, cooc.Uniform, 1)
+	cooc.Shared(c, first.Window, cooc.Uniform, 1).Entries = nil
+	got := second.Train(c, 16, 2)
+	if cooc.SharedPPMI(c, second.Window, cooc.Uniform, 4) != m {
+		t.Fatal("the second training replaced the shared PPMI matrix")
+	}
+	want := second.Train(fresh, 16, 2)
+	for i := range want.Vectors.Data {
+		if got.Vectors.Data[i] != want.Vectors.Data[i] {
+			t.Fatalf("second training differs from a fresh-corpus training at %d", i)
+		}
+	}
 }
 
 func TestLookupSetsWorkers(t *testing.T) {

@@ -57,7 +57,7 @@ func (t *MC) Name() string { return "mc" }
 
 // Train implements Trainer.
 func (t *MC) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embedding {
-	ppmi := cooc.PPMI(cooc.Shared(c, t.Window, cooc.Uniform, t.Workers))
+	ppmi := cooc.SharedPPMI(c, t.Window, cooc.Uniform, t.Workers)
 	n := c.Vocab.Size()
 	rng := newTrainRNG(seed)
 

@@ -146,11 +146,10 @@ func (r *Runner) train(ctx context.Context, algo string, year, dim int, seed int
 // seed): the Wiki'17 embedding and the Wiki'18 embedding already aligned
 // to it with orthogonal Procrustes (Section 3's protocol). Both come from
 // the artifact store, so a warm store serves the pair without retraining.
-// On a miss the two snapshots come from their single-artifact store slots
-// (so a pair never retrains what /v1/train or a restart's disk tier
-// already produced), trained concurrently when the worker budget allows,
-// each on its share of it; the aligned Wiki'18 embedding is a rotated copy
-// of the shared unaligned one.
+// On a miss the two snapshots come from trainBoth, through their
+// single-artifact store slots (so a pair never retrains what /v1/train or
+// a restart's disk tier already produced); the aligned Wiki'18 embedding
+// is a rotated copy of the shared unaligned one.
 func (r *Runner) Pair(ctx context.Context, algo string, dim int, seed int64) (*embedding.Embedding, *embedding.Embedding, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -158,24 +157,37 @@ func (r *Runner) Pair(ctx context.Context, algo string, dim int, seed int64) (*e
 	k17 := r.embKey(algo, "wiki17", dim, seed, 32)
 	k18 := r.embKey(algo, "wiki18a", dim, seed, 32)
 	return r.store.GetPair(k17, k18, func() (*embedding.Embedding, *embedding.Embedding, error) {
-		workers := parallel.Workers(r.Cfg.Workers)
-		var (
-			years = [2]int{2017, 2018}
-			embs  [2]*embedding.Embedding
-			errs  [2]error
-		)
-		parallel.Run(workers, len(years), func(i int) {
-			embs[i], errs[i] = r.train(ctx, algo, years[i], dim, seed, max(1, workers/len(years)))
-		}, nil)
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, err
-			}
+		e17, e18, err := r.trainBoth(ctx, algo, dim, seed)
+		if err != nil {
+			return nil, nil, err
 		}
-		e18 := embs[1].Clone()
-		embedding.AlignTagged(embs[0], e18)
-		return embs[0], e18, nil
+		e18 = e18.Clone()
+		embedding.AlignTagged(e17, e18)
+		return e17, e18, nil
 	})
+}
+
+// trainBoth returns the unaligned Wiki'17 and Wiki'18 embeddings for
+// (algo, dim, seed) from their single-artifact store slots. Missing ones
+// train concurrently when the worker budget allows, each on its share of
+// it: MC's sharded trainer gains little from a second worker inside one
+// training, while two trainings fill two CPUs.
+func (r *Runner) trainBoth(ctx context.Context, algo string, dim int, seed int64) (*embedding.Embedding, *embedding.Embedding, error) {
+	workers := parallel.Workers(r.Cfg.Workers)
+	var (
+		years = [2]int{2017, 2018}
+		embs  [2]*embedding.Embedding
+		errs  [2]error
+	)
+	parallel.Run(workers, len(years), func(i int) {
+		embs[i], errs[i] = r.train(ctx, algo, years[i], dim, seed, max(1, workers/len(years)))
+	}, nil)
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return embs[0], embs[1], nil
 }
 
 // QuantizedPair returns the (aligned) pair compressed to the given
@@ -224,18 +236,24 @@ func (r *Runner) QuantizedSnapshot(ctx context.Context, algo string, year, dim, 
 	default:
 		return nil, fmt.Errorf("experiments: year must be 2017 or 2018, got %d", year)
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	return r.store.Get(r.embKey(algo, tag, dim, seed, bits), func() (*embedding.Embedding, error) {
-		e17, err := r.Train(ctx, algo, 2017, dim, seed)
+		// The Wiki'18 artifact needs both years (the clip is Wiki'17's),
+		// so it trains them side by side; a Wiki'17 one trains only its own.
+		var e17, e *embedding.Embedding
+		var err error
+		if year == 2018 {
+			e17, e, err = r.trainBoth(ctx, algo, dim, seed)
+		} else {
+			e17, err = r.Train(ctx, algo, 2017, dim, seed)
+			e = e17
+		}
 		if err != nil {
 			return nil, err
 		}
 		clip := compress.OptimalClipWorkers(e17.Vectors.Data, bits, r.Cfg.Workers)
-		e := e17
-		if year == 2018 {
-			if e, err = r.Train(ctx, algo, 2018, dim, seed); err != nil {
-				return nil, err
-			}
-		}
 		return compress.QuantizeWorkers(e, bits, clip, r.Cfg.Workers), nil
 	})
 }

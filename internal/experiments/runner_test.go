@@ -10,11 +10,13 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"anchor/internal/compress"
 	"anchor/internal/corpus"
 	"anchor/internal/embedding"
 	"anchor/internal/embtrain"
 	"anchor/internal/parallel"
 	"anchor/internal/registry"
+	"anchor/internal/store"
 	"anchor/internal/tasks"
 )
 
@@ -192,6 +194,61 @@ func TestPairBitwiseAcrossWorkerBudgets(t *testing.T) {
 		if !sameEmbedding(a17, b17) || !sameEmbedding(a18, b18) {
 			t.Errorf("%s: pair differs between Workers=1 and the default budget", algo)
 		}
+	}
+}
+
+// A cold quantized Wiki'18 snapshot, whose two trainings run side by
+// side, is bitwise the artifact composed one step at a time: Wiki'17's
+// clip applied to the Wiki'18 training. A quantized Wiki'17 snapshot
+// trains only its own year, and the Wiki'18 one then only the other.
+func TestQuantizedSnapshotWiki18(t *testing.T) {
+	ctx := context.Background()
+	got, err := NewRunner(SmallConfig()).QuantizedSnapshot(ctx, "mc", 2018, 8, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := SmallConfig()
+	seq.Workers = 1
+	ref := NewRunner(seq)
+	e17, err17 := ref.Train(ctx, "mc", 2017, 8, 1)
+	e18, err18 := ref.Train(ctx, "mc", 2018, 8, 1)
+	if err := errors.Join(err17, err18); err != nil {
+		t.Fatal(err)
+	}
+	want := compress.QuantizeWorkers(e18, 4, compress.OptimalClipWorkers(e17.Vectors.Data, 4, 1), 1)
+	if !sameEmbedding(got, want) {
+		t.Fatal("cold quantized Wiki'18 snapshot differs from the composed artifact")
+	}
+
+	r := NewRunner(SmallConfig())
+	for _, year := range []int{2017, 2018} {
+		before := trainCalls.Load()
+		if _, err := r.QuantizedSnapshot(ctx, countedAlgo, year, 8, 4, 1); err != nil {
+			t.Fatal(err)
+		}
+		if n := trainCalls.Load() - before; n != 1 {
+			t.Errorf("quantized %d snapshot trained %d embeddings, want 1", year, n)
+		}
+	}
+}
+
+// A quantized snapshot whose context is canceled before it trains
+// returns context.Canceled, trains nothing and stores nothing.
+func TestQuantizedSnapshotCanceledStoresNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := NewRunner(SmallConfig())
+	before := trainCalls.Load()
+	for _, year := range []int{2017, 2018} {
+		if _, err := r.QuantizedSnapshot(ctx, countedAlgo, year, 8, 4, 1); !errors.Is(err, context.Canceled) {
+			t.Errorf("year %d: err = %v, want context.Canceled", year, err)
+		}
+	}
+	if n := trainCalls.Load() - before; n != 0 {
+		t.Errorf("canceled snapshots trained %d embeddings", n)
+	}
+	if st := r.Store().Stats(); st != (store.Stats{}) {
+		t.Errorf("canceled snapshots touched the store: %+v", st)
 	}
 }
 

@@ -35,7 +35,9 @@
 //     answer is bitwise identical whatever block it ran in, for any
 //     worker count.
 //   - NeighborDelta answers the paper's instability question directly:
-//     the overlap between a word's top-k neighbors in two snapshots.
+//     the overlap between a word's top-k neighbors in two snapshots. It
+//     resolves both snapshots before scoring either, loading a cold pair
+//     side by side.
 package query
 
 import (
@@ -560,16 +562,29 @@ func (e *Engine) Neighbors(ctx context.Context, ref Ref, word string, k int) ([]
 // per blockSize words, one matrix product per block. It is the one path
 // every neighbor query takes.
 func (e *Engine) NeighborsBatch(ctx context.Context, ref Ref, words []string, k int) ([][]Neighbor, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("query: k must be positive, got %d", k)
-	}
-	if err := ctx.Err(); err != nil {
+	if err := checkRequest(ctx, k); err != nil {
 		return nil, err
 	}
 	s, err := e.snapshot(ctx, ref)
 	if err != nil {
 		return nil, err
 	}
+	return e.neighbors(ctx, s, words, k)
+}
+
+// checkRequest rejects a neighbor request before any snapshot is
+// resolved: a nonpositive k, or a context that is already done.
+func checkRequest(ctx context.Context, k int) error {
+	if k < 1 {
+		return fmt.Errorf("query: k must be positive, got %d", k)
+	}
+	return ctx.Err()
+}
+
+// neighbors answers a multi-word neighbors request against the resolved
+// snapshot s, one query block per blockSize words.
+func (e *Engine) neighbors(ctx context.Context, s *snapshot, words []string, k int) ([][]Neighbor, error) {
+	var err error
 	ids := make([]int, len(words))
 	for i, w := range words {
 		if ids[i], err = s.resolve(w); err != nil {
@@ -658,13 +673,22 @@ type Delta struct {
 // NeighborDelta compares each word's top-k neighbor sets between the
 // snapshots under refA and refB. Cosine neighbor sets are invariant under
 // orthogonal alignment, so the comparison needs no Procrustes step: the
-// overlap is a pure function of the two trained snapshots.
+// overlap is a pure function of the two trained snapshots. Both snapshots
+// are resolved before either is scored, a cold pair side by side (see
+// snapshotPair).
 func (e *Engine) NeighborDelta(ctx context.Context, refA, refB Ref, words []string, k int) ([]Delta, error) {
-	na, err := e.NeighborsBatch(ctx, refA, words, k)
+	if err := checkRequest(ctx, k); err != nil {
+		return nil, err
+	}
+	sa, sb, err := e.snapshotPair(ctx, refA, refB)
 	if err != nil {
 		return nil, err
 	}
-	nb, err := e.NeighborsBatch(ctx, refB, words, k)
+	na, err := e.neighbors(ctx, sa, words, k)
+	if err != nil {
+		return nil, err
+	}
+	nb, err := e.neighbors(ctx, sb, words, k)
 	if err != nil {
 		return nil, err
 	}
@@ -686,4 +710,61 @@ func (e *Engine) NeighborDelta(ctx context.Context, refA, refB Ref, words []stri
 		out[i] = d
 	}
 	return out, nil
+}
+
+// snapshotPair resolves a delta's two snapshots with the counters and LRU
+// order of resolving refA, then refB, in turn. When both are resident it
+// takes the engine lock once and counts two hits. Otherwise refB resolves
+// on one extra goroutine while refA resolves on the caller's, so a cold
+// pair's two loads (in production, two trainings) run side by side. The
+// goroutine is joined before snapshotPair returns; refA's error wins over
+// refB's, and a successful pair ends with refB most recently used.
+func (e *Engine) snapshotPair(ctx context.Context, refA, refB Ref) (*snapshot, *snapshot, error) {
+	e.mu.Lock()
+	elA, okA := e.items[refA]
+	elB, okB := e.items[refB]
+	if okA && okB {
+		e.lru.MoveToFront(elA)
+		e.lru.MoveToFront(elB)
+		e.mu.Unlock()
+		e.hits.Add(2)
+		return elA.Value.(*snapshot), elB.Value.(*snapshot), nil
+	}
+	e.mu.Unlock()
+	if refA == refB {
+		// One snapshot: its second read is a hit on the first's load.
+		a, err := e.snapshot(ctx, refA)
+		if err != nil {
+			return nil, nil, err
+		}
+		b, err := e.snapshot(ctx, refB)
+		return a, b, err
+	}
+	// Declared here, not as results, so the warm path does not move them
+	// to the heap for the goroutine.
+	var (
+		b    *snapshot
+		errB error
+		done = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		b, errB = e.snapshot(ctx, refB)
+	}()
+	a, err := e.snapshot(ctx, refA)
+	<-done
+	if err != nil {
+		return nil, nil, err
+	}
+	if errB != nil {
+		return nil, nil, errB
+	}
+	// Whichever load finished last went to the front; put refB there, as
+	// if it had loaded second. Under a budget too small for both, refA's
+	// insertion may have evicted refB: reinserting it then evicts refA, as
+	// loading in turn would, at the cost of one more eviction counted.
+	e.mu.Lock()
+	e.insertLocked(b)
+	e.mu.Unlock()
+	return a, b, nil
 }

@@ -456,9 +456,6 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	if !s.decodePost(w, r, &req) {
 		return
 	}
-	if req.Year == 0 {
-		req.Year = 2017
-	}
 	e, err := s.svc.Train(r.Context(), req.Algo, req.Year, req.Dim, req.Seed)
 	if err != nil {
 		s.fail(w, r, err)

@@ -446,6 +446,32 @@ func TestUnknownRouteAndMethod(t *testing.T) {
 	}
 }
 
+// A zero year selects Wiki'17 in one place, Service.Train: the library
+// call and a /v1/train body without "year" return the same snapshot.
+func TestTrainZeroYearIsWiki17(t *testing.T) {
+	srv, svc := newTestServer(t)
+	ctx := context.Background()
+	lib, err := svc.Train(ctx, "mc", 0, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e17, err := svc.Train(ctx, "mc", 2017, 8, 1); err != nil || e17 != lib {
+		t.Fatalf("year 0 and year 2017 are different snapshots (err %v)", err)
+	}
+	var resp struct {
+		Corpus  string    `json:"corpus"`
+		Vectors []float64 `json:"vectors"`
+	}
+	rr := do(t, srv.Handler(), http.MethodPost, "/v1/train", `{"algo":"mc","dim":8,"seed":1,"return_vectors":true}`, &resp)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("train without year: %d %s", rr.Code, rr.Body.String())
+	}
+	if resp.Corpus != lib.Meta.Corpus || !reflect.DeepEqual(resp.Vectors, lib.Vectors.Data) {
+		t.Fatalf("HTTP answered %s with %d values; the library %s with %d",
+			resp.Corpus, len(resp.Vectors), lib.Meta.Corpus, len(lib.Vectors.Data))
+	}
+}
+
 // queryWords returns real vocabulary words from the tiny config's corpus
 // by training the smallest snapshot once (served from the store for every
 // later request in the same test).

@@ -239,12 +239,20 @@ func (s *Service) note(format string, args ...any) {
 	}
 }
 
-// A request's zero seed selects training seed 1, and its zero bits full
-// precision.
+// A request's zero year selects the Wiki'17 snapshot, its zero seed
+// training seed 1, and its zero bits full precision.
 const (
+	defaultYear = 2017
 	defaultSeed = 1
 	defaultBits = 32
 )
+
+func yearOrDefault(year int) int {
+	if year == 0 {
+		return defaultYear
+	}
+	return year
+}
 
 func seedOrDefault(seed int64) int64 {
 	if seed == 0 {
@@ -258,6 +266,13 @@ func bitsOrDefault(bits int) int {
 		return defaultBits
 	}
 	return bits
+}
+
+func validYear(year int) error {
+	if year != 2017 && year != 2018 {
+		return invalidf("year must be 2017 or 2018, got %d", year)
+	}
+	return nil
 }
 
 func validBits(bits int) error {
@@ -283,14 +298,16 @@ func (s *Service) checkMeasure(measure string) error { return core.CheckMeasure(
 
 // Train returns the embedding for (algo, year, dim, seed), served from
 // the artifact store or trained on a miss. year selects the corpus
-// snapshot (2017 or 2018); seed 0 selects seed 1. The result must be
-// treated as read-only: it is shared with the cache.
+// snapshot (2017 or 2018; 0 selects 2017, as for reads); seed 0 selects
+// seed 1. The result must be treated as read-only: it is shared with the
+// cache.
 func (s *Service) Train(ctx context.Context, algo string, year, dim int, seed int64) (*Embedding, error) {
 	if err := errors.Join(ctx.Err(), s.checkAlgo(algo), validDim(dim)); err != nil {
 		return nil, err
 	}
-	if year != 2017 && year != 2018 {
-		return nil, invalidf("year must be 2017 or 2018, got %d", year)
+	year = yearOrDefault(year)
+	if err := validYear(year); err != nil {
+		return nil, err
 	}
 	seed = seedOrDefault(seed)
 	s.note("train %s wiki%d d=%d seed=%d", algo, year%100, dim, seed)

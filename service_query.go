@@ -66,9 +66,7 @@ type DeltaRequest struct {
 // request's zero fields become values. In serving-budget mode a zero Dim
 // takes the selected cell, and a zero Bits that cell's precision.
 func (s *Service) resolve(ctx context.Context, req QueryRequest) (QueryRequest, error) {
-	if req.Year == 0 {
-		req.Year = 2017
-	}
+	req.Year = yearOrDefault(req.Year)
 	if req.K == 0 {
 		req.K = s.runner.Cfg.K
 	}
@@ -76,8 +74,8 @@ func (s *Service) resolve(ctx context.Context, req QueryRequest) (QueryRequest, 
 	if err := errors.Join(ctx.Err(), s.checkAlgo(req.Algo)); err != nil {
 		return req, err
 	}
-	if req.Year != 2017 && req.Year != 2018 {
-		return req, invalidf("year must be 2017 or 2018, got %d", req.Year)
+	if err := validYear(req.Year); err != nil {
+		return req, err
 	}
 	if req.K < 1 {
 		return req, invalidf("k must be positive, got %d", req.K)
