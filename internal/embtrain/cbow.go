@@ -26,13 +26,9 @@ type CBOW struct {
 	// Workers is the goroutine budget (<= 0 selects all CPUs). Embeddings
 	// are bitwise identical for every value.
 	Workers int
-	// Shards is the fixed data-parallel shard count (<= 0 selects
-	// parallel.DefaultShards). Unlike Workers, changing Shards changes the
-	// (still deterministic) result.
-	Shards int
 	// Rounds is the number of synchronization rounds per epoch (<= 0
-	// selects the package default). Like Shards it shapes the result
-	// deterministically; it never depends on worker count.
+	// selects the package default). Unlike Workers, it shapes the (still
+	// deterministic) result.
 	Rounds int
 }
 
@@ -66,7 +62,7 @@ func (t *CBOW) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embedding
 	table := newUnigramTable(c.Counts, t.NegPower)
 	total := float64(t.Epochs) * float64(c.Tokens)
 
-	shards := parallel.Shards(t.Shards)
+	shards := parallel.DefaultShards
 	rounds := syncRounds(t.Rounds)
 	local := make([]*cbowShard, shards)
 	ins := make([]*parallel.Replica, shards)
@@ -80,8 +76,9 @@ func (t *CBOW) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embedding
 		}
 	}
 
+	order := make([]int32, len(c.Sentences))
 	for epoch := 0; epoch < t.Epochs; epoch++ {
-		order := shuffledOrder(len(c.Sentences), rng)
+		shuffleInto(order, rng)
 		var epochTokens float64
 		for round, rr := range parallel.Ranges(len(order), rounds) {
 			sub := order[rr.Lo:rr.Hi]

@@ -165,22 +165,40 @@ func initMatrix(data []float64, dim int, rng *rand.Rand) {
 // parallel.ShardRNG so it never depends on scheduling.
 func newTrainRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// shuffledOrder returns a seeded permutation of [0, n).
-func shuffledOrder(n int, rng *rand.Rand) []int32 {
-	order := make([]int32, n)
+// shuffleInto refills order with the identity and permutes it exactly as
+// rng.Shuffle(len(order), swap) would: the same Fisher–Yates walk from the
+// top, drawing each index with math/rand's int31n (Lemire's multiply-shift
+// reduction of rng.Uint32, with its rejection step). The permutation and
+// the RNG state afterwards therefore equal Shuffle's, without a closure
+// call per swap; the trainers reuse one order buffer across epochs.
+// order's indices are int32, so len(order) never reaches Shuffle's
+// 64-bit path.
+func shuffleInto(order []int32, rng *rand.Rand) {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-	return order
+	for i := len(order) - 1; i > 0; i-- {
+		n := uint32(i + 1)
+		prod := uint64(rng.Uint32()) * uint64(n)
+		if low := uint32(prod); low < n {
+			thresh := -n % n
+			for low < thresh {
+				prod = uint64(rng.Uint32()) * uint64(n)
+				low = uint32(prod)
+			}
+		}
+		j := prod >> 32
+		order[i], order[j] = order[j], order[i]
+	}
 }
 
-// defaultSyncRounds is the number of synchronization rounds per epoch used
-// when a trainer's Rounds knob is zero. More rounds track sequential SGD
-// more closely (each shard's delta stays small relative to the loss
-// landscape before it is merged) at the cost of more barriers; eight keeps
-// the quality of the paper's single-threaded trainers on the synthetic
-// corpora while shards stay coarse enough to parallelize.
+// defaultSyncRounds is the number of synchronization rounds per epoch of
+// MC and GloVe, and of CBOW and fastText when their Rounds knob is zero.
+// More rounds track sequential SGD more closely (each shard's delta stays
+// small relative to the loss landscape before it is merged) at the cost of
+// more barriers; eight keeps the quality of the paper's single-threaded
+// trainers on the synthetic corpora while shards stay coarse enough to
+// parallelize.
 const defaultSyncRounds = 8
 
 // syncRounds resolves a Rounds knob: values <= 0 select defaultSyncRounds.

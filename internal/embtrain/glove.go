@@ -29,14 +29,6 @@ type GloVe struct {
 	// Workers is the goroutine budget (<= 0 selects all CPUs). Embeddings
 	// are bitwise identical for every value.
 	Workers int
-	// Shards is the fixed data-parallel shard count (<= 0 selects
-	// parallel.DefaultShards). Unlike Workers, changing Shards changes the
-	// (still deterministic) result.
-	Shards int
-	// Rounds is the number of synchronization rounds per epoch (<= 0
-	// selects the package default). Like Shards it shapes the result
-	// deterministically; it never depends on worker count.
-	Rounds int
 }
 
 // NewGloVe returns a GloVe trainer with repro-scale defaults. The paper
@@ -67,9 +59,23 @@ func (st *gloveShard) begin() {
 	}
 }
 
-// update applies one AdaGrad step for the directed pair (i -> j) with
-// co-occurrence weight x.
-func (t *GloVe) update(st *gloveShard, dim int, i, j int32, x float64) {
+// gloveTerm holds what one nonzero's loss term takes from its count x
+// alone: log x and the weight f(x). Both depend only on x, so Train
+// computes them once per nonzero per training, not in every update.
+type gloveTerm struct{ logX, f float64 }
+
+// term returns the gloveTerm of count x.
+func (t *GloVe) term(x float64) gloveTerm {
+	f := 1.0
+	if x < t.XMax {
+		f = math.Pow(x/t.XMax, t.Alpha)
+	}
+	return gloveTerm{logX: math.Log(x), f: f}
+}
+
+// update applies one AdaGrad step for the directed pair (i -> j) whose
+// count's log and weight are in tm.
+func (t *GloVe) update(st *gloveShard, dim int, i, j int32, tm gloveTerm) {
 	wi := st.w.Row(int(i))
 	cj := st.wc.Row(int(j))
 	bi := st.b.Row(int(i))
@@ -78,12 +84,8 @@ func (t *GloVe) update(st *gloveShard, dim int, i, j int32, x float64) {
 	gcj := st.gwc.Row(int(j))
 	gbi := st.gb.Row(int(i))
 	gbj := st.gbc.Row(int(j))
-	diff := floats.Dot(wi, cj) + bi[0] + bj[0] - math.Log(x)
-	f := 1.0
-	if x < t.XMax {
-		f = math.Pow(x/t.XMax, t.Alpha)
-	}
-	g := f * diff
+	diff := floats.Dot(wi, cj) + bi[0] + bj[0] - tm.logX
+	g := tm.f * diff
 	for k := 0; k < dim; k++ {
 		gwk := g * cj[k]
 		gck := g * wi[k]
@@ -123,8 +125,7 @@ func (t *GloVe) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embeddin
 		gb[i], gbc[i] = 1, 1
 	}
 
-	shards := parallel.Shards(t.Shards)
-	rounds := syncRounds(t.Rounds)
+	shards, rounds := parallel.DefaultShards, defaultSyncRounds
 	local := make([]*gloveShard, shards)
 	var matrices [8][]*parallel.Replica // matrices[m][s] is local[s].all[m]
 	for s := range local {
@@ -141,8 +142,13 @@ func (t *GloVe) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embeddin
 		}
 	}
 
+	terms := make([]gloveTerm, counts.NNZ())
+	for i, en := range counts.Entries {
+		terms[i] = t.term(en.Val)
+	}
+	order := make([]int32, counts.NNZ())
 	for epoch := 0; epoch < t.Epochs; epoch++ {
-		order := shuffledOrder(counts.NNZ(), rng)
+		shuffleInto(order, rng)
 		for _, rr := range parallel.Ranges(len(order), rounds) {
 			sub := order[rr.Lo:rr.Hi]
 			ranges := parallel.Ranges(len(sub), shards)
@@ -153,9 +159,9 @@ func (t *GloVe) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embeddin
 					e := counts.Entries[ei]
 					// The sparse matrix stores each unordered pair once; train both
 					// directions so word and context roles are symmetric.
-					t.update(st, dim, e.Row, e.Col, e.Val)
+					t.update(st, dim, e.Row, e.Col, terms[ei])
 					if e.Row != e.Col {
-						t.update(st, dim, e.Col, e.Row, e.Val)
+						t.update(st, dim, e.Col, e.Row, terms[ei])
 					}
 				}
 			}, nil)

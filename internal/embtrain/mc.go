@@ -20,7 +20,12 @@ const clipResidual = 5.0
 // Observed entries are sharded across cores by the deterministic parallel
 // engine, and parallel.Merge averages each row's shard deltas; its per-row
 // hook re-projects every merged row so the combined deltas cannot leave
-// the norm ball that keeps plain SGD stable.
+// the norm ball that keeps plain SGD stable. A round runs its shards two
+// at a time, as lockstep pairs: one task advances both shards an entry per
+// step through one fused kernel, so their two independent chains of
+// dependent dot products and updates overlap. Each shard still applies
+// its own entries, in its own order, to its own replica, so the pairing
+// moves no bit.
 type MC struct {
 	// Window is the co-occurrence half-window used to build the PPMI matrix.
 	Window int
@@ -36,14 +41,6 @@ type MC struct {
 	// Workers is the goroutine budget (<= 0 selects all CPUs). Embeddings
 	// are bitwise identical for every value.
 	Workers int
-	// Shards is the fixed data-parallel shard count (<= 0 selects
-	// parallel.DefaultShards). Unlike Workers, changing Shards changes the
-	// (still deterministic) result.
-	Shards int
-	// Rounds is the number of synchronization rounds per epoch (<= 0
-	// selects the package default). Like Shards it shapes the result
-	// deterministically; it never depends on worker count.
-	Rounds int
 }
 
 // NewMC returns an MC trainer with the paper's hyperparameters scaled to
@@ -88,56 +85,45 @@ func (t *MC) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embedding {
 	}
 	maxNorm := 1.5 * math.Sqrt(maxVal+1)
 
-	shards := parallel.Shards(t.Shards)
-	rounds := syncRounds(t.Rounds)
+	shards, rounds := parallel.DefaultShards, defaultSyncRounds
 	local := make([]*parallel.Replica, shards)
 	for s := range local {
 		local[s] = parallel.NewReplica(e.Vectors.Data, dim)
 	}
 
 	lr := t.LR
+	order := make([]int32, ppmi.NNZ())
 	for epoch := 0; epoch < t.Epochs; epoch++ {
 		if epoch >= t.DecayEpochs {
 			lr *= t.DecayRate
 		}
-		order := shuffledOrder(ppmi.NNZ(), rng)
+		st := mcStep{lr: lr, maxNorm: maxNorm}
+		shuffleInto(order, rng)
 		for _, rr := range parallel.Ranges(len(order), rounds) {
 			sub := order[rr.Lo:rr.Hi]
 			ranges := parallel.Ranges(len(sub), shards)
-			parallel.Run(t.Workers, shards, func(s int) {
-				vec := local[s]
-				vec.Begin()
-				for _, ei := range sub[ranges[s].Lo:ranges[s].Hi] {
-					entry := ppmi.Entries[ei]
-					xi := vec.Row(int(entry.Row))
-					xj := vec.Row(int(entry.Col))
-					diff := floats.Dot(xi, xj) - entry.Val
-					// Residual clipping keeps a rare large error from triggering
-					// the divergence of the unregularized factorization.
-					if diff > clipResidual {
-						diff = clipResidual
-					} else if diff < -clipResidual {
-						diff = -clipResidual
-					}
-					g := lr * diff
-					if entry.Row == entry.Col {
-						floats.Axpy(-2*g, xi, xi)
-						project(xi, maxNorm)
+			// Shards 2p and 2p+1 run as one task, in lockstep: step i
+			// applies entry i of each shard to that shard's replica, so the
+			// two independent dot products and updates overlap. Ranges gives
+			// the even shard the longer range when they differ, by one entry,
+			// which then runs alone.
+			parallel.Run(t.Workers, shards/2, func(p int) {
+				va, vb := local[2*p], local[2*p+1]
+				va.Begin()
+				vb.Begin()
+				ea := sub[ranges[2*p].Lo:ranges[2*p].Hi]
+				eb := sub[ranges[2*p+1].Lo:ranges[2*p+1].Hi]
+				for i, ib := range eb {
+					a, b := ppmi.Entries[ea[i]], ppmi.Entries[ib]
+					if a.Row == a.Col || b.Row == b.Col {
+						st.one(va, a)
+						st.one(vb, b)
 						continue
 					}
-					// Simultaneous update of both factors, then projection. The
-					// loop also sums each row's squares, in the ascending order
-					// floats.Norm would, so neither row is read a second time.
-					var si, sj float64
-					for k := 0; k < dim; k++ {
-						xik, xjk := xi[k], xj[k]
-						xi[k] -= g * xjk
-						xj[k] -= g * xik
-						si += xi[k] * xi[k]
-						sj += xj[k] * xj[k]
-					}
-					clampNorm(xi, math.Sqrt(si), maxNorm)
-					clampNorm(xj, math.Sqrt(sj), maxNorm)
+					st.two(va, vb, a, b)
+				}
+				for _, ia := range ea[len(eb):] {
+					st.one(va, ppmi.Entries[ia])
 				}
 			}, nil)
 			// Merged shard deltas can push a row past the ball each shard
@@ -149,6 +135,89 @@ func (t *MC) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embedding {
 		}
 	}
 	return e
+}
+
+// mcStep is one epoch's SGD step on an observed PPMI entry: learning rate
+// lr, then projection of each updated row onto the ball of radius maxNorm.
+type mcStep struct{ lr, maxNorm float64 }
+
+// grad returns the step's scaled residual for the dot product x of an
+// entry with value val. Residual clipping keeps a rare large error from
+// triggering the divergence of the unregularized factorization.
+func (st mcStep) grad(x, val float64) float64 {
+	diff := x - val
+	if diff > clipResidual {
+		diff = clipResidual
+	} else if diff < -clipResidual {
+		diff = -clipResidual
+	}
+	return st.lr * diff
+}
+
+// one applies entry en to replica vec.
+func (st mcStep) one(vec *parallel.Replica, en cooc.Entry) {
+	xi := vec.Row(int(en.Row))
+	xj := vec.Row(int(en.Col))
+	g := st.grad(floats.Dot(xi, xj), en.Val)
+	if en.Row == en.Col {
+		floats.Axpy(-2*g, xi, xi)
+		project(xi, st.maxNorm)
+		return
+	}
+	// Simultaneous update of both factors, then projection. The loop also
+	// sums each row's squares, in the ascending order floats.Norm would, so
+	// neither row is read a second time. The rows are distinct, so each
+	// new value is stored once and summed from its register.
+	xj = xj[:len(xi)] // bounds-check elimination in the loop below
+	var si, sj float64
+	for k, xik := range xi {
+		xjk := xj[k]
+		ni := xik - g*xjk
+		nj := xjk - g*xik
+		xi[k], xj[k] = ni, nj
+		si += ni * ni
+		sj += nj * nj
+	}
+	clampNorm(xi, math.Sqrt(si), st.maxNorm)
+	clampNorm(xj, math.Sqrt(sj), st.maxNorm)
+}
+
+// two applies off-diagonal entry a to replica va and off-diagonal entry b
+// to replica vb, two distinct replicas, in one fused kernel: one loop
+// carries both dot products and one carries both updates, so the two
+// dependency chains overlap. Each value gets exactly the operations, in
+// the order, that one would give it, so the result equals one(va, a)
+// followed by one(vb, b) bit for bit.
+func (st mcStep) two(va, vb *parallel.Replica, a, b cooc.Entry) {
+	ai := va.Row(int(a.Row))
+	aj := va.Row(int(a.Col))
+	bi := vb.Row(int(b.Row))
+	bj := vb.Row(int(b.Col))
+	// Bounds-check elimination in the loops below.
+	aj, bi, bj = aj[:len(ai)], bi[:len(ai)], bj[:len(ai)]
+	var da, db float64
+	for k, aik := range ai {
+		da += aik * aj[k]
+		db += bi[k] * bj[k]
+	}
+	ga, gb := st.grad(da, a.Val), st.grad(db, b.Val)
+	var sai, saj, sbi, sbj float64
+	for k, aik := range ai {
+		ajk, bik, bjk := aj[k], bi[k], bj[k]
+		nai := aik - ga*ajk
+		naj := ajk - ga*aik
+		nbi := bik - gb*bjk
+		nbj := bjk - gb*bik
+		ai[k], aj[k], bi[k], bj[k] = nai, naj, nbi, nbj
+		sai += nai * nai
+		saj += naj * naj
+		sbi += nbi * nbi
+		sbj += nbj * nbj
+	}
+	clampNorm(ai, math.Sqrt(sai), st.maxNorm)
+	clampNorm(aj, math.Sqrt(saj), st.maxNorm)
+	clampNorm(bi, math.Sqrt(sbi), st.maxNorm)
+	clampNorm(bj, math.Sqrt(sbj), st.maxNorm)
 }
 
 // project rescales x onto the ball of the given radius if it lies outside.

@@ -2,17 +2,18 @@
 // behind the embedding trainers and the co-occurrence counter.
 //
 // The engine separates what parallel hardware is available (Workers) from
-// how work is partitioned (Shards). Work is always split into a fixed,
-// configuration-derived number of shards; each shard runs sequentially with
-// its own deterministically seeded RNG against state frozen at the start of
-// the round, and shard results are folded back in ascending shard order
-// (shard 0 first, then shard 1, ...): by Run's reduce callback, or, for the
-// trainers' replicated matrices, by Merge, row by row. Because no shard
-// observes another shard's writes and the fold order is fixed, the result
-// is bitwise identical for every worker count: Workers only controls how
-// many shards (or merge bands) are in flight at once. Changing Shards
-// changes the (still deterministic) result, which is why it defaults to a
-// constant rather than the machine's CPU count.
+// how work is partitioned (shards). Work is always split into a fixed
+// number of shards (DefaultShards for the trainers); each shard runs
+// sequentially with its own deterministically seeded RNG against state
+// frozen at the start of the round, and shard results are folded back in
+// ascending shard order (shard 0 first, then shard 1, ...): by Run's
+// reduce callback, or, for the trainers' replicated matrices, by Merge,
+// row by row. Because no shard observes another shard's writes and the
+// fold order is fixed, the result is bitwise identical for every worker
+// count: Workers only controls how many shards (or merge bands) are in
+// flight at once. The shard count does shape the (still deterministic)
+// result, which is why the trainers use a constant rather than the
+// machine's CPU count.
 package parallel
 
 import (
@@ -21,24 +22,17 @@ import (
 	"sync"
 )
 
-// DefaultShards is the fixed shard count used when a Shards knob is left
-// zero. It is a constant — never derived from GOMAXPROCS — so that results
-// do not depend on the machine the training ran on. Eight balances scaling
-// headroom against the per-shard cost of replicating the hottest rows.
+// DefaultShards is the fixed shard count of every trainer. It is a
+// constant — never derived from GOMAXPROCS — so that results do not depend
+// on the machine the training ran on. Eight balances scaling headroom
+// against the per-shard cost of replicating the hottest rows, and splits
+// into whole pairs for MC's lockstep rounds.
 const DefaultShards = 8
 
 // Workers resolves a worker-count knob: values <= 0 select all CPUs.
 func Workers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
-// Shards resolves a shard-count knob: values <= 0 select DefaultShards.
-func Shards(n int) int {
-	if n <= 0 {
-		return DefaultShards
 	}
 	return n
 }
@@ -147,7 +141,9 @@ func Run(workers, shards int, work func(shard int), reduce func(shard int)) {
 //
 // The contract mirrors Run's: Begin and Row run inside work, while the
 // shared state is frozen, and Merge runs once every shard's work has
-// returned.
+// returned. A Run task may own more than one replica, as MC's lockstep
+// pairs do, as long as no two tasks share one: each replica is still
+// written by one goroutine, with its own shard's entries in their order.
 type Replica struct {
 	shared []float64
 	rowLen int
@@ -193,7 +189,9 @@ func (r *Replica) Row(i int) []float64 {
 // delta against it (working copy minus round-start value) in ascending
 // shard order, and then calls hook(i) if hook is non-nil; hook may touch
 // row i of the shared matrix only, and runs concurrently for rows in
-// different bands.
+// different bands. The touching shards' deltas are added two per pass
+// over the row, row[k] + d0 + d1 left to right, and an odd last one
+// alone: the same additions, in the same order, as one pass per shard.
 //
 // With average set, each delta is scaled by one over the number of shards
 // that touched the row. Summing raw deltas is correct for rows only one
@@ -214,31 +212,44 @@ func Merge(workers int, reps []*Replica, average bool, hook func(row int)) {
 	bands := Ranges(len(shared)/n, Workers(workers))
 	Run(workers, len(bands), func(b int) {
 		start := make([]float64, n)
+		touched := make([][]float64, 0, len(reps))
 		for i := bands[b].Lo; i < bands[b].Hi; i++ {
-			touches := 0
+			lo, hi := i*n, (i+1)*n
+			touched = touched[:0]
 			for _, r := range reps {
 				if r.stamp[i] == r.round {
-					touches++
+					touched = append(touched, r.local[lo:hi])
 				}
 			}
-			if touches == 0 {
+			if len(touched) == 0 {
 				continue
 			}
-			row := shared[i*n : (i+1)*n]
+			row := shared[lo:hi]
 			copy(start, row)
-			scale := 1 / float64(touches)
-			for _, r := range reps {
-				if r.stamp[i] != r.round {
-					continue
-				}
-				local := r.local[i*n : (i+1)*n]
+			row = row[:len(start)] // bounds-check elimination in the loops below
+			scale := 1 / float64(len(touched))
+			s := 0
+			for ; s+2 <= len(touched); s += 2 {
+				l0, l1 := touched[s][:len(start)], touched[s+1][:len(start)]
 				if average {
 					for k, v := range start {
-						row[k] += (local[k] - v) * scale
+						row[k] = row[k] + (l0[k]-v)*scale + (l1[k]-v)*scale
 					}
 				} else {
 					for k, v := range start {
-						row[k] += local[k] - v
+						row[k] = row[k] + (l0[k] - v) + (l1[k] - v)
+					}
+				}
+			}
+			if s < len(touched) {
+				l0 := touched[s][:len(start)]
+				if average {
+					for k, v := range start {
+						row[k] += (l0[k] - v) * scale
+					}
+				} else {
+					for k, v := range start {
+						row[k] += l0[k] - v
 					}
 				}
 			}
