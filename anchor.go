@@ -132,7 +132,7 @@ func QuantizePair(x, xTilde *Embedding, bits int) (*Embedding, *Embedding) {
 // the given precision with a shared clip. It replaces the align ->
 // meta-tag -> quantize sequence previously inlined at every call site.
 func AlignQuantize(a, b *Embedding, bits int) (*Embedding, *Embedding) {
-	embedding.AlignTagged(a, b)
+	embedding.AlignTagged(a, b, 0)
 	return compress.QuantizePair(a, b, bits)
 }
 

@@ -37,7 +37,7 @@ func trainPair(t *testing.T) (e17, e18 *anchor.Embedding) {
 
 func TestFacadeEndToEnd(t *testing.T) {
 	e17, e18 := trainPair(t)
-	e18.AlignTo(e17)
+	e18.AlignTo(e17, 0)
 	e18.Meta.Corpus = "wiki18a"
 	q17, q18 := anchor.QuantizePair(e17, e18, 4)
 	if q17.Meta.Precision != 4 || q18.Meta.Precision != 4 {

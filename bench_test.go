@@ -117,16 +117,16 @@ func BenchmarkSVD300x64(b *testing.B) {
 	m := matrix.NewDenseRand(300, 64, 1, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matrix.ComputeSVD(m)
+		matrix.ComputeSVDWorkers(m, 0)
 	}
 }
 
 func BenchmarkQuantize4Bit(b *testing.B) {
 	e, _ := benchEmbeddings(1000, 64)
-	clip := compress.OptimalClip(e.Vectors.Data, 4)
+	clip := compress.OptimalClipWorkers(e.Vectors.Data, 4, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		compress.Quantize(e, 4, clip)
+		compress.QuantizeWorkers(e, 4, clip, 0)
 	}
 }
 

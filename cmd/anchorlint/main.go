@@ -1,7 +1,7 @@
 // Command anchorlint is the multichecker driver for the repository's
-// determinism lint suite (internal/lint). It loads the named packages,
-// runs every selected analyzer, and exits non-zero when any unsuppressed
-// finding remains:
+// lint suite (internal/lint): the determinism rules and the testonly
+// API-surface rule. It loads the named packages, runs every selected
+// analyzer, and exits non-zero when any unsuppressed finding remains:
 //
 //	anchorlint ./...                      # whole module (the CI gate)
 //	anchorlint -rules seedrand ./...      # one rule
@@ -26,7 +26,7 @@ import (
 )
 
 func main() {
-	rules := flag.String("rules", "", "comma-separated analyzer names to run (default: all)")
+	rules := flag.String("rules", "", "comma-separated analyzer names to run, of "+ruleNames()+" (default: all)")
 	showSuppressed := flag.Bool("show-suppressed", false, "also print findings covered by //anchorlint:ignore, with their reasons")
 	list := flag.Bool("list", false, "print the analyzer catalogue and exit")
 	format := flag.String("format", "text", `output format: "text" or "sarif" (SARIF 2.1.0)`)
@@ -103,17 +103,22 @@ func selectAnalyzers(rules string) ([]*lint.Analyzer, error) {
 	if rules == "" {
 		return lint.All(), nil
 	}
-	var names []string
-	for _, a := range lint.All() {
-		names = append(names, a.Name)
-	}
 	var out []*lint.Analyzer
 	for _, name := range strings.Split(rules, ",") {
 		a := lint.ByName(strings.TrimSpace(name))
 		if a == nil {
-			return nil, fmt.Errorf("unknown rule %q (have: %s)", name, strings.Join(names, ", "))
+			return nil, fmt.Errorf("unknown rule %q (have: %s)", name, ruleNames())
 		}
 		out = append(out, a)
 	}
 	return out, nil
+}
+
+// ruleNames lists the suite's rule names, comma-separated.
+func ruleNames() string {
+	var names []string
+	for _, a := range lint.All() {
+		names = append(names, a.Name)
+	}
+	return strings.Join(names, ", ")
 }

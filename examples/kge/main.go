@@ -29,7 +29,7 @@ func main() {
 		m95 := kge.TrainTransE(g95, cfg)
 		mFull := kge.TrainTransE(g, cfg)
 		for _, bits := range []int{1, 4, 32} {
-			q95, qFull := kge.QuantizePair(m95, mFull, bits)
+			q95, qFull := kge.QuantizePair(m95, mFull, bits, 0)
 
 			ur := kge.UnstableRankAt10(q95.TailRanks(g.Test), qFull.TailRanks(g.Test))
 

@@ -42,10 +42,6 @@ type Node struct {
 	back  func(*Node) // propagates the node's grad into its parents
 }
 
-// Grad returns the gradient accumulated for this node (nil until Backward
-// reaches it). For parameter nodes this aliases the Param's Grad matrix.
-func (n *Node) Grad() *matrix.Dense { return n.grad }
-
 func (n *Node) ensureGrad() *matrix.Dense {
 	if n.grad == nil {
 		n.grad = n.tape.newZeroDense(n.Value.Rows, n.Value.Cols)
@@ -221,6 +217,8 @@ func (t *Tape) Sub(a, b *Node) *Node {
 }
 
 // Mul returns the element-wise product a ⊙ b.
+//
+//anchorlint:ignore testonly unfused oracle op: the reference_test.go files of nn and tasks/ner compose LSTM steps from it
 func (t *Tape) Mul(a, b *Node) *Node {
 	v := t.newDense(a.Value.Rows, a.Value.Cols)
 	for i, x := range a.Value.Data {
@@ -355,6 +353,8 @@ func (t *Tape) pointwise(a *Node, f, df func(float64) float64) *Node {
 }
 
 // Sigmoid applies the logistic function element-wise.
+//
+//anchorlint:ignore testonly unfused oracle op: the reference_test.go files of nn and tasks/ner compose LSTM steps from it
 func (t *Tape) Sigmoid(a *Node) *Node {
 	sig := func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 	return t.pointwise(a, sig, func(x float64) float64 {
@@ -364,6 +364,8 @@ func (t *Tape) Sigmoid(a *Node) *Node {
 }
 
 // Tanh applies tanh element-wise.
+//
+//anchorlint:ignore testonly unfused oracle op: the reference_test.go files of nn and tasks/ner compose LSTM steps from it
 func (t *Tape) Tanh(a *Node) *Node {
 	return t.pointwise(a, math.Tanh, func(x float64) float64 {
 		th := math.Tanh(x)
@@ -557,6 +559,8 @@ func (t *Tape) MeanRows(a *Node) *Node {
 
 // MaxPoolRows takes the column-wise maximum over rows into a 1-by-c node;
 // gradients route to the argmax rows.
+//
+//anchorlint:ignore testonly unfused oracle op: the reference_test.go files of nn and tasks/sentiment pool each sentence with it
 func (t *Tape) MaxPoolRows(a *Node) *Node {
 	cols := a.Value.Cols
 	v := t.newDense(1, cols)
@@ -711,6 +715,8 @@ func (t *Tape) Reshape(a *Node, r, c int) *Node {
 }
 
 // SumAll reduces a to a 1x1 scalar node.
+//
+//anchorlint:ignore testonly the scalar loss of the gradient checks in autodiff's and nn's tests
 func (t *Tape) SumAll(a *Node) *Node {
 	v := t.newDense(1, 1)
 	v.Set(0, 0, floats.Sum(a.Value.Data))

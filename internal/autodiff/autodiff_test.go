@@ -226,7 +226,7 @@ func TestConstHasNoGradient(t *testing.T) {
 	p := randParam("p", 2, 2, 31)
 	loss := tp.SumAll(tp.Mul(c, tp.Use(p)))
 	tp.Backward(loss)
-	if c.Grad() != nil {
+	if c.grad != nil {
 		t.Fatal("const node should not accumulate gradient")
 	}
 }

@@ -142,7 +142,7 @@ func TestLookupRows(t *testing.T) {
 			}
 		}
 	}
-	if n.Grad() != nil {
+	if n.grad != nil {
 		t.Fatal("lookup node must be constant")
 	}
 }

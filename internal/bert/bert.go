@@ -95,9 +95,9 @@ type Model struct {
 	layers    []*encoderLayer
 	mlmOut    *nn.Linear
 
-	// mu guards tape: the arena tape Pretrain trains on, which Encode,
-	// SentenceFeature and MLMLoss then Reset and record on for each
-	// sentence, so evaluation takes no fresh arena per call.
+	// mu guards tape: the arena tape Pretrain trains on, which
+	// SentenceFeature then Resets and records on for each sentence, so
+	// evaluation takes no fresh arena per call.
 	mu   sync.Mutex
 	tape *autodiff.Tape
 }
@@ -235,14 +235,6 @@ func (m *Model) encodeFrozen(tokens []int32) *matrix.Dense {
 	return m.encode(m.tape, ids).Value
 }
 
-// Encode returns the frozen last-layer hidden states for a sentence
-// (truncated to SeqLen).
-func (m *Model) Encode(tokens []int32) *matrix.Dense {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.encodeFrozen(tokens).Clone()
-}
-
 // SentenceFeature returns the mean-pooled last-layer representation, the
 // sentence embedding the downstream linear classifiers consume.
 func (m *Model) SentenceFeature(tokens []int32) []float64 {
@@ -260,42 +252,4 @@ func (m *Model) SentenceFeature(tokens []int32) []float64 {
 		out[j] /= float64(h.Rows)
 	}
 	return out
-}
-
-// MLMLoss evaluates the average masked-LM loss over up to maxSentences
-// corpus sentences (deterministic masking), for convergence tests.
-func (m *Model) MLMLoss(c *corpus.Corpus, maxSentences int, seed int64) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	tp := m.tape
-	rng := rand.New(rand.NewSource(seed))
-	var total float64
-	count := 0
-	for si := 0; si < len(c.Sentences) && count < maxSentences; si++ {
-		sent := c.Sentences[si]
-		n := len(sent)
-		if n > m.Cfg.SeqLen {
-			n = m.Cfg.SeqLen
-		}
-		if n < 2 {
-			continue
-		}
-		tokens := make([]int, n)
-		for i := 0; i < n; i++ {
-			tokens[i] = int(sent[i])
-		}
-		pos := rng.Intn(n)
-		target := tokens[pos]
-		tokens[pos] = m.VocabSize
-		tp.Reset()
-		hidden := m.encode(tp, tokens)
-		masked := tp.GatherRows(hidden, []int{pos})
-		loss := tp.CrossEntropy(m.mlmOut.Forward(tp, masked), []int{target})
-		total += loss.Value.At(0, 0)
-		count++
-	}
-	if count == 0 {
-		return 0
-	}
-	return total / float64(count)
 }

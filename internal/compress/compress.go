@@ -35,7 +35,7 @@ import (
 // FullPrecision is the number of bits that means "no compression".
 const FullPrecision = 32
 
-// clipGrid is the quantile grid OptimalClip searches, in search order.
+// clipGrid is the quantile grid OptimalClipWorkers searches, in search order.
 var clipGrid = [...]float64{0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999, 1.0}
 
 // parMinLen is the input size below which element-wise passes stay
@@ -43,20 +43,13 @@ var clipGrid = [...]float64{0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999, 1.0}
 // input length keeps the parallel/serial split deterministic.
 const parMinLen = 1 << 12
 
-// OptimalClip returns the clipping threshold that minimizes the mean
-// squared quantization error of uniform b-bit quantization on data,
-// searched over a grid of quantiles of |data|. It runs on all CPUs; use
-// OptimalClipWorkers to bound parallelism. The result is bitwise
-// identical for every worker count.
-func OptimalClip(data []float64, bits int) float64 {
-	return OptimalClipWorkers(data, bits, 0)
-}
-
-// OptimalClipWorkers is OptimalClip with an explicit worker bound
-// (workers <= 0 means all CPUs). Each grid candidate's MSE pass keeps the
-// serial single-accumulator order and candidates are compared in fixed
-// grid order afterwards, so parallelism across candidates cannot change
-// the chosen clip.
+// OptimalClipWorkers returns the clipping threshold that minimizes the
+// mean squared quantization error of uniform b-bit quantization on data,
+// searched over a grid of quantiles of |data|, on at most workers
+// goroutines (workers <= 0 means all CPUs). Each grid candidate's MSE
+// pass keeps the serial single-accumulator order and candidates are
+// compared in fixed grid order afterwards, so parallelism across
+// candidates cannot change the chosen clip.
 func OptimalClipWorkers(data []float64, bits, workers int) float64 {
 	abs := make([]float64, len(data))
 	ranges := parallel.Ranges(len(data), elemShards(len(data), workers))
@@ -129,18 +122,13 @@ func quantizeValue(v, clip float64, bits int) float64 {
 	return float64(float32(idx*step - clip))
 }
 
-// QuantizeValues quantizes data in place to the given number of bits with
-// the given clip; bits >= 32 leaves the data unchanged. It is the raw
-// primitive behind Quantize, exported for non-word-embedding matrices
-// (knowledge graph embeddings, BERT features). It runs on all CPUs; use
-// QuantizeValuesWorkers to bound parallelism.
-func QuantizeValues(data []float64, bits int, clip float64) {
-	QuantizeValuesWorkers(data, bits, clip, 0)
-}
-
-// QuantizeValuesWorkers is QuantizeValues with an explicit worker bound
-// (workers <= 0 means all CPUs). Every element maps independently to its
-// own slot, so the result is bitwise identical for every worker count.
+// QuantizeValuesWorkers quantizes data in place to the given number of
+// bits with the given clip, on at most workers goroutines (workers <= 0
+// means all CPUs); bits >= 32 leaves the data unchanged. It is the raw
+// primitive behind QuantizeWorkers, exported for non-word-embedding
+// matrices (knowledge graph embeddings, BERT features). Every element
+// maps independently to its own slot, so the result is bitwise identical
+// for every worker count.
 func QuantizeValuesWorkers(data []float64, bits int, clip float64, workers int) {
 	if bits >= FullPrecision {
 		return
@@ -166,16 +154,12 @@ func elemShards(n, workers int) int {
 	return parallel.Workers(workers)
 }
 
-// Quantize returns a copy of e uniformly quantized to the given number of
-// bits using clip as the clipping threshold. bits == 32 returns an
-// unmodified copy (full precision). The returned embedding records the
-// precision and clip in its Meta.
-func Quantize(e *embedding.Embedding, bits int, clip float64) *embedding.Embedding {
-	return QuantizeWorkers(e, bits, clip, 0)
-}
-
-// QuantizeWorkers is Quantize with an explicit worker bound (workers <= 0
-// means all CPUs); the result is bitwise identical for every worker count.
+// QuantizeWorkers returns a copy of e uniformly quantized to the given
+// number of bits using clip as the clipping threshold, on at most workers
+// goroutines (workers <= 0 means all CPUs); the result is bitwise
+// identical for every worker count. bits == 32 returns an unmodified copy
+// (full precision). The returned embedding records the precision and clip
+// in its Meta.
 func QuantizeWorkers(e *embedding.Embedding, bits int, clip float64, workers int) *embedding.Embedding {
 	out := e.Clone()
 	out.Meta.Precision = bits
@@ -210,7 +194,7 @@ func QuantizePairWorkers(x, xTilde *embedding.Embedding, bits, workers int) (*em
 }
 
 // Levels returns the set of representable values for the given clip and
-// bit width (each rounded to the nearest float32, matching Quantize),
+// bit width (each rounded to the nearest float32, matching QuantizeWorkers),
 // ascending. A quantized artifact's values are exactly these levels,
 // which is what the code-matrix storage kind and the LUT scoring kernel
 // decode through.

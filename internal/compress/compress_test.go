@@ -21,8 +21,8 @@ func randomEmbedding(n, d int, seed int64) *embedding.Embedding {
 func TestQuantizeValueCount(t *testing.T) {
 	e := randomEmbedding(50, 10, 1)
 	for _, bits := range []int{1, 2, 4, 8} {
-		clip := OptimalClip(e.Vectors.Data, bits)
-		q := Quantize(e, bits, clip)
+		clip := OptimalClipWorkers(e.Vectors.Data, bits, 0)
+		q := QuantizeWorkers(e, bits, clip, 0)
 		distinct := map[float64]bool{}
 		for _, v := range q.Vectors.Data {
 			distinct[v] = true
@@ -38,7 +38,7 @@ func TestQuantizeValueCount(t *testing.T) {
 
 func TestQuantizeFullPrecisionIsIdentity(t *testing.T) {
 	e := randomEmbedding(10, 4, 2)
-	q := Quantize(e, 32, 1)
+	q := QuantizeWorkers(e, 32, 1, 0)
 	for i := range e.Vectors.Data {
 		if q.Vectors.Data[i] != e.Vectors.Data[i] {
 			t.Fatal("32-bit quantization must be identity")
@@ -53,9 +53,9 @@ func TestQuantizeIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		e := randomEmbedding(20, 5, seed)
 		for _, bits := range []int{1, 2, 4, 8} {
-			clip := OptimalClip(e.Vectors.Data, bits)
-			q1 := Quantize(e, bits, clip)
-			q2 := Quantize(q1, bits, clip)
+			clip := OptimalClipWorkers(e.Vectors.Data, bits, 0)
+			q1 := QuantizeWorkers(e, bits, clip, 0)
+			q2 := QuantizeWorkers(q1, bits, clip, 0)
 			for i := range q1.Vectors.Data {
 				if math.Abs(q1.Vectors.Data[i]-q2.Vectors.Data[i]) > 1e-12 {
 					return false
@@ -73,9 +73,9 @@ func TestQuantizeErrorBounded(t *testing.T) {
 	// Within the clip interval, quantization error is at most step/2.
 	e := randomEmbedding(100, 8, 3)
 	bits := 4
-	clip := OptimalClip(e.Vectors.Data, bits)
+	clip := OptimalClipWorkers(e.Vectors.Data, bits, 0)
 	step := 2 * clip / float64((int64(1)<<uint(bits))-1)
-	q := Quantize(e, bits, clip)
+	q := QuantizeWorkers(e, bits, clip, 0)
 	// Levels are float32-rounded, which can shift each one by up to
 	// 2^-24·clip; 1e-7 absorbs that on top of the ideal-grid bound.
 	for i, v := range e.Vectors.Data {
@@ -93,8 +93,8 @@ func TestMorePrecisionLowerMSE(t *testing.T) {
 	e := randomEmbedding(200, 10, 4)
 	prev := math.Inf(1)
 	for _, bits := range []int{1, 2, 4, 8, 16} {
-		clip := OptimalClip(e.Vectors.Data, bits)
-		q := Quantize(e, bits, clip)
+		clip := OptimalClipWorkers(e.Vectors.Data, bits, 0)
+		q := QuantizeWorkers(e, bits, clip, 0)
 		var mse float64
 		for i := range e.Vectors.Data {
 			d := e.Vectors.Data[i] - q.Vectors.Data[i]
@@ -116,7 +116,7 @@ func TestQuantizePairSharesClip(t *testing.T) {
 	for _, v := range qx.Vectors.Data {
 		levelsX[v] = true
 	}
-	clip := OptimalClip(x.Vectors.Data, 2)
+	clip := OptimalClipWorkers(x.Vectors.Data, 2, 0)
 	for _, lvl := range Levels(clip, 2) {
 		levelsX[lvl] = true
 	}
@@ -142,7 +142,7 @@ func TestQuantizePairFullPrecision(t *testing.T) {
 }
 
 func TestOptimalClipZeroData(t *testing.T) {
-	if c := OptimalClip(make([]float64, 10), 4); c != 1 {
+	if c := OptimalClipWorkers(make([]float64, 10), 4, 0); c != 1 {
 		t.Fatalf("zero data clip = %v, want fallback 1", c)
 	}
 }
@@ -169,7 +169,7 @@ func TestLevelsSymmetric(t *testing.T) {
 func TestOneBitIsSignQuantization(t *testing.T) {
 	e := embedding.New(1, 4)
 	copy(e.Vectors.Data, []float64{-2, -0.1, 0.1, 2})
-	q := Quantize(e, 1, 1)
+	q := QuantizeWorkers(e, 1, 1, 0)
 	want := []float64{-1, -1, 1, 1}
 	for i := range want {
 		if q.Vectors.Data[i] != want[i] {
@@ -184,5 +184,5 @@ func TestQuantizeInvalidBitsPanics(t *testing.T) {
 			t.Fatal("expected panic for bits < 1")
 		}
 	}()
-	Quantize(randomEmbedding(2, 2, 9), 0, 1)
+	QuantizeWorkers(randomEmbedding(2, 2, 9), 0, 1, 0)
 }

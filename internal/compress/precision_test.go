@@ -64,7 +64,7 @@ func TestOptimalClipWorkerInvariance(t *testing.T) {
 func TestQuantizeValuesWorkerInvariance(t *testing.T) {
 	data := randomData(2*parMinLen+5, 12)
 	for _, bits := range []int{1, 4, 8} {
-		clip := OptimalClip(data, bits)
+		clip := OptimalClipWorkers(data, bits, 0)
 		want := append([]float64(nil), data...)
 		for i, v := range want {
 			want[i] = quantizeValue(v, clip, bits)
@@ -89,8 +89,8 @@ func TestQuantizeFloat32Representable(t *testing.T) {
 	f := func(seed int64, rawBits uint8) bool {
 		bits := int(rawBits%8) + 1 // 1..8
 		data := randomData(257, seed)
-		clip := OptimalClip(data, bits)
-		QuantizeValues(data, bits, clip)
+		clip := OptimalClipWorkers(data, bits, 0)
+		QuantizeValuesWorkers(data, bits, clip, 0)
 		for _, v := range data {
 			if v != float64(float32(v)) {
 				return false
@@ -118,12 +118,12 @@ func TestQuantizeFloat32Representable(t *testing.T) {
 
 func TestQuantizeRecordsClip(t *testing.T) {
 	e := randomEmbedding(30, 8, 21)
-	clip := OptimalClip(e.Vectors.Data, 4)
-	q := Quantize(e, 4, clip)
+	clip := OptimalClipWorkers(e.Vectors.Data, 4, 0)
+	q := QuantizeWorkers(e, 4, clip, 0)
 	if q.Meta.Clip != clip {
 		t.Fatalf("Meta.Clip = %v, want %v", q.Meta.Clip, clip)
 	}
-	full := Quantize(e, 32, clip)
+	full := QuantizeWorkers(e, 32, clip, 0)
 	if full.Meta.Clip != 0 {
 		t.Fatalf("full-precision Meta.Clip = %v, want 0", full.Meta.Clip)
 	}

@@ -43,24 +43,16 @@ type Entry struct {
 // NNZ returns the number of stored entries.
 func (m *Matrix) NNZ() int { return len(m.Entries) }
 
-// Count accumulates windowed co-occurrence counts over the corpus.
-// Co-occurrences are symmetric; each unordered pair is stored once with
-// Row <= Col and carries the summed weight of both directions. Counting
-// runs on all CPUs; see CountWorkers for the determinism contract.
-func Count(c *corpus.Corpus, window int, w Weighting) *Matrix {
-	return CountWorkers(c, window, w, 0)
-}
-
 // countsKey identifies one counting of a corpus for corpus.Derive.
 type countsKey struct {
 	window int
 	w      Weighting
 }
 
-// Shared returns c's windowed co-occurrence counts (as Count computes
-// them), counted once per (corpus, window, weighting) and shared by every
-// caller for as long as the corpus lives, so trainings on one corpus never
-// recount it. The matrix is read-only. workers bounds the counting
+// Shared returns c's windowed co-occurrence counts (as CountWorkers
+// computes them), counted once per (corpus, window, weighting) and shared
+// by every caller for as long as the corpus lives, so trainings on one
+// corpus never recount it. The matrix is read-only. workers bounds the counting
 // goroutines and, as for CountWorkers, never changes the result.
 func Shared(c *corpus.Corpus, window int, w Weighting, workers int) *Matrix {
 	return corpus.Derive(c, countsKey{window, w}, func() *Matrix {
@@ -81,12 +73,14 @@ func SharedPPMI(c *corpus.Corpus, window int, w Weighting, workers int) *Matrix 
 	})
 }
 
-// CountWorkers is Count with an explicit goroutine budget (workers <= 0
-// selects all CPUs). Sentences are partitioned into a fixed number of
-// shards; each shard accumulates into its own map and the per-shard maps
-// are merged in ascending shard order, so for every key the summation
-// order — and therefore the result — is bitwise identical for any worker
-// count.
+// CountWorkers accumulates windowed co-occurrence counts over the corpus
+// on at most workers goroutines (workers <= 0 selects all CPUs).
+// Co-occurrences are symmetric; each unordered pair is stored once with
+// Row <= Col and carries the summed weight of both directions. Sentences
+// are partitioned into a fixed number of shards; each shard accumulates
+// into its own map and the per-shard maps are merged in ascending shard
+// order, so for every key the summation order — and therefore the result
+// — is bitwise identical for any worker count.
 func CountWorkers(c *corpus.Corpus, window int, w Weighting, workers int) *Matrix {
 	key := func(i, j int32) uint64 {
 		if i > j {
@@ -162,16 +156,6 @@ func PPMI(m *Matrix) *Matrix {
 		if v > 0 {
 			out.Entries = append(out.Entries, Entry{Row: e.Row, Col: e.Col, Val: v})
 		}
-	}
-	return out
-}
-
-// LogCounts returns a copy of m with values log(1 + count); GloVe
-// factorizes log co-occurrence.
-func LogCounts(m *Matrix) *Matrix {
-	out := &Matrix{N: m.N, Entries: make([]Entry, len(m.Entries))}
-	for i, e := range m.Entries {
-		out.Entries[i] = Entry{Row: e.Row, Col: e.Col, Val: math.Log(1 + e.Val)}
 	}
 	return out
 }

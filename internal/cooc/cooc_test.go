@@ -41,7 +41,7 @@ func find(m *Matrix, r, cl int32) (float64, bool) {
 
 func TestCountWindowUniform(t *testing.T) {
 	c := tinyCorpus(4, [][]int32{{0, 1, 2, 3}})
-	m := Count(c, 2, Uniform)
+	m := CountWorkers(c, 2, Uniform, 0)
 	// Pairs within window 2: (0,1),(0,2),(1,2),(1,3),(2,3).
 	cases := []struct {
 		r, c int32
@@ -62,7 +62,7 @@ func TestCountWindowUniform(t *testing.T) {
 
 func TestCountInverseDistance(t *testing.T) {
 	c := tinyCorpus(3, [][]int32{{0, 1, 2}})
-	m := Count(c, 2, InverseDistance)
+	m := CountWorkers(c, 2, InverseDistance, 0)
 	if v, _ := find(m, 0, 2); math.Abs(v-0.5) > 1e-12 {
 		t.Fatalf("distance-2 weight = %v, want 0.5", v)
 	}
@@ -73,7 +73,7 @@ func TestCountInverseDistance(t *testing.T) {
 
 func TestCountSymmetricAccumulation(t *testing.T) {
 	// Word order reversed must produce the same unordered counts.
-	a := Count(tinyCorpus(3, [][]int32{{0, 1}, {1, 0}}), 1, Uniform)
+	a := CountWorkers(tinyCorpus(3, [][]int32{{0, 1}, {1, 0}}), 1, Uniform, 0)
 	if v, _ := find(a, 0, 1); v != 2 {
 		t.Fatalf("accumulated count = %v, want 2", v)
 	}
@@ -81,7 +81,7 @@ func TestCountSymmetricAccumulation(t *testing.T) {
 
 func TestCountDoesNotCrossSentences(t *testing.T) {
 	c := tinyCorpus(2, [][]int32{{0}, {1}})
-	m := Count(c, 5, Uniform)
+	m := CountWorkers(c, 5, Uniform, 0)
 	if m.NNZ() != 0 {
 		t.Fatalf("no pairs expected across sentences, got %d", m.NNZ())
 	}
@@ -96,7 +96,7 @@ func TestPPMIPositiveAndCorrect(t *testing.T) {
 	// A couple of cross pairs to create low-PMI entries.
 	sents = append(sents, []int32{0, 2})
 	c := tinyCorpus(4, sents)
-	m := Count(c, 1, Uniform)
+	m := CountWorkers(c, 1, Uniform, 0)
 	p := PPMI(m)
 	v01, ok01 := find(p, 0, 1)
 	if !ok01 || v01 <= 0 {
@@ -120,26 +120,16 @@ func TestPPMIManualValue(t *testing.T) {
 	// total mass = 2, p(0,1) = 2/2 = 1, p(0) = p(1) = 1/2.
 	// PMI = log(1 / (0.5*0.5)) = log 4.
 	c := tinyCorpus(2, [][]int32{{0, 1}})
-	p := PPMI(Count(c, 1, Uniform))
+	p := PPMI(CountWorkers(c, 1, Uniform, 0))
 	v, ok := find(p, 0, 1)
 	if !ok || math.Abs(v-math.Log(4)) > 1e-12 {
 		t.Fatalf("PPMI = %v, want log(4)", v)
 	}
 }
 
-func TestLogCounts(t *testing.T) {
-	c := tinyCorpus(2, [][]int32{{0, 1}, {0, 1}, {0, 1}})
-	m := Count(c, 1, Uniform)
-	lc := LogCounts(m)
-	v, _ := find(lc, 0, 1)
-	if math.Abs(v-math.Log(4)) > 1e-12 {
-		t.Fatalf("LogCounts = %v, want log(1+3)", v)
-	}
-}
-
 func TestEntriesSorted(t *testing.T) {
 	cfg := corpus.TestConfig()
-	m := Count(corpus.Generate(cfg, corpus.Wiki17), 5, InverseDistance)
+	m := CountWorkers(corpus.Generate(cfg, corpus.Wiki17), 5, InverseDistance, 0)
 	for i := 1; i < len(m.Entries); i++ {
 		a, b := m.Entries[i-1], m.Entries[i]
 		if a.Row > b.Row || (a.Row == b.Row && a.Col >= b.Col) {
@@ -168,7 +158,7 @@ func TestCountTotalWeightProperty(t *testing.T) {
 			sents = append(sents, sent)
 			wantPairs += float64(n*(n-1)) / 2
 		}
-		m := Count(tinyCorpus(nWords, sents), 10, Uniform)
+		m := CountWorkers(tinyCorpus(nWords, sents), 10, Uniform, 0)
 		var total float64
 		for _, e := range m.Entries {
 			total += e.Val
@@ -246,7 +236,7 @@ func TestPPMIMassAccounting(t *testing.T) {
 	}
 	const n, window = 5, 2
 	c := tinyCorpus(n, sents)
-	m := Count(c, window, Uniform)
+	m := CountWorkers(c, window, Uniform, 0)
 
 	hasDiagonal := false
 	for _, e := range m.Entries {
@@ -326,8 +316,8 @@ func TestCountWorkerInvariant(t *testing.T) {
 func TestPPMISymmetricInputOrder(t *testing.T) {
 	// PPMI must not depend on which member of an unordered pair appears
 	// first in the corpus.
-	a := PPMI(Count(tinyCorpus(3, [][]int32{{0, 1}, {1, 2}}), 1, Uniform))
-	b := PPMI(Count(tinyCorpus(3, [][]int32{{1, 0}, {2, 1}}), 1, Uniform))
+	a := PPMI(CountWorkers(tinyCorpus(3, [][]int32{{0, 1}, {1, 2}}), 1, Uniform, 0))
+	b := PPMI(CountWorkers(tinyCorpus(3, [][]int32{{1, 0}, {2, 1}}), 1, Uniform, 0))
 	if a.NNZ() != b.NNZ() {
 		t.Fatalf("nnz differs: %d vs %d", a.NNZ(), b.NNZ())
 	}

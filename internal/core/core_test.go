@@ -1,12 +1,14 @@
 package core
 
 import (
+	"container/list"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"anchor/internal/embedding"
+	"anchor/internal/floats"
 	"anchor/internal/matrix"
 )
 
@@ -17,6 +19,54 @@ func randEmb(n, d int, seed int64) *embedding.Embedding {
 		e.Vectors.Data[i] = rng.NormFloat64()
 	}
 	return e
+}
+
+// ResetSVDCache clears the shared SVD cache, so a test can observe
+// recomputation.
+func ResetSVDCache() {
+	sharedSVDs.mu.Lock()
+	sharedSVDs.m = make(map[string]*list.Element)
+	sharedSVDs.lru = list.New()
+	sharedSVDs.mu.Unlock()
+}
+
+// NaiveDistance computes the eigenspace instability measure directly from
+// Definition 2, materializing the n-by-n matrices: the oracle for the
+// efficient Distance.
+func (m *EigenspaceInstability) NaiveDistance(x, xt *embedding.Embedding) float64 {
+	n := x.Rows()
+	u := thinSVD(x).U
+	ut := thinSVD(xt).U
+
+	sigma := matrix.NewDense(n, n)
+	for _, anchor := range []*embedding.Embedding{m.E, m.ETilde} {
+		s := thinSVD(anchor)
+		scale := powColumnScales(s.S, m.Alpha)
+		va := s.U.Clone()
+		for i := 0; i < va.Rows; i++ {
+			row := va.Row(i)
+			for j := range row {
+				row[j] *= scale[j]
+			}
+		}
+		sigma.Add(matrix.MulABTWorkers(va, va, 0))
+	}
+
+	uut := matrix.MulABTWorkers(u, u, 0)
+	utut := matrix.MulABTWorkers(ut, ut, 0)
+	cross := matrix.MulWorkers(utut, uut, 0)
+	floats.Scale(2, cross.Data)
+	inner := uut.Clone().Add(utut).Sub(cross)
+	prod := matrix.MulWorkers(inner, sigma, 0)
+	var num, den float64
+	for i := 0; i < n; i++ {
+		num += prod.At(i, i)
+		den += sigma.At(i, i)
+	}
+	if den == 0 {
+		return 0
+	}
+	return num / den
 }
 
 // perturb returns a copy of e with Gaussian noise of the given scale.
@@ -130,8 +180,8 @@ func TestPIPLossMatchesNaive(t *testing.T) {
 	x := randEmb(15, 3, 10)
 	y := randEmb(15, 4, 11)
 	got := (PIPLoss{}).Distance(x, y)
-	gx := matrix.MulABT(x.Vectors, x.Vectors)
-	gy := matrix.MulABT(y.Vectors, y.Vectors)
+	gx := matrix.MulABTWorkers(x.Vectors, x.Vectors, 0)
+	gy := matrix.MulABTWorkers(y.Vectors, y.Vectors, 0)
 	want := gx.Sub(gy).FrobNorm()
 	if math.Abs(got-want) > 1e-8*(1+want) {
 		t.Fatalf("PIP loss %v != naive %v", got, want)
@@ -142,9 +192,9 @@ func TestEigenspaceOverlapRotationInvariant(t *testing.T) {
 	// An orthogonal rotation spans the same subspace: overlap distance ~ 0.
 	x := randEmb(30, 5, 12)
 	rng := rand.New(rand.NewSource(13))
-	s := matrix.ComputeSVD(matrix.NewDenseRand(5, 5, 1, rng))
-	rot := matrix.MulABT(s.U, s.V)
-	y := &embedding.Embedding{Vectors: matrix.Mul(x.Vectors, rot)}
+	s := matrix.ComputeSVDWorkers(matrix.NewDenseRand(5, 5, 1, rng), 0)
+	rot := matrix.MulABTWorkers(s.U, s.V, 0)
+	y := &embedding.Embedding{Vectors: matrix.MulWorkers(x.Vectors, rot, 0)}
 	if d := (EigenspaceOverlap{}).Distance(x, y); d > 1e-8 {
 		t.Fatalf("overlap distance after rotation = %v, want ~0", d)
 	}
@@ -241,10 +291,10 @@ func TestAnchorCovarianceSqrtShape(t *testing.T) {
 		t.Fatalf("shape %dx%d, want 12x7", s.Rows, s.Cols)
 	}
 	// S Sᵀ must equal (EEᵀ)² + (ẼẼᵀ)².
-	sst := matrix.MulABT(s, s)
-	ge := matrix.MulABT(e.Vectors, e.Vectors)
-	gt := matrix.MulABT(et.Vectors, et.Vectors)
-	want := matrix.Mul(ge, ge).Add(matrix.Mul(gt, gt))
+	sst := matrix.MulABTWorkers(s, s, 0)
+	ge := matrix.MulABTWorkers(e.Vectors, e.Vectors, 0)
+	gt := matrix.MulABTWorkers(et.Vectors, et.Vectors, 0)
+	want := matrix.MulWorkers(ge, ge, 0).Add(matrix.MulWorkers(gt, gt, 0))
 	diff := sst.Sub(want).FrobNorm()
 	if diff > 1e-7*(1+want.FrobNorm()) {
 		t.Fatalf("S Sᵀ mismatch: %v", diff)

@@ -267,8 +267,11 @@ func knnMatchesReference(t *testing.T, m *KNN) {
 }
 
 // TestKNNANNCutoffRespected: the k-NN measure has no size cutoff; the
-// paper's configuration, NewKNN, is the exact scan.
-func TestKNNANNCutoffRespected(t *testing.T) { knnMatchesReference(t, NewKNN()) }
+// paper's configuration (k=5, Appendix D.3, over 1000 query words) is the
+// exact scan.
+func TestKNNANNCutoffRespected(t *testing.T) {
+	knnMatchesReference(t, &KNN{K: 5, Queries: 1000, Seed: 7})
+}
 
 // TestKNNANNRouteExactAtFullProbe: the registry's 1-knn factory builds
 // the exact scan too, for every worker count.

@@ -110,15 +110,6 @@ func thinSVDWorkers(e *embedding.Embedding, workers int) matrix.SVD {
 	return s
 }
 
-// ResetSVDCache clears the internal SVD cache (for tests and long-running
-// processes that retrain embeddings under identical metadata).
-func ResetSVDCache() {
-	sharedSVDs.mu.Lock()
-	sharedSVDs.m = make(map[string]*list.Element)
-	sharedSVDs.lru = list.New()
-	sharedSVDs.mu.Unlock()
-}
-
 // KNN is the k-nearest-neighbor instability measure used in prior work on
 // intrinsic embedding stability (Hellrich & Hahn 2016; Antoniak & Mimno
 // 2018; Wendlandt et al. 2018). Distance returns 1 − (average neighbor
@@ -134,10 +125,6 @@ type KNN struct {
 	// result is identical for every worker count.
 	Workers int
 }
-
-// NewKNN returns the paper's configuration: k=5 (chosen in Appendix D.3)
-// and 1000 query words.
-func NewKNN() *KNN { return &KNN{K: 5, Queries: 1000, Seed: 7} }
 
 // Name implements Measure.
 func (m *KNN) Name() string { return "1-knn" }
@@ -329,43 +316,6 @@ func (m *EigenspaceInstability) Distance(x, xt *embedding.Embedding) float64 {
 		v = 0 // numerical guard: the trace is provably nonnegative
 	}
 	return v
-}
-
-// NaiveDistance computes the eigenspace instability measure directly from
-// Definition 2, materializing the n-by-n matrices. It exists to validate
-// the efficient implementation and for small-n experimentation.
-func (m *EigenspaceInstability) NaiveDistance(x, xt *embedding.Embedding) float64 {
-	n := x.Rows()
-	u := thinSVD(x).U
-	ut := thinSVD(xt).U
-
-	sigma := matrix.NewDense(n, n)
-	for _, anchor := range []*embedding.Embedding{m.E, m.ETilde} {
-		s := thinSVD(anchor)
-		scale := powColumnScales(s.S, m.Alpha)
-		va := s.U.Clone()
-		for i := 0; i < va.Rows; i++ {
-			row := va.Row(i)
-			for j := range row {
-				row[j] *= scale[j]
-			}
-		}
-		sigma.Add(matrix.MulABT(va, va))
-	}
-
-	uut := matrix.MulABT(u, u)
-	utut := matrix.MulABT(ut, ut)
-	inner := uut.Clone().Add(utut).Sub(matrix.Mul(utut, uut).Scale(2))
-	prod := matrix.Mul(inner, sigma)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		num += prod.At(i, i)
-		den += sigma.At(i, i)
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }
 
 // powColumnScales returns σ_j^α for every singular value, computed once

@@ -89,13 +89,15 @@ func (e *Embedding) SubRows(ids []int) *Embedding {
 // AlignTo rotates e in place with the orthogonal Procrustes solution so
 // that it best matches ref in Frobenius norm: e <- e * R where
 // R = argmin_Ω ||ref - e*Ω||_F subject to ΩᵀΩ = I (Schönemann 1966).
-// Both embeddings must have identical shape.
-func (e *Embedding) AlignTo(ref *Embedding) {
+// Both embeddings must have identical shape. workers bounds the
+// goroutines of the solve and the rotation (<= 0 selects all CPUs); the
+// aligned bits are identical for every worker count.
+func (e *Embedding) AlignTo(ref *Embedding, workers int) {
 	if e.Rows() != ref.Rows() || e.Dim() != ref.Dim() {
 		panic("embedding: AlignTo shape mismatch")
 	}
-	r := matrix.Procrustes(ref.Vectors, e.Vectors)
-	e.Vectors = matrix.Mul(e.Vectors, r)
+	r := matrix.ProcrustesWorkers(ref.Vectors, e.Vectors, workers)
+	e.Vectors = matrix.MulWorkers(e.Vectors, r, workers)
 }
 
 // AlignTagged aligns e to ref with orthogonal Procrustes and marks e's
@@ -103,19 +105,8 @@ func (e *Embedding) AlignTo(ref *Embedding) {
 // ("wiki18" -> "wiki18a"), so caches keyed on Meta can never confuse an
 // aligned embedding with its unaligned original. This is the paper's
 // Section 3 protocol step shared by the runner, the CLI, and
-// anchor.AlignQuantize.
-func AlignTagged(ref, e *Embedding) {
-	e.AlignTo(ref)
+// anchor.AlignQuantize. workers is AlignTo's goroutine budget.
+func AlignTagged(ref, e *Embedding, workers int) {
+	e.AlignTo(ref, workers)
 	e.Meta.Corpus += "a"
-}
-
-// MemoryBitsPerWord returns the paper's memory axis for this embedding:
-// dimension times precision in bits. An uncompressed embedding has
-// precision 32.
-func (e *Embedding) MemoryBitsPerWord() int {
-	b := e.Meta.Precision
-	if b == 0 {
-		b = 32
-	}
-	return e.Dim() * b
 }

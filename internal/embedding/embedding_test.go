@@ -21,10 +21,10 @@ func TestAlignToRecoversRotation(t *testing.T) {
 	ref := randomEmbedding(30, 4, 3)
 	// Rotate ref by a random orthogonal matrix; AlignTo must undo it.
 	rng := rand.New(rand.NewSource(4))
-	svd := matrix.ComputeSVD(matrix.NewDenseRand(4, 4, 1, rng))
-	rot := matrix.MulABT(svd.U, svd.V)
-	e := &Embedding{Vectors: matrix.Mul(ref.Vectors, rot)}
-	e.AlignTo(ref)
+	svd := matrix.ComputeSVDWorkers(matrix.NewDenseRand(4, 4, 1, rng), 0)
+	rot := matrix.MulABTWorkers(svd.U, svd.V, 0)
+	e := &Embedding{Vectors: matrix.MulWorkers(ref.Vectors, rot, 0)}
+	e.AlignTo(ref, 0)
 	diff := e.Vectors.Clone().Sub(ref.Vectors).FrobNorm()
 	if diff > 1e-8 {
 		t.Fatalf("alignment residual %v", diff)
@@ -35,7 +35,7 @@ func TestAlignToNeverHurts(t *testing.T) {
 	ref := randomEmbedding(20, 5, 5)
 	e := randomEmbedding(20, 5, 6)
 	before := e.Vectors.Clone().Sub(ref.Vectors).FrobNorm()
-	e.AlignTo(ref)
+	e.AlignTo(ref, 0)
 	after := e.Vectors.Clone().Sub(ref.Vectors).FrobNorm()
 	if after > before+1e-9 {
 		t.Fatalf("alignment increased distance: %v -> %v", before, after)
@@ -53,17 +53,6 @@ func TestSubRows(t *testing.T) {
 		if s.Vectors.At(0, j) != e.Vectors.At(3, j) {
 			t.Fatal("SubRows vector mismatch")
 		}
-	}
-}
-
-func TestMemoryBitsPerWord(t *testing.T) {
-	e := randomEmbedding(3, 100, 8)
-	if e.MemoryBitsPerWord() != 3200 {
-		t.Fatalf("default precision should be 32: %d", e.MemoryBitsPerWord())
-	}
-	e.Meta.Precision = 4
-	if e.MemoryBitsPerWord() != 400 {
-		t.Fatal("4-bit precision memory wrong")
 	}
 }
 

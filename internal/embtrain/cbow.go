@@ -26,16 +26,12 @@ type CBOW struct {
 	// Workers is the goroutine budget (<= 0 selects all CPUs). Embeddings
 	// are bitwise identical for every value.
 	Workers int
-	// Rounds is the number of synchronization rounds per epoch (<= 0
-	// selects the package default). Unlike Workers, it shapes the (still
-	// deterministic) result.
-	Rounds int
 }
 
 // NewCBOW returns a CBOW trainer with repro-scale defaults (the paper's
 // hyperparameters, with window and epochs scaled to the synthetic corpus).
 func NewCBOW() *CBOW {
-	return &CBOW{Window: 5, Negatives: 5, Epochs: 12, LR: 0.1, NegPower: 0.75, Rounds: 16}
+	return &CBOW{Window: 5, Negatives: 5, Epochs: 12, LR: 0.1, NegPower: 0.75}
 }
 
 // Name implements Trainer.
@@ -62,8 +58,7 @@ func (t *CBOW) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embedding
 	table := newUnigramTable(c.Counts, t.NegPower)
 	total := float64(t.Epochs) * float64(c.Tokens)
 
-	shards := parallel.DefaultShards
-	rounds := syncRounds(t.Rounds)
+	shards, rounds := parallel.DefaultShards, cbowSyncRounds
 	local := make([]*cbowShard, shards)
 	ins := make([]*parallel.Replica, shards)
 	outs := make([]*parallel.Replica, shards)

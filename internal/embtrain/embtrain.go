@@ -192,22 +192,18 @@ func shuffleInto(order []int32, rng *rand.Rand) {
 	}
 }
 
-// defaultSyncRounds is the number of synchronization rounds per epoch of
-// MC and GloVe, and of CBOW and fastText when their Rounds knob is zero.
-// More rounds track sequential SGD more closely (each shard's delta stays
-// small relative to the loss landscape before it is merged) at the cost of
-// more barriers; eight keeps the quality of the paper's single-threaded
-// trainers on the synthetic corpora while shards stay coarse enough to
-// parallelize.
-const defaultSyncRounds = 8
-
-// syncRounds resolves a Rounds knob: values <= 0 select defaultSyncRounds.
-func syncRounds(n int) int {
-	if n <= 0 {
-		return defaultSyncRounds
-	}
-	return n
-}
+// Synchronization rounds per epoch. More rounds track sequential SGD more
+// closely (each shard's delta stays small relative to the loss landscape
+// before it is merged) at the cost of more barriers; eight keeps the
+// quality of the paper's single-threaded trainers on the synthetic corpora
+// while shards stay coarse enough to parallelize. CBOW and fastText merge
+// more often. Like parallel.DefaultShards, each count shapes its
+// trainer's (still deterministic) bits, which the training digests pin.
+const (
+	defaultSyncRounds  = 8 // MC and GloVe
+	cbowSyncRounds     = 16
+	fastTextSyncRounds = 32
+)
 
 // tokenOffsets returns, for each shard's range over one round's slice of
 // the epoch's sentence order, the number of tokens that precede it inside

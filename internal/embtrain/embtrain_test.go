@@ -302,7 +302,7 @@ func TestWikiPairSimilarButDifferent(t *testing.T) {
 	tr := NewMC()
 	e17 := tr.Train(c17, 16, 1)
 	e18 := tr.Train(c18, 16, 1)
-	e18.AlignTo(e17)
+	e18.AlignTo(e17, 0)
 
 	top := c17.TopWords(100)
 	var sims []float64

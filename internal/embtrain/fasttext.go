@@ -34,17 +34,13 @@ type FastText struct {
 	// Workers is the goroutine budget (<= 0 selects all CPUs). Embeddings
 	// are bitwise identical for every value.
 	Workers int
-	// Rounds is the number of synchronization rounds per epoch (<= 0
-	// selects the package default). Unlike Workers, it shapes the (still
-	// deterministic) result.
-	Rounds int
 }
 
 // NewFastText returns a fastText trainer with repro-scale defaults.
 func NewFastText() *FastText {
 	return &FastText{
 		Window: 5, Negatives: 5, Epochs: 10, LR: 0.1,
-		MinN: 3, MaxN: 5, Buckets: 4096, NegPower: 0.75, Rounds: 32,
+		MinN: 3, MaxN: 5, Buckets: 4096, NegPower: 0.75,
 	}
 }
 
@@ -100,8 +96,7 @@ func (t *FastText) Train(c *corpus.Corpus, dim int, seed int64) *embedding.Embed
 	table := newUnigramTable(c.Counts, t.NegPower)
 	total := float64(t.Epochs) * float64(c.Tokens)
 
-	shards := parallel.DefaultShards
-	rounds := syncRounds(t.Rounds)
+	shards, rounds := parallel.DefaultShards, fastTextSyncRounds
 	local := make([]*ftShard, shards)
 	words := make([]*parallel.Replica, shards)
 	grams := make([]*parallel.Replica, shards)

@@ -3,13 +3,34 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
+	"fmt"
+	"io"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"anchor/internal/core"
+	"anchor/internal/stats"
 )
+
+// RenderCSV writes the table in RFC 4180 CSV (header row first), the form
+// TestPaperArtifactDigests hashes.
+func (t *Table) RenderCSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Columns); err != nil {
+		return fmt.Errorf("experiments: csv: %w", err)
+	}
+	for _, row := range t.Rows {
+		if err := cw.Write(row); err != nil {
+			return fmt.Errorf("experiments: csv: %w", err)
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
 
 // sharedRunner is reused across tests in this package so embeddings and
 // grids are trained once.
@@ -227,6 +248,39 @@ func TestProp1(t *testing.T) {
 			t.Fatalf("Prop1 mismatch: closed=%v mc=%v", closed, mc)
 		}
 	}
+}
+
+// MonotonicityReport summarizes, for every (task, algo), the Spearman
+// correlation between memory and instability — the quantitative check that
+// "more memory, more stable" holds.
+func MonotonicityReport(ctx context.Context, r *Runner) ([]*Table, error) {
+	grid, err := r.SentimentGrid(ctx)
+	if err != nil {
+		return nil, err
+	}
+	cells := AverageOverSeeds(grid)
+	t := &Table{
+		ID: "monotone", Title: "Spearman(memory, instability) per task/algo (want strongly negative)",
+		Columns: []string{"task", "algo", "spearman"},
+	}
+	for _, algo := range r.Cfg.Algorithms {
+		for _, task := range r.Cfg.SentimentTasks {
+			var mem, di []float64
+			for _, c := range cells {
+				if c.Algo != algo {
+					continue
+				}
+				if v, ok := c.DI[task]; ok {
+					mem = append(mem, math.Log2(float64(c.MemoryBits())))
+					di = append(di, v)
+				}
+			}
+			if len(mem) >= 3 {
+				t.AddRow(task, algo, stats.Spearman(mem, di))
+			}
+		}
+	}
+	return []*Table{t}, nil
 }
 
 func TestMonotonicityReport(t *testing.T) {

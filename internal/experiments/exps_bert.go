@@ -72,12 +72,12 @@ func Fig11(ctx context.Context, r *Runner) ([]*Table, error) {
 			for _, prec := range r.Cfg.BERTPrecisions {
 				q := func(m *matrix.Dense, clip float64) *matrix.Dense {
 					out := m.Clone()
-					compress.QuantizeValues(out.Data, prec, clip)
+					compress.QuantizeValuesWorkers(out.Data, prec, clip, r.Cfg.Workers)
 					return out
 				}
 				clip := 1.0
 				if prec < 32 {
-					clip = compress.OptimalClip(tr17.Data, prec)
+					clip = compress.OptimalClipWorkers(tr17.Data, prec, r.Cfg.Workers)
 				}
 				precSums[prec] += core.PredictionDisagreementPct(
 					trainAndPredict(q(tr17, clip), q(te17, clip), seed), trainAndPredict(q(tr18, clip), q(te18, clip), seed))

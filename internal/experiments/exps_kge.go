@@ -106,7 +106,8 @@ func (r *Runner) kgeTable(ctx context.Context, id string, sharedThreshold bool) 
 			return
 		}
 		j, p := jobs[i], pairs[i]
-		q95, qFull := kge.QuantizePair(p.m95, p.mFull, j.prec)
+		// One worker per job: the jobs already fill the budget.
+		q95, qFull := kge.QuantizePair(p.m95, p.mFull, j.prec, 1)
 		ur, di := kgeEval(g, q95, qFull, sharedThreshold)
 		results[i] = row{j.dim, j.prec, ur * 100, di}
 	}, nil)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"anchor/internal/stats"
 )
@@ -249,39 +248,6 @@ func Fig8(ctx context.Context, r *Runner) ([]*Table, error) {
 	for _, c := range cells {
 		if di, ok := c.DI["conll2003"]; ok {
 			t.AddRow(c.Algo, c.Dim, c.Prec, c.MemoryBits(), c.Acc["conll2003"], di)
-		}
-	}
-	return []*Table{t}, nil
-}
-
-// MonotonicityReport summarizes, for every (task, algo), the Spearman
-// correlation between memory and instability — the quantitative check that
-// "more memory, more stable" holds (used by tests and EXPERIMENTS.md).
-func MonotonicityReport(ctx context.Context, r *Runner) ([]*Table, error) {
-	grid, err := r.SentimentGrid(ctx)
-	if err != nil {
-		return nil, err
-	}
-	cells := AverageOverSeeds(grid)
-	t := &Table{
-		ID: "monotone", Title: "Spearman(memory, instability) per task/algo (want strongly negative)",
-		Columns: []string{"task", "algo", "spearman"},
-	}
-	for _, algo := range r.Cfg.Algorithms {
-		for _, task := range r.Cfg.SentimentTasks {
-			var mem, di []float64
-			for _, c := range cells {
-				if c.Algo != algo {
-					continue
-				}
-				if v, ok := c.DI[task]; ok {
-					mem = append(mem, math.Log2(float64(c.MemoryBits())))
-					di = append(di, v)
-				}
-			}
-			if len(mem) >= 3 {
-				t.AddRow(task, algo, stats.Spearman(mem, di))
-			}
 		}
 	}
 	return []*Table{t}, nil

@@ -43,6 +43,8 @@ type Runner struct {
 }
 
 // NewRunner returns a Runner with an unbounded in-memory artifact store.
+//
+//anchorlint:ignore testonly builds the runners of the experiments tests and of the root package's artifact benchmarks
 func NewRunner(cfg Config) *Runner {
 	return NewRunnerWithStore(cfg, store.Memory())
 }
@@ -103,6 +105,17 @@ func (r *Runner) embKey(algo, corpusTag string, dim int, seed int64, bits int) s
 	}
 }
 
+// yearTag returns the corpus tag of a snapshot year in artifact keys.
+func yearTag(year int) (string, error) {
+	switch year {
+	case 2017:
+		return "wiki17", nil
+	case 2018:
+		return "wiki18", nil
+	}
+	return "", fmt.Errorf("experiments: year must be 2017 or 2018, got %d", year)
+}
+
 // Train returns the single unaligned embedding for (algo, year, dim,
 // seed) from the artifact store, training it on a miss. year selects the
 // snapshot (2017 or 2018).
@@ -116,14 +129,9 @@ func (r *Runner) train(ctx context.Context, algo string, year, dim int, seed int
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var tag string
-	switch year {
-	case 2017:
-		tag = "wiki17"
-	case 2018:
-		tag = "wiki18"
-	default:
-		return nil, fmt.Errorf("experiments: year must be 2017 or 2018, got %d", year)
+	tag, err := yearTag(year)
+	if err != nil {
+		return nil, err
 	}
 	c17, c18 := r.Corpora()
 	c := c17
@@ -162,7 +170,7 @@ func (r *Runner) Pair(ctx context.Context, algo string, dim int, seed int64) (*e
 			return nil, nil, err
 		}
 		e18 = e18.Clone()
-		embedding.AlignTagged(e17, e18)
+		embedding.AlignTagged(e17, e18, r.Cfg.Workers)
 		return e17, e18, nil
 	})
 }
@@ -227,14 +235,9 @@ func (r *Runner) QuantizedSnapshot(ctx context.Context, algo string, year, dim, 
 	if bits < 1 {
 		return nil, fmt.Errorf("experiments: precision must be in 1..32, got %d", bits)
 	}
-	var tag string
-	switch year {
-	case 2017:
-		tag = "wiki17"
-	case 2018:
-		tag = "wiki18"
-	default:
-		return nil, fmt.Errorf("experiments: year must be 2017 or 2018, got %d", year)
+	tag, err := yearTag(year)
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -63,23 +62,4 @@ func (t *Table) Render(w io.Writer) {
 		line(row)
 	}
 	fmt.Fprintln(w)
-}
-
-// Cell returns the value at (row, col), for tests and downstream checks.
-func (t *Table) Cell(row, col int) string { return t.Rows[row][col] }
-
-// RenderCSV writes the table in RFC 4180 CSV (header row first), matching
-// the artifact appendix's practice of releasing result CSVs.
-func (t *Table) RenderCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Columns); err != nil {
-		return fmt.Errorf("experiments: csv: %w", err)
-	}
-	for _, row := range t.Rows {
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("experiments: csv: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -155,6 +155,8 @@ func Register(site string) string {
 }
 
 // Sites lists the registered injection sites, sorted.
+//
+//anchorlint:ignore testonly the chaos suite (internal/serve chaos_test.go) checks its plan has a rule for every site listed
 func Sites() []string {
 	registryMu.Lock()
 	defer registryMu.Unlock()
@@ -193,6 +195,8 @@ func NewPlan(seed int64, rules ...Rule) (*Plan, error) {
 }
 
 // MustPlan is NewPlan for tests whose rules are static.
+//
+//anchorlint:ignore testonly builds the fault plans of the chaos and recovery tests in serve, store and query
 func MustPlan(seed int64, rules ...Rule) *Plan {
 	p, err := NewPlan(seed, rules...)
 	if err != nil {
@@ -222,22 +226,16 @@ var active atomic.Pointer[Plan]
 //	defer faults.Activate(plan)()
 //
 // Activating over an already-active plan replaces it.
+//
+//anchorlint:ignore testonly installs the fault plans of the chaos and recovery tests in serve, store and query
 func Activate(p *Plan) (deactivate func()) {
 	active.Store(p)
 	return func() { active.CompareAndSwap(p, nil) }
 }
 
-// Active reports whether a fault plan is installed.
-func Active() bool { return active.Load() != nil }
-
-// Events returns the injections fired so far, in firing order.
-func (p *Plan) Events() []Event {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]Event(nil), p.events...)
-}
-
 // Fired counts the injections of kind at site so far.
+//
+//anchorlint:ignore testonly the chaos suite (internal/serve chaos_test.go) asserts its schedule fired
 func (p *Plan) Fired(site string, kind Kind) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -16,7 +16,7 @@ var (
 // TestInertWithoutPlan pins the production contract: with no plan active
 // every helper is a no-op.
 func TestInertWithoutPlan(t *testing.T) {
-	if Active() {
+	if active.Load() != nil {
 		t.Fatal("plan active at test start")
 	}
 	if err := Error(testSiteA); err != nil {
@@ -182,7 +182,8 @@ func TestCrashPanics(t *testing.T) {
 	Crash(testSiteA)
 }
 
-// TestEventsRecordFirings: the event log names site, kind, and visit.
+// TestEventsRecordFirings: the event log records each firing under its
+// site and kind.
 func TestEventsRecordFirings(t *testing.T) {
 	plan := MustPlan(1,
 		Rule{Site: testSiteA, Kind: KindError, Every: 2})
@@ -190,9 +191,11 @@ func TestEventsRecordFirings(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		Error(testSiteA)
 	}
-	evs := plan.Events()
-	if len(evs) != 2 || evs[0].Visit != 1 || evs[1].Visit != 3 || evs[0].Kind != KindError {
-		t.Fatalf("events = %+v", evs)
+	if got := plan.Fired(testSiteA, KindError); got != 2 {
+		t.Fatalf("Fired(%s, error) = %d, want 2", testSiteA, got)
+	}
+	if plan.Fired(testSiteA, KindLatency) != 0 || plan.Fired(testSiteB, KindError) != 0 {
+		t.Fatal("firings recorded under the wrong site or kind")
 	}
 }
 

@@ -4,10 +4,7 @@
 // neural nets) is built on these primitives.
 package floats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Dot returns the inner product of x and y. The slices must have equal length.
 func Dot(x, y []float64) float64 {
@@ -83,15 +80,6 @@ func Norm(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Norm1 returns the L1 norm of x.
-func Norm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
 // Normalize scales x to unit L2 norm in place and returns the original norm.
 // A zero vector is left unchanged.
 func Normalize(x []float64) float64 {
@@ -116,31 +104,6 @@ func CosineDist(x, y []float64) float64 {
 	return 1 - CosineSim(x, y)
 }
 
-// L1Dist returns the Manhattan distance between x and y.
-func L1Dist(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("floats: L1Dist length mismatch")
-	}
-	var s float64
-	for i, v := range x {
-		s += math.Abs(v - y[i])
-	}
-	return s
-}
-
-// L2Dist returns the Euclidean distance between x and y.
-func L2Dist(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("floats: L2Dist length mismatch")
-	}
-	var s float64
-	for i, v := range x {
-		d := v - y[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
 // Sum returns the sum of the elements of x.
 func Sum(x []float64) float64 {
 	var s float64
@@ -158,20 +121,6 @@ func Mean(x []float64) float64 {
 	return Sum(x) / float64(len(x))
 }
 
-// StdDev returns the population standard deviation of x.
-func StdDev(x []float64) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
 // Max returns the maximum element of x. It panics on an empty slice.
 func Max(x []float64) float64 {
 	if len(x) == 0 {
@@ -180,20 +129,6 @@ func Max(x []float64) float64 {
 	m := x[0]
 	for _, v := range x[1:] {
 		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element of x. It panics on an empty slice.
-func Min(x []float64) float64 {
-	if len(x) == 0 {
-		panic("floats: Min of empty slice")
-	}
-	m := x[0]
-	for _, v := range x[1:] {
-		if v < m {
 			m = v
 		}
 	}
@@ -215,13 +150,6 @@ func ArgMax(x []float64) int {
 	return best
 }
 
-// Clone returns a copy of x.
-func Clone(x []float64) []float64 {
-	c := make([]float64, len(x))
-	copy(c, x)
-	return c
-}
-
 // Fill sets every element of x to v.
 func Fill(x []float64, v float64) {
 	for i := range x {
@@ -229,20 +157,10 @@ func Fill(x []float64, v float64) {
 	}
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of x using linear
-// interpolation between order statistics. It panics on an empty slice.
-func Quantile(x []float64, q float64) float64 {
-	if len(x) == 0 {
-		panic("floats: Quantile of empty slice")
-	}
-	s := Clone(x)
-	sort.Float64s(s)
-	return QuantileSorted(s, q)
-}
-
-// QuantileSorted is Quantile on data the caller has already sorted
-// ascending; it performs no allocation, so repeated quantiles of the same
-// slice can share one sort.
+// QuantileSorted returns the q-quantile (0 <= q <= 1) of s, which the
+// caller has already sorted ascending, using linear interpolation between
+// order statistics. It performs no allocation, so repeated quantiles of
+// the same slice can share one sort. It panics on an empty slice.
 func QuantileSorted(s []float64, q float64) float64 {
 	if len(s) == 0 {
 		panic("floats: QuantileSorted of empty slice")

@@ -5,9 +5,9 @@ import (
 	"anchor/internal/matrix"
 )
 
-func quantizeDense(m *matrix.Dense, bits int, clip float64) *matrix.Dense {
+func quantizeDense(m *matrix.Dense, bits int, clip float64, workers int) *matrix.Dense {
 	out := m.Clone()
-	compress.QuantizeValues(out.Data, bits, clip)
+	compress.QuantizeValuesWorkers(out.Data, bits, clip, workers)
 	return out
 }
 
@@ -17,11 +17,13 @@ func quantizeDense(m *matrix.Dense, bits int, clip float64) *matrix.Dense {
 // avoid a spurious source of instability; entity and relation matrices get
 // independent clips. Unlike word embeddings, the pair is NOT Procrustes-
 // aligned first (the paper found alignment hurts KGE quality, Appendix C.5).
-func QuantizePair(a, b *TransE, bits int) (*TransE, *TransE) {
+// workers bounds the goroutines of the clip search and the quantization
+// (<= 0 selects all CPUs); the result is identical for every worker count.
+func QuantizePair(a, b *TransE, bits, workers int) (*TransE, *TransE) {
 	if bits >= compress.FullPrecision {
-		return a.Quantize(bits, 0, 0), b.Quantize(bits, 0, 0)
+		return a.Quantize(bits, 0, 0, workers), b.Quantize(bits, 0, 0, workers)
 	}
-	entClip := compress.OptimalClip(a.Entity.Data, bits)
-	relClip := compress.OptimalClip(a.Relation.Data, bits)
-	return a.Quantize(bits, entClip, relClip), b.Quantize(bits, entClip, relClip)
+	entClip := compress.OptimalClipWorkers(a.Entity.Data, bits, workers)
+	relClip := compress.OptimalClipWorkers(a.Relation.Data, bits, workers)
+	return a.Quantize(bits, entClip, relClip, workers), b.Quantize(bits, entClip, relClip, workers)
 }

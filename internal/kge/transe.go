@@ -145,46 +145,6 @@ func (m *TransE) TailRanks(triplets []Triplet) []int {
 	return out
 }
 
-// MeanRank returns the average tail rank over the triplets (the link
-// prediction quality metric).
-func MeanRank(ranks []int) float64 {
-	if len(ranks) == 0 {
-		return 0
-	}
-	var s float64
-	for _, r := range ranks {
-		s += float64(r)
-	}
-	return s / float64(len(ranks))
-}
-
-// HitsAt returns the fraction of ranks at or below k (hits@k, the
-// standard link prediction quality metric alongside mean rank).
-func HitsAt(ranks []int, k int) float64 {
-	if len(ranks) == 0 {
-		return 0
-	}
-	n := 0
-	for _, r := range ranks {
-		if r <= k {
-			n++
-		}
-	}
-	return float64(n) / float64(len(ranks))
-}
-
-// MeanReciprocalRank returns the mean of 1/rank over the triplets.
-func MeanReciprocalRank(ranks []int) float64 {
-	if len(ranks) == 0 {
-		return 0
-	}
-	var s float64
-	for _, r := range ranks {
-		s += 1 / float64(r)
-	}
-	return s / float64(len(ranks))
-}
-
 // UnstableRankAt10 is the paper's link prediction instability metric: the
 // fraction of test triplets whose rank changes by more than 10 between two
 // models.
@@ -321,27 +281,16 @@ func (m *TransE) Classify(set ClassificationSet, thresholds []float64) []bool {
 	return out
 }
 
-// ClassificationAccuracy returns the accuracy of predictions against the
-// set's labels.
-func ClassificationAccuracy(set ClassificationSet, preds []bool) float64 {
-	correct := 0
-	for i := range preds {
-		if preds[i] == set.Labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(preds))
-}
-
 // Quantize returns a copy of the model with both embedding matrices
 // uniformly quantized to the given precision, sharing this model's clips
 // (use QuantizePair to share clips across a model pair as the paper does).
-func (m *TransE) Quantize(bits int, entClip, relClip float64) *TransE {
+// workers is the quantization's goroutine budget (<= 0 selects all CPUs).
+func (m *TransE) Quantize(bits int, entClip, relClip float64, workers int) *TransE {
 	if bits >= 32 {
 		return &TransE{Entity: m.Entity.Clone(), Relation: m.Relation.Clone()}
 	}
 	return &TransE{
-		Entity:   quantizeDense(m.Entity, bits, entClip),
-		Relation: quantizeDense(m.Relation, bits, relClip),
+		Entity:   quantizeDense(m.Entity, bits, entClip, workers),
+		Relation: quantizeDense(m.Relation, bits, relClip, workers),
 	}
 }

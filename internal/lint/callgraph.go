@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // A Call is one static call site inside a function body.
@@ -34,33 +33,20 @@ type FuncNode struct {
 }
 
 // A CallGraph indexes every function declared in the loaded packages by
-// FullName, with forward call edges on the nodes and a reverse index for
-// caller lookups. Callees outside the loaded set (stdlib, generated
-// code) appear as edge targets but have no node.
+// FullName, with forward call edges on the nodes. Callees outside the
+// loaded set (stdlib, generated code) appear as edge targets but have no
+// node.
 type CallGraph struct {
 	// Funcs maps FullName to the declaring node.
 	Funcs map[string]*FuncNode
-
-	callers map[string][]string
 }
-
-// Node returns the function's node, or nil when it is not declared in a
-// loaded package.
-func (g *CallGraph) Node(name string) *FuncNode { return g.Funcs[name] }
-
-// Callers returns the FullNames of loaded functions with at least one
-// call edge to name, ordered by caller name.
-func (g *CallGraph) Callers(name string) []string { return g.callers[name] }
 
 // BuildCallGraph assembles the static call graph over the loaded
 // packages. Dynamic calls through interface values resolve to the
 // interface method's FullName (no devirtualization); calls through
 // function-typed variables produce no edge.
 func BuildCallGraph(pkgs []*Package) *CallGraph {
-	g := &CallGraph{
-		Funcs:   make(map[string]*FuncNode),
-		callers: make(map[string][]string),
-	}
+	g := &CallGraph{Funcs: make(map[string]*FuncNode)}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -84,25 +70,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 					return true
 				})
 				g.Funcs[node.Name] = node
-			}
-		}
-	}
-	// Build the reverse index over sorted function names: the caller
-	// lists must not inherit map iteration order, or analyzer output
-	// could vary between runs.
-	names := make([]string, 0, len(g.Funcs))
-	for name := range g.Funcs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	seen := make(map[[2]string]bool)
-	for _, name := range names {
-		node := g.Funcs[name]
-		for _, c := range node.Calls {
-			key := [2]string{c.Callee, node.Name}
-			if !seen[key] {
-				seen[key] = true
-				g.callers[c.Callee] = append(g.callers[c.Callee], node.Name)
 			}
 		}
 	}

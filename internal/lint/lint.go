@@ -1,7 +1,9 @@
 // Package lint implements anchorlint, a suite of static analyzers that
 // mechanically enforce this repository's bitwise-determinism contract:
 // worker-count-invariant training, order-preserving kernels, and seeded
-// sharded RNGs (see docs/ARCHITECTURE.md, "Determinism rules").
+// sharded RNGs (see docs/ARCHITECTURE.md, "Determinism rules"). The suite
+// also checks the API surface: the testonly rule keeps exported names in
+// internal/ packages that only tests reference from piling up.
 //
 // The package mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) but is self-contained: packages are loaded
@@ -121,7 +123,7 @@ func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ..
 func All() []*Analyzer {
 	return []*Analyzer{
 		SeedRand, MapOrder, FPReduce, SharedWrite,
-		DetTaint, CtxFlow, FaultSite, SyncGuard,
+		DetTaint, CtxFlow, FaultSite, SyncGuard, TestOnly,
 	}
 }
 

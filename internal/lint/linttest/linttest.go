@@ -43,6 +43,8 @@ var quoted = regexp.MustCompile("\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`")
 // Run type-checks the fixture directory as package pkgPath, runs the
 // analyzer, and reports any mismatch between diagnostics and // want
 // comments as test errors.
+//
+//anchorlint:ignore testonly the fixture harness of every analyzer test in internal/lint
 func Run(t *testing.T, a *lint.Analyzer, dir, pkgPath string) {
 	t.Helper()
 	pkg := loadFixture(t, dir, pkgPath)
@@ -71,6 +73,8 @@ func Run(t *testing.T, a *lint.Analyzer, dir, pkgPath string) {
 // against expectation comments. It exists for negative tests: loading
 // the same fixture under a package identity outside a rule's configured
 // scope and asserting which findings disappear.
+//
+//anchorlint:ignore testonly the off-scope fixture checks of the ctxflow and faultsite tests in internal/lint
 func Collect(t *testing.T, a *lint.Analyzer, dir, pkgPath string) []lint.Diagnostic {
 	t.Helper()
 	pkg := loadFixture(t, dir, pkgPath)

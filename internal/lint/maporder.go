@@ -18,7 +18,7 @@ var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc: "flags range-over-map bodies that append to a slice with no " +
 		"following sort, accumulate floats, or perform I/O — the " +
-		"textio/cooc merge pattern, generalized",
+		"cooc merge pattern, generalized",
 	Run: runMapOrder,
 }
 

@@ -20,7 +20,7 @@ func CollectUnsorted(m map[string]int) []string {
 	return keys
 }
 
-// CollectSorted is the blessed collect-then-sort idiom (corpus.FromText).
+// CollectSorted is the blessed collect-then-sort idiom (experiments.IDs).
 func CollectSorted(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

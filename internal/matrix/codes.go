@@ -97,18 +97,6 @@ func (c *Codes) set(i, k int, code uint8) {
 	}
 }
 
-// At returns the code at entry (i, k).
-func (c *Codes) At(i, k int) uint8 {
-	row := c.Data[i*c.RowBytes : (i+1)*c.RowBytes]
-	off := k * c.Bits
-	bi, sh := off>>3, uint(off&7)
-	v := uint16(row[bi])
-	if sh+uint(c.Bits) > 8 {
-		v |= uint16(row[bi+1]) << 8
-	}
-	return uint8(v>>sh) & uint8(1<<uint(c.Bits)-1)
-}
-
 // DequantizeRow writes row i decoded through the level table into dst
 // (length Cols).
 func (c *Codes) DequantizeRow(i int, dst []float64) {

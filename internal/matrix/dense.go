@@ -75,31 +75,6 @@ func (m *Dense) T() *Dense {
 	return t
 }
 
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	c := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		c[i] = m.Data[i*m.Cols+j]
-	}
-	return c
-}
-
-// SetCol assigns v to column j.
-func (m *Dense) SetCol(j int, v []float64) {
-	if len(v) != m.Rows {
-		panic("matrix: SetCol length mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		m.Data[i*m.Cols+j] = v[i]
-	}
-}
-
-// Scale multiplies every entry by alpha in place and returns m.
-func (m *Dense) Scale(alpha float64) *Dense {
-	floats.Scale(alpha, m.Data)
-	return m
-}
-
 // Add computes m += o element-wise in place and returns m.
 func (m *Dense) Add(o *Dense) *Dense {
 	m.mustSameShape(o)
@@ -123,18 +98,9 @@ func (m *Dense) mustSameShape(o *Dense) {
 // FrobNorm returns the Frobenius norm of m.
 func (m *Dense) FrobNorm() float64 { return floats.Norm(m.Data) }
 
-// Mul returns the matrix product a*b, computed by the blocked parallel
-// kernel on all CPUs. The result is bitwise identical for every worker
-// count (see kernels.go for the determinism contract).
-func Mul(a, b *Dense) *Dense { return MulWorkers(a, b, 0) }
-
 // MulATB returns aᵀ*b without materializing aᵀ, computed by the blocked
 // parallel kernel on all CPUs.
 func MulATB(a, b *Dense) *Dense { return MulATBWorkers(a, b, 0) }
-
-// MulABT returns a*bᵀ without materializing bᵀ, computed by the blocked
-// parallel kernel on all CPUs.
-func MulABT(a, b *Dense) *Dense { return MulABTWorkers(a, b, 0) }
 
 // MulVec returns the matrix-vector product m*x.
 func MulVec(m *Dense, x []float64) []float64 {
@@ -168,15 +134,6 @@ func Identity(n int) *Dense {
 	m := NewDense(n, n)
 	for i := 0; i < n; i++ {
 		m.Set(i, i, 1)
-	}
-	return m
-}
-
-// Diag returns a square matrix with v on the diagonal.
-func Diag(v []float64) *Dense {
-	m := NewDense(len(v), len(v))
-	for i, x := range v {
-		m.Set(i, i, x)
 	}
 	return m
 }

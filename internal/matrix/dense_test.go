@@ -21,10 +21,23 @@ func matAlmostEqual(t *testing.T, a, b *Dense, tol float64) {
 	}
 }
 
+// Reconstruct returns U * diag(S) * Vᵀ, the matrix represented by the SVD.
+func (s SVD) Reconstruct() *Dense {
+	r := len(s.S)
+	us := s.U.Clone()
+	for i := 0; i < us.Rows; i++ {
+		row := us.Row(i)
+		for j := 0; j < r; j++ {
+			row[j] *= s.S[j]
+		}
+	}
+	return MulABTWorkers(us, s.V, 0)
+}
+
 func TestMulHandComputed(t *testing.T) {
 	a := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := NewDenseData(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	got := Mul(a, b)
+	got := MulWorkers(a, b, 0)
 	want := NewDenseData(2, 2, []float64{58, 64, 139, 154})
 	matAlmostEqual(t, got, want, 1e-12)
 }
@@ -33,14 +46,14 @@ func TestMulATBMatchesExplicitTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := NewDenseRand(7, 4, 1, rng)
 	b := NewDenseRand(7, 3, 1, rng)
-	matAlmostEqual(t, MulATB(a, b), Mul(a.T(), b), 1e-12)
+	matAlmostEqual(t, MulATB(a, b), MulWorkers(a.T(), b, 0), 1e-12)
 }
 
 func TestMulABTMatchesExplicitTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := NewDenseRand(5, 6, 1, rng)
 	b := NewDenseRand(4, 6, 1, rng)
-	matAlmostEqual(t, MulABT(a, b), Mul(a, b.T()), 1e-12)
+	matAlmostEqual(t, MulABTWorkers(a, b, 0), MulWorkers(a, b.T(), 0), 1e-12)
 }
 
 func TestMulVecAndT(t *testing.T) {
@@ -84,7 +97,7 @@ func TestSVDReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, shape := range [][2]int{{10, 4}, {4, 10}, {6, 6}, {30, 3}} {
 		a := NewDenseRand(shape[0], shape[1], 1, rng)
-		s := ComputeSVD(a)
+		s := ComputeSVDWorkers(a, 0)
 		rec := s.Reconstruct()
 		matAlmostEqual(t, rec, a, 1e-9)
 	}
@@ -93,7 +106,7 @@ func TestSVDReconstruction(t *testing.T) {
 func TestSVDOrthonormalColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := NewDenseRand(20, 5, 1, rng)
-	s := ComputeSVD(a)
+	s := ComputeSVDWorkers(a, 0)
 	utu := MulATB(s.U, s.U)
 	vtv := MulATB(s.V, s.V)
 	matAlmostEqual(t, utu, Identity(len(s.S)), 1e-10)
@@ -110,8 +123,8 @@ func TestSVDLowRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	u := NewDenseRand(12, 2, 1, rng)
 	v := NewDenseRand(6, 2, 1, rng)
-	a := MulABT(u, v)
-	s := ComputeSVD(a)
+	a := MulABTWorkers(u, v, 0)
+	s := ComputeSVDWorkers(a, 0)
 	if len(s.S) != 2 {
 		t.Fatalf("expected rank 2, got %d singular values %v", len(s.S), s.S)
 	}
@@ -124,7 +137,7 @@ func TestSVDPropertySingularValuesNonNegative(t *testing.T) {
 		r := 2 + rng.Intn(10)
 		c := 2 + rng.Intn(5)
 		a := NewDenseRand(r, c, 3, rng)
-		s := ComputeSVD(a)
+		s := ComputeSVDWorkers(a, 0)
 		// Frobenius norm identity: ||A||_F² == Σ σᵢ².
 		var sum float64
 		for _, sv := range s.S {
@@ -145,10 +158,10 @@ func TestProcrustesRecoversRotation(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	y := NewDenseRand(40, 5, 1, rng)
 	// Build a random orthogonal matrix via SVD of a random square matrix.
-	q := ComputeSVD(NewDenseRand(5, 5, 1, rng))
-	rot := MulABT(q.U, q.V)
-	x := Mul(y, rot)
-	r := Procrustes(x, y)
+	q := ComputeSVDWorkers(NewDenseRand(5, 5, 1, rng), 0)
+	rot := MulABTWorkers(q.U, q.V, 0)
+	x := MulWorkers(y, rot, 0)
+	r := ProcrustesWorkers(x, y, 0)
 	matAlmostEqual(t, r, rot, 1e-8)
 	// R must be orthogonal.
 	matAlmostEqual(t, MulATB(r, r), Identity(5), 1e-10)
@@ -158,9 +171,9 @@ func TestProcrustesReducesError(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := NewDenseRand(30, 4, 1, rng)
 	y := NewDenseRand(30, 4, 1, rng)
-	r := Procrustes(x, y)
+	r := ProcrustesWorkers(x, y, 0)
 	before := x.Clone().Sub(y).FrobNorm()
-	after := x.Clone().Sub(Mul(y, r)).FrobNorm()
+	after := x.Clone().Sub(MulWorkers(y, r, 0)).FrobNorm()
 	if after > before+1e-12 {
 		t.Fatalf("procrustes increased error: before=%v after=%v", before, after)
 	}
@@ -212,7 +225,6 @@ func TestSolveSPDNotPositiveDefinitePanics(t *testing.T) {
 }
 
 func TestIdentityAndDiag(t *testing.T) {
-	id := Identity(3)
-	d := Diag([]float64{1, 1, 1})
-	matAlmostEqual(t, id, d, 0)
+	want := NewDenseData(3, 3, []float64{1, 0, 0, 0, 1, 0, 0, 0, 1})
+	matAlmostEqual(t, Identity(3), want, 0)
 }

@@ -7,6 +7,18 @@ import (
 	"testing"
 )
 
+// At returns the code at entry (i, k).
+func (c *Codes) At(i, k int) uint8 {
+	row := c.Data[i*c.RowBytes : (i+1)*c.RowBytes]
+	off := k * c.Bits
+	bi, sh := off>>3, uint(off&7)
+	v := uint16(row[bi])
+	if sh+uint(c.Bits) > 8 {
+		v |= uint16(row[bi+1]) << 8
+	}
+	return uint8(v>>sh) & uint8(1<<uint(c.Bits)-1)
+}
+
 // randDense32Exact returns a float64 matrix whose every value is exactly
 // float32-representable, plus its narrowed copy — the precondition under
 // which Dense32 serving is lossless.

@@ -32,17 +32,15 @@ const gramMinRowFactor = 3
 // to the one-sided Jacobi SVD, which works on A directly.
 const gramEigTol = 1e-10
 
-// ComputeSVD returns the thin SVD of a. Tall-thin well-conditioned inputs
-// (the embedding case: n rows >> d columns) take the fast path through the
-// d-by-d Gram matrix eigendecomposition; everything else — square, nearly
-// rank-deficient, or ill-conditioned matrices — uses the one-sided Jacobi
-// method, which is slower but accurate for small singular values. Both
-// paths are deterministic and the input is not modified.
-func ComputeSVD(a *Dense) SVD { return ComputeSVDWorkers(a, 0) }
-
-// ComputeSVDWorkers is ComputeSVD with an explicit goroutine budget for
-// the matrix products involved (workers <= 0 selects all CPUs). The
-// decomposition is identical for every worker count.
+// ComputeSVDWorkers returns the thin SVD of a. Tall-thin
+// well-conditioned inputs (the embedding case: n rows >> d columns) take
+// the fast path through the d-by-d Gram matrix eigendecomposition;
+// everything else — square, nearly rank-deficient, or ill-conditioned
+// matrices — uses the one-sided Jacobi method, which is slower but
+// accurate for small singular values. Both paths are deterministic and
+// the input is not modified. workers bounds the goroutines of the matrix
+// products involved (workers <= 0 selects all CPUs); the decomposition is
+// identical for every worker count.
 func ComputeSVDWorkers(a *Dense, workers int) SVD {
 	if a.Rows >= gramMinRowFactor*a.Cols && a.Cols >= 2 {
 		if s, ok := gramSVD(a, workers); ok {
@@ -183,7 +181,7 @@ func jacobiEigSym(g *Dense) ([]float64, *Dense) {
 
 // jacobiSVD computes the thin SVD with the one-sided Jacobi method, which
 // is simple and numerically robust for any shape or conditioning. It is
-// the fallback behind ComputeSVD's Gram fast path. The input is not
+// the fallback behind ComputeSVDWorkers' Gram fast path. The input is not
 // modified.
 func jacobiSVD(a *Dense) SVD {
 	n, d := a.Rows, a.Cols
@@ -288,27 +286,11 @@ func jacobiSVD(a *Dense) SVD {
 	return SVD{U: u, S: sv, V: vOut}
 }
 
-// Reconstruct returns U * diag(S) * Vᵀ, the matrix represented by the SVD.
-func (s SVD) Reconstruct() *Dense {
-	r := len(s.S)
-	us := s.U.Clone()
-	for i := 0; i < us.Rows; i++ {
-		row := us.Row(i)
-		for j := 0; j < r; j++ {
-			row[j] *= s.S[j]
-		}
-	}
-	return MulABT(us, s.V)
-}
-
-// Procrustes returns the orthogonal matrix R that minimizes ||X - Y*R||_F
-// subject to RᵀR = I (Schönemann 1966). X and Y must have the same shape.
-// The solution is R = U*Vᵀ where YᵀX = U*diag(S)*Vᵀ.
-func Procrustes(x, y *Dense) *Dense { return ProcrustesWorkers(x, y, 0) }
-
-// ProcrustesWorkers is Procrustes with an explicit goroutine budget
-// (workers <= 0 selects all CPUs); the rotation is identical for every
-// worker count.
+// ProcrustesWorkers returns the orthogonal matrix R that minimizes
+// ||X - Y*R||_F subject to RᵀR = I (Schönemann 1966). X and Y must have
+// the same shape. The solution is R = U*Vᵀ where YᵀX = U*diag(S)*Vᵀ.
+// workers bounds the goroutines (workers <= 0 selects all CPUs); the
+// rotation is identical for every worker count.
 func ProcrustesWorkers(x, y *Dense, workers int) *Dense {
 	if x.Rows != y.Rows || x.Cols != y.Cols {
 		panic("matrix: Procrustes shape mismatch")

@@ -70,7 +70,7 @@ func TestGramSVDDeclinesIllConditioned(t *testing.T) {
 	if _, ok := gramSVD(a, 1); ok {
 		t.Fatal("gram path accepted a spectrum below its trust gate")
 	}
-	s := ComputeSVD(a)
+	s := ComputeSVDWorkers(a, 0)
 	if len(s.S) != d {
 		t.Fatalf("rank %d, want %d", len(s.S), d)
 	}
@@ -89,12 +89,12 @@ func TestComputeSVDRoutesTallThin(t *testing.T) {
 	if !ok {
 		t.Fatal("gram path declined")
 	}
-	got := ComputeSVD(tall)
+	got := ComputeSVDWorkers(tall, 0)
 	matBitwiseEqual(t, got.U, g.U, "ComputeSVD tall-thin U")
 
 	square := NewDenseRand(8, 8, 1, rng)
 	j := jacobiSVD(square)
-	got = ComputeSVD(square)
+	got = ComputeSVDWorkers(square, 0)
 	matBitwiseEqual(t, got.U, j.U, "ComputeSVD square U")
 }
 
@@ -111,6 +111,6 @@ func TestJacobiEigSymDiagonalizes(t *testing.T) {
 			row[j] *= eig[j]
 		}
 	}
-	matAlmostEqual(t, MulABT(vl, v), g, 1e-9*(1+g.FrobNorm()))
+	matAlmostEqual(t, MulABTWorkers(vl, v, 0), g, 1e-9*(1+g.FrobNorm()))
 	matAlmostEqual(t, MulATB(v, v), Identity(6), 1e-12)
 }

@@ -144,30 +144,3 @@ func (c *CRF) Decode(emissions *matrix.Dense) []int {
 	}
 	return path
 }
-
-// BruteForceLogZ computes the log partition function by enumerating all
-// T^n tag sequences. Exponential; for tests only.
-func (c *CRF) BruteForceLogZ(emissions *matrix.Dense) float64 {
-	n := emissions.Rows
-	var scores []float64
-	seq := make([]int, n)
-	var rec func(t int, acc float64)
-	rec = func(t int, acc float64) {
-		if t == n {
-			scores = append(scores, acc+c.End.Value.At(0, seq[n-1]))
-			return
-		}
-		for j := 0; j < c.T; j++ {
-			s := acc + emissions.At(t, j)
-			if t == 0 {
-				s += c.Start.Value.At(0, j)
-			} else {
-				s += c.Trans.Value.At(seq[t-1], j)
-			}
-			seq[t] = j
-			rec(t+1, s)
-		}
-	}
-	rec(0, 0)
-	return floats.LogSumExp(scores)
-}

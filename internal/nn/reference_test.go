@@ -2,6 +2,7 @@ package nn
 
 import (
 	"anchor/internal/autodiff"
+	"anchor/internal/floats"
 	"anchor/internal/matrix"
 )
 
@@ -128,4 +129,31 @@ func (c *Conv1D) forwardBatchReference(tp *autodiff.Tape, tok func(b, t int) []f
 		pooled = append(pooled, tp.ConcatRows(segs...))
 	}
 	return tp.ConcatCols(pooled...)
+}
+
+// BruteForceLogZ computes the CRF's log partition function by enumerating
+// all T^n tag sequences: the exponential oracle for the forward algorithm.
+func (c *CRF) BruteForceLogZ(emissions *matrix.Dense) float64 {
+	n := emissions.Rows
+	var scores []float64
+	seq := make([]int, n)
+	var rec func(t int, acc float64)
+	rec = func(t int, acc float64) {
+		if t == n {
+			scores = append(scores, acc+c.End.Value.At(0, seq[n-1]))
+			return
+		}
+		for j := 0; j < c.T; j++ {
+			s := acc + emissions.At(t, j)
+			if t == 0 {
+				s += c.Start.Value.At(0, j)
+			} else {
+				s += c.Trans.Value.At(seq[t-1], j)
+			}
+			seq[t] = j
+			rec(t+1, s)
+		}
+	}
+	rec(0, 0)
+	return floats.LogSumExp(scores)
 }

@@ -120,8 +120,8 @@ func BenchmarkNeighborsPrecision(b *testing.B) {
 		if ref.Bits == 0 || ref.Bits >= 32 {
 			return e, nil
 		}
-		clip := compress.OptimalClip(e.Vectors.Data, ref.Bits)
-		return compress.Quantize(e, ref.Bits, clip), nil
+		clip := compress.OptimalClipWorkers(e.Vectors.Data, ref.Bits, 0)
+		return compress.QuantizeWorkers(e, ref.Bits, clip, 0), nil
 	}
 	words := make([]string, queries)
 	for i := range words {

@@ -26,8 +26,8 @@ func quantFixtureSource(rows int) Source {
 		if err != nil || ref.Bits == 0 || ref.Bits >= 32 {
 			return e, err
 		}
-		clip := compress.OptimalClip(e.Vectors.Data, ref.Bits)
-		return compress.Quantize(e, ref.Bits, clip), nil
+		clip := compress.OptimalClipWorkers(e.Vectors.Data, ref.Bits, 0)
+		return compress.QuantizeWorkers(e, ref.Bits, clip, 0), nil
 	}
 }
 

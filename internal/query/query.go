@@ -505,19 +505,6 @@ func (s *snapshot) resolve(word string) (int, error) {
 	return 0, &UnknownWordError{Word: word, Ref: s.ref}
 }
 
-// Words returns the vocabulary size of the snapshot under ref (loading it
-// if necessary).
-func (e *Engine) Words(ctx context.Context, ref Ref) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	s, err := e.snapshot(ctx, ref)
-	if err != nil {
-		return 0, err
-	}
-	return s.rows, nil
-}
-
 // Vector returns the word's row id and a copy of its (unnormalized)
 // embedding vector in the snapshot under ref. Compact snapshots
 // reconstruct the row exactly: both are lossless representations of the
@@ -544,19 +531,6 @@ func (e *Engine) Vector(ctx context.Context, ref Ref, word string) (int, []float
 // engine's block size (internal/core), which bounds each similarity block
 // at blockSize×|V| floats.
 const blockSize = 128
-
-// Neighbors returns the word's k nearest neighbors by cosine similarity
-// in the snapshot under ref, excluding the word itself, ordered by
-// similarity descending with id-ascending tie-breaks. It is a one-word
-// NeighborsBatch: the query is scored as its own query block the moment
-// it arrives.
-func (e *Engine) Neighbors(ctx context.Context, ref Ref, word string, k int) ([]Neighbor, error) {
-	out, err := e.NeighborsBatch(ctx, ref, []string{word}, k)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
 
 // NeighborsBatch answers a multi-word neighbors request: one query block
 // per blockSize words, one matrix product per block. It is the one path

@@ -15,6 +15,29 @@ import (
 	"anchor/internal/matrix"
 )
 
+// Words returns the vocabulary size of the snapshot under ref (loading it
+// if necessary).
+func (e *Engine) Words(ctx context.Context, ref Ref) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	s, err := e.snapshot(ctx, ref)
+	if err != nil {
+		return 0, err
+	}
+	return s.rows, nil
+}
+
+// Neighbors returns the word's k nearest neighbors: a one-word
+// NeighborsBatch.
+func (e *Engine) Neighbors(ctx context.Context, ref Ref, word string, k int) ([]Neighbor, error) {
+	out, err := e.NeighborsBatch(ctx, ref, []string{word}, k)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
 // fixtureSource builds deterministic random snapshots keyed by Ref, so
 // two engines resolve bitwise-identical matrices for the same Ref.
 func fixtureSource(rows int, calls *int32) Source {

@@ -69,20 +69,6 @@ func Spearman(x, y []float64) float64 {
 	return Pearson(Ranks(x), Ranks(y))
 }
 
-// LinearFit fits y ≈ a + b*x by ordinary least squares and returns (a, b).
-func LinearFit(x, y []float64) (intercept, slope float64) {
-	if len(x) != len(y) || len(x) < 2 {
-		panic("stats: LinearFit needs >= 2 paired points")
-	}
-	a := matrix.NewDense(len(x), 2)
-	for i, v := range x {
-		a.Set(i, 0, 1)
-		a.Set(i, 1, v)
-	}
-	w := matrix.LeastSquares(a, y)
-	return w[0], w[1]
-}
-
 // LinearLogPoint is one observation for the stability–memory trend fit:
 // a task identifier, the memory (or dimension/precision) value on the log
 // axis, and the observed downstream instability in percent.
@@ -97,11 +83,6 @@ type LinearLogPoint struct {
 type LinearLogFit struct {
 	Slope      float64 // positive slope means instability falls as memory grows
 	Intercepts map[string]float64
-}
-
-// Predict returns the fitted instability for task t at memory x.
-func (f LinearLogFit) Predict(task string, x float64) float64 {
-	return f.Intercepts[task] - f.Slope*math.Log2(x)
 }
 
 // FitLinearLog fits the paper's linear-log trend to the given points:
@@ -137,9 +118,4 @@ func FitLinearLog(points []LinearLogPoint) LinearLogFit {
 		fit.Intercepts[t] = w[1+j]
 	}
 	return fit
-}
-
-// MeanStd returns the mean and population standard deviation of x.
-func MeanStd(x []float64) (mean, std float64) {
-	return floats.Mean(x), floats.StdDev(x)
 }

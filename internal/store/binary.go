@@ -60,7 +60,7 @@ import (
 // element as a b-bit index into the 2^b level grid determined by
 // (Meta.Clip, Meta.Precision), packed LSB-first with rows byte-aligned:
 // 8-64x smaller than float64 and lossless exactly when every value sits on
-// the grid, which is how compress.Quantize produces artifacts (levels are
+// the grid, which is how compress.QuantizeWorkers produces artifacts (levels are
 // float32-rounded by construction). PickKind chooses the smallest kind
 // that is lossless for a given embedding.
 

@@ -18,8 +18,8 @@ import (
 func quantTestEmbedding(t *testing.T, rows, cols, bits int) *embedding.Embedding {
 	t.Helper()
 	e := binTestEmbedding(t, rows, cols, false)
-	clip := compress.OptimalClip(e.Vectors.Data, bits)
-	q := compress.Quantize(e, bits, clip)
+	clip := compress.OptimalClipWorkers(e.Vectors.Data, bits, 0)
+	q := compress.QuantizeWorkers(e, bits, clip, 0)
 	q.Meta.Algorithm, q.Meta.Corpus = "mc", "wiki17"
 	return q
 }
@@ -68,7 +68,7 @@ func TestPickKindLosslessCascade(t *testing.T) {
 	// 9..31-bit quantized artifacts are float32-exact but have no b<=8
 	// code grid: they must fall to Float32, not Quantized.
 	wide := binTestEmbedding(t, 9, 7, false)
-	q16 := compress.Quantize(wide, 16, compress.OptimalClip(wide.Vectors.Data, 16))
+	q16 := compress.QuantizeWorkers(wide, 16, compress.OptimalClipWorkers(wide.Vectors.Data, 16, 0), 0)
 	if k := PickKind(q16); k != Float32 {
 		t.Fatalf("16-bit quantized artifact picked kind %d, want Float32", k)
 	}

@@ -174,9 +174,6 @@ func Memory() *Store {
 	return s
 }
 
-// Dir returns the disk tier's directory ("" for memory-only stores).
-func (s *Store) Dir() string { return s.dir }
-
 // Stats returns a snapshot of the traffic counters.
 func (s *Store) Stats() Stats {
 	return Stats{

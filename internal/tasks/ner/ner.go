@@ -346,12 +346,6 @@ func (m *Tagger) valLoss(tp *autodiff.Tape, val []Example) float64 {
 	return total / float64(n)
 }
 
-// Predict returns the predicted tag sequence for one sentence: the
-// lockstep emission path with a one-sentence batch.
-func (m *Tagger) Predict(tokens []int32) []int {
-	return m.predictAll([]Example{{Tokens: tokens}})[0]
-}
-
 func (m *Tagger) decodeEmissions(emissions *matrix.Dense) []int {
 	if m.crf != nil {
 		return m.crf.Decode(emissions)
@@ -402,17 +396,10 @@ func (m *Tagger) EntityPredictions(examples []Example) []int {
 	return entityPredictionsOf(m.predictAll(examples), examples)
 }
 
-// EntityTokenF1 returns the micro-averaged F1 over entity classes at the
-// token level (precision/recall of entity-tagged tokens), the quality
-// metric for the Figure 8 analogue.
-func (m *Tagger) EntityTokenF1(examples []Example) float64 {
-	return entityF1Of(m.predictAll(examples), examples)
-}
-
 // EvaluateEntities returns both the flattened gold-entity predictions and
-// the entity token F1 from a single batched inference pass — what a grid
-// cell needs, at half the inference cost of calling EntityPredictions and
-// EntityTokenF1 separately.
+// the micro-averaged entity F1 at the token level (precision/recall of
+// entity-tagged tokens, the quality metric for the Figure 8 analogue) from
+// a single batched inference pass.
 func (m *Tagger) EvaluateEntities(examples []Example) ([]int, float64) {
 	all := m.predictAll(examples)
 	return entityPredictionsOf(all, examples), entityF1Of(all, examples)

@@ -49,11 +49,8 @@ func (d *Dataset) splitCounts(which int, examples []Example) *matrix.Dense {
 // TrainCounts returns the cached count matrix of the training split.
 func (d *Dataset) TrainCounts() *matrix.Dense { return d.splitCounts(0, d.Train) }
 
-// ValCounts returns the cached count matrix of the validation split.
-func (d *Dataset) ValCounts() *matrix.Dense { return d.splitCounts(1, d.Val) }
-
 // TestCounts returns the cached count matrix of the test split.
-func (d *Dataset) TestCounts() *matrix.Dense { return d.splitCounts(2, d.Test) }
+func (d *Dataset) TestCounts() *matrix.Dense { return d.splitCounts(1, d.Test) }
 
 // Features returns the averaged-embedding bag-of-words features of the
 // examples as one blocked count-matrix × embedding product (counts must be

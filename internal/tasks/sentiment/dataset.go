@@ -41,9 +41,9 @@ type Dataset struct {
 	PosLex, NegLex   []int32
 
 	// Cached per-split bag-of-words count matrices (see counts.go),
-	// indexed train/val/test. Built lazily, safe for concurrent use.
-	countsOnce [3]sync.Once
-	counts     [3]*matrix.Dense
+	// indexed train/test. Built lazily, safe for concurrent use.
+	countsOnce [2]sync.Once
+	counts     [2]*matrix.Dense
 }
 
 // Params controls dataset generation.

@@ -277,8 +277,3 @@ func (m *CNN) Predict(examples []Example) []int {
 	}
 	return out
 }
-
-// Accuracy returns classification accuracy on the examples.
-func (m *CNN) Accuracy(examples []Example) float64 {
-	return AccuracyOf(m.Predict(examples), examples)
-}

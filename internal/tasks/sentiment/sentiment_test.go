@@ -112,7 +112,7 @@ func TestDownstreamInstabilityPipeline(t *testing.T) {
 	tr := embtrain.NewMC()
 	e17 := tr.Train(c17, 16, 1)
 	e18 := tr.Train(c18, 16, 1)
-	e18.AlignTo(e17)
+	e18.AlignTo(e17, 0)
 
 	ds := Generate(c17, cfg, SST2Params())
 	m17 := TrainLinearBOW(e17, ds, DefaultLinearBOWConfig(1))
@@ -220,7 +220,7 @@ func TestCNNLearns(t *testing.T) {
 	p.TrainN, p.TestN = 200, 100
 	ds := Generate(c, cfg, p)
 	m := TrainCNN(emb, ds, DefaultCNNConfig(1))
-	acc := m.Accuracy(ds.Test)
+	acc := AccuracyOf(m.Predict(ds.Test), ds.Test)
 	if acc < 0.6 {
 		t.Fatalf("CNN accuracy %.3f too low", acc)
 	}

@@ -62,7 +62,7 @@ func TestSentimentEvaluatorMatchesInline(t *testing.T) {
 	}
 	e17 := tr.Train(c17, 8, 1)
 	e18 := tr.Train(c18, 8, 1)
-	e18.AlignTo(e17)
+	e18.AlignTo(e17, 0)
 	e18.Meta.Corpus = "wiki18a"
 
 	ev, err := New("sst2", c17, ccfg)

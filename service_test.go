@@ -42,7 +42,7 @@ func TestAlignQuantizeMatchesInlinedSequence(t *testing.T) {
 
 	// Inlined legacy sequence on clones.
 	a, b := e17.Clone(), e18.Clone()
-	b.AlignTo(a)
+	b.AlignTo(a, 0)
 	b.Meta.Corpus += "a"
 	wq17, wq18 := anchor.QuantizePair(a, b, 4)
 
